@@ -26,11 +26,13 @@ from .core_types import (
     OddField,
     Potential,
     energy_norm,
-    lq_norm,
     make_grid,
+    slice_energies,
+    slice_norms,
 )
 from .errors import NUMERICAL_GUARDS, ConfigError, HyperwaveError
 from .evolution import (
+    _cfl_limit,
     assemble_generator,
     evolve,
     growing_mode_projection,
@@ -103,8 +105,8 @@ def _build_potential(spec, path):
         raise ConfigError(f"{path}.coeffs: need a nonempty number list")
     coeffs = [float(c) for c in coeffs]
 
-    def V(y):
-        y2 = np.asarray(y, dtype=float) ** 2
+    def V(y):  # complex-safe: taylor_at_one samples a circle around 1
+        y2 = np.asarray(y) ** 2
         out = np.zeros_like(y2)
         for c in reversed(coeffs):
             out = out * y2 + c
@@ -275,28 +277,22 @@ def _cmd_evolve(cfg, out_dir, seed):
     cfl = _cfg_number(cfg, "cfl_constant", "", default=4.0, positive=True)
 
     gen = assemble_generator(grid, V)
-    from .evolution import _cfl_limit
-    ds_used = ds if ds is not None else _cfl_limit(grid.n, cfl)
     traj = evolve(gen, EnergyState(f, g), s_max, ds=ds, cfl_constant=cfl,
                   store_every=store_every)
-    rows = []
-    energies = []
-    for t, st in zip(traj.times, traj.states):
-        e = energy_norm(st)
-        energies.append(e)
-        rows.append((t, e, lq_norm(st.u, 2), lq_norm(st.u, 6),
-                     lq_norm(st.u, np.inf)))
+    energies = slice_energies(traj.U, traj.V, grid)
     _write_csv(out_dir / "series.csv",
-               ["s", "energy", "l2", "l6", "sup"], rows)
+               ["s", "energy", "l2", "l6", "sup"],
+               zip(traj.times, energies,
+                   *(slice_norms(traj.U, grid, q) for q in (2, 6, np.inf))))
     results = {
         "num_slices": len(traj),
         "final_s": float(traj.times[-1]),
         "initial_energy": energies[0],
         "final_energy": energies[-1],
-        "max_energy": max(energies),
+        "max_energy": np.max(energies),
         "potential": V.name,
     }
-    return results, {"ds_used": ds_used, "grid_n": grid.n}
+    return results, {"ds_used": traj.step, "grid_n": grid.n}
 
 
 def _cmd_spectrum(cfg, out_dir, seed):
@@ -448,25 +444,19 @@ def _cmd_yangmills(cfg, out_dir, seed):
     resid = fixed_point_residual(prop, f, g, run.final)
 
     # direct solver sampled on the Picard nodes
-    from .evolution import _cfl_limit
     limit = _cfl_limit(grid.n, 4.0)
     sub = max(1, int(np.ceil(ds / limit - 1e-12)))
     direct = nonlinear_evolve_direct(f, g, s_max, ds=ds / sub,
                                      store_every=sub)
-    Up = run.final.first_components()
-    Ud = direct.first_components()
     m = min(len(run.final), len(direct))
-    diff = Up[:m] - Ud[:m]
-    l6_diff = float(np.max(
-        (np.abs(diff) ** 6 @ grid.quad_weights) ** (1.0 / 6.0)))
+    Up = run.final.U[:m]
+    Ud = direct.U[:m]
+    l6_diff = float(np.max(slice_norms(Up - Ud, grid, 6)))
 
     report = asymptotic_stability_report(f, g, s_max)
-    rows = []
-    for i in range(m):
-        rows.append((run.final.times[i],
-                     lq_norm(run.final.states[i].u, 6),
-                     lq_norm(direct.states[i].u, 6)))
-    _write_csv(out_dir / "series.csv", ["s", "l6_picard", "l6_direct"], rows)
+    _write_csv(out_dir / "series.csv", ["s", "l6_picard", "l6_direct"],
+               zip(run.final.times[:m], slice_norms(Up, grid, 6),
+                   slice_norms(Ud, grid, 6)))
     results = {
         "converged": run.converged,
         "num_iterates": len(run.iterates),
@@ -550,7 +540,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="hyperwave_out")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -564,7 +553,6 @@ def main(argv=None):
             "config": cfg,
             "resolved": extras,
             "seed_override": args.seed,
-            "threads": args.threads,
             "versions": {
                 "hyperwave": __version__,
                 "numpy": np.__version__,

@@ -6,6 +6,8 @@ at y = +-1 and the solutions live on the open interval. Boundary traces,
 where needed, are obtained by polynomial extrapolation.
 """
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .errors import (
@@ -77,6 +79,34 @@ def parity_defect(values):
     return float(np.max(np.abs(values + values[::-1])))
 
 
+def _odd_part(grid, values, tol, ndim=1):
+    """Checked odd projection of one field's samples (ndim 1) or of a
+    (T, n) stack of them (ndim 2).
+
+    Each field's parity defect max|v_i + v_{n-1-i}| must stay within
+    `tol` times max(1, max|v|); the result (v - reversed(v))/2 is
+    read-only.
+    """
+    values = np.asarray(values)
+    values = values.astype(complex if np.iscomplexobj(values) else float)
+    if values.ndim != ndim or values.shape[-1] != grid.n:
+        raise InvalidDataError(
+            f"field shape {values.shape} does not match grid n={grid.n}")
+    if not np.all(np.isfinite(values)):
+        raise InvalidDataError("non-finite field values")
+    flipped = values[..., ::-1]
+    defect = np.max(np.abs(values + flipped), axis=-1)
+    ratio = defect / np.maximum(1.0, np.max(np.abs(values), axis=-1))
+    if np.any(ratio > tol):
+        raise InvalidDataError(
+            f"parity defect {np.max(ratio):.3e} times max(1, max|v|)"
+            f" exceeds {tol:.1e}; data is not odd")
+    out = values - flipped
+    out *= 0.5
+    out.setflags(write=False)
+    return out
+
+
 class OddField:
     """Samples of an odd function of y on a grid.
 
@@ -88,26 +118,8 @@ class OddField:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid, values, tol=1e-6):
-        values = np.asarray(values)
-        if np.issubdtype(values.dtype, np.complexfloating):
-            values = values.astype(complex)
-        else:
-            values = values.astype(float)
-        if values.shape != (grid.n,):
-            raise InvalidDataError(
-                f"field shape {values.shape} does not match grid n={grid.n}")
-        if not np.all(np.isfinite(values)):
-            raise InvalidDataError("non-finite field values")
-        scale = max(1.0, float(np.max(np.abs(values))))
-        defect = parity_defect(values)
-        if defect > tol * scale:
-            raise InvalidDataError(
-                f"parity defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e};"
-                " data is not odd")
-        v = 0.5 * (values - values[::-1])
-        v.setflags(write=False)
         self.grid = grid
-        self.values = v
+        self.values = _odd_part(grid, values, tol)
 
     @classmethod
     def from_callable(cls, grid, fn, tol=1e-6):
@@ -205,9 +217,10 @@ class Potential:
     def taylor_at_one(self, m):
         """First m Taylor coefficients of V at y=1, powers of (y-1).
 
-        For complex-safe callables the coefficients come from the Cauchy
-        integral on a small circle around 1 (trapezoid = FFT, spectrally
-        accurate); otherwise a Chebyshev fit on [0.5, 1] is
+        For complex-safe callables (a complex array out for complex input)
+        the coefficients come from the Cauchy integral on a small circle
+        around 1 (trapezoid = FFT, spectrally accurate); otherwise a
+        Chebyshev fit on [0.5, 1] is
         differentiated, which is adequate for the low orders but loses
         accuracy beyond the first few.
         """
@@ -221,8 +234,9 @@ class Potential:
         N = 256
         w = rho * np.exp(2j * np.pi * np.arange(N) / N)
         try:
-            vals = np.asarray(self._fn(1.0 + w), dtype=complex)
-            if vals.shape != w.shape or not np.all(np.isfinite(vals)):
+            vals = np.asarray(self._fn(1.0 + w))
+            if not np.iscomplexobj(vals) or vals.shape != w.shape \
+                    or not np.all(np.isfinite(vals)):
                 raise ValueError
         except Exception:
             return self._taylor_at_one_fit(m)
@@ -253,79 +267,112 @@ class Potential:
         return f"Potential({self.name})"
 
 
-class Trajectory:
-    """Time-stamped sequence of energy states on one shared grid."""
+class Trajectory(Sequence):
+    """Time-stamped stack of odd energy states on one shared grid.
 
-    __slots__ = ("times", "states", "step")
+    `times` has shape (T,); `U` and `V` of shape (T, n) hold the samples
+    of u and ds_u on each slice. `Trajectory(times, states, step)` stacks
+    a list of energy states and `Trajectory.from_arrays` takes the stacks
+    directly; either way every slice is held to the OddField parity
+    tolerance and projected, in one vectorised pass. The trajectory is a
+    read-only sequence of its slices: indexing builds an EnergyState.
+    """
+
+    __slots__ = ("grid", "times", "U", "V", "step")
 
     def __init__(self, times, states, step=None):
-        times = np.asarray(times, dtype=float)
-        if times.size == 0 or len(states) == 0:
+        if len(states) == 0:
             raise InvalidDataError("empty trajectory")
-        if times.size != len(states):
+        grid = states[0].grid
+        if any(st.grid is not grid for st in states):
+            raise InvalidDataError("states live on different grids")
+        self._fill(grid, times, [st.u.values for st in states],
+                   [st.v.values for st in states], step)
+
+    @classmethod
+    def from_arrays(cls, grid, times, U, V, step=None):
+        """Trajectory of (T,) times and (T, n) stacks U of u, V of ds_u."""
+        traj = cls.__new__(cls)
+        traj._fill(grid, times, U, V, step)
+        return traj
+
+    def _fill(self, grid, times, U, V, step):
+        times = np.array(times, dtype=float)
+        if times.size == 0:
+            raise InvalidDataError("empty trajectory")
+        if len(U) != times.size or len(V) != times.size:
             raise InvalidDataError("times/states length mismatch")
         if times.size > 1 and np.any(np.diff(times) <= 0):
             raise InvalidDataError("times must be strictly increasing")
-        g = states[0].grid
-        for st in states:
-            if st.grid is not g:
-                raise InvalidDataError("states live on different grids")
         times.setflags(write=False)
+        self.grid = grid
         self.times = times
-        self.states = list(states)
+        self.U = _odd_part(grid, U, 1e-6, ndim=2)
+        self.V = _odd_part(grid, V, 1e-6, ndim=2)
         if step is None:
             step = float(times[1] - times[0]) if times.size > 1 else 0.0
         self.step = step
 
     @property
-    def grid(self):
-        return self.states[0].grid
+    def states(self):
+        """The slices as energy states (the trajectory itself)."""
+        return self
 
     def __len__(self):
-        return len(self.states)
+        return self.times.size
+
+    def __getitem__(self, i):
+        return EnergyState(OddField(self.grid, self.U[i]),
+                           OddField(self.grid, self.V[i]))
 
     def first_components(self):
         """(num_slices, n) array of the u components."""
-        return np.array([st.u.values for st in self.states])
-
-    def second_components(self):
-        return np.array([st.v.values for st in self.states])
+        return self.U
 
     def restricted(self, s_lo, s_hi):
         sel = (self.times >= s_lo - 1e-12) & (self.times <= s_hi + 1e-12)
-        idx = np.nonzero(sel)[0]
-        if idx.size == 0:
+        if not np.any(sel):
             raise InvalidDataError("no slices in the requested window")
-        return Trajectory(self.times[idx], [self.states[i] for i in idx],
-                          step=self.step)
+        return Trajectory.from_arrays(self.grid, self.times[sel],
+                                      self.U[sel], self.V[sel],
+                                      step=self.step)
+
+
+def slice_norms(U, grid, q):
+    """L^q(-1,1) norms of the rows of a (T, n) sample stack (one row: a
+    scalar); q = inf gives the sample sup."""
+    if q < 1:
+        raise InvalidArgumentError(f"q must be >= 1, got {q}")
+    a = np.abs(U)
+    if np.isinf(q):
+        return np.max(a, axis=-1)
+    return (a ** q @ grid.quad_weights) ** (1.0 / q)
+
+
+def slice_energies(U, V, grid):
+    """Energy norms sqrt(int (1-y^2)|u'|^2 + int |v|^2) of the rows of
+    (T, n) stacks of u and v = ds_u (one row each: a scalar)."""
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+        raise InvalidDataError("non-finite state")
+    dU = (grid.diff_matrix @ np.transpose(U)).T
+    val = np.sum(grid.quad_weights * (1.0 - grid.nodes ** 2)
+                 * np.abs(dU) ** 2, axis=-1) \
+        + np.sum(grid.quad_weights * np.abs(V) ** 2, axis=-1)
+    return np.sqrt(np.maximum(np.real(val), 0.0))
 
 
 def energy_norm(state):
     """Energy norm of a state: sqrt(int (1-y^2)|u'|^2 + int |v|^2)."""
-    f1 = state.u.values
-    f2 = state.v.values
-    if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
-        raise InvalidDataError("non-finite state")
-    g = state.grid
-    df = g.diff_matrix @ f1
-    val = np.sum(g.quad_weights * (1.0 - g.nodes ** 2) * np.abs(df) ** 2) \
-        + np.sum(g.quad_weights * np.abs(f2) ** 2)
-    return float(np.sqrt(max(val.real, 0.0)))
+    return float(slice_energies(state.u.values, state.v.values, state.grid))
 
 
 def lq_norm(field, q):
     """L^q(-1,1) norm of an odd field; q = inf gives the sample sup."""
-    if q < 1:
-        raise InvalidArgumentError(f"q must be >= 1, got {q}")
-    a = np.abs(field.values)
-    if np.isinf(q):
-        return float(np.max(a))
-    g = field.grid
-    return float(np.sum(g.quad_weights * a ** q) ** (1.0 / q))
+    return float(slice_norms(field.values, field.grid, q))
 
 
 def _mixed_from_samples(times, lq_values, p):
-    lq_values = np.asarray(lq_values, dtype=float)
+    """L^p in s of per-slice norms sampled at `times` (an array)."""
     if np.isinf(p):
         return float(np.max(lq_values))
     return float(np.trapezoid(lq_values ** p, times) ** (1.0 / p))
@@ -333,22 +380,15 @@ def _mixed_from_samples(times, lq_values, p):
 
 def mixed_norm(traj, p, q):
     """L^p in s of the L^q(-1,1) norms of the u component."""
-    if len(traj) == 0:
-        raise InvalidDataError("empty trajectory")
     if p < 2:
         raise InvalidArgumentError(f"p must be >= 2, got {p}")
-    lqs = [lq_norm(st.u, q) for st in traj.states]
-    if len(lqs) == 1:
-        return lqs[0] if np.isinf(p) else 0.0
-    return _mixed_from_samples(traj.times, lqs, p)
+    return _mixed_from_samples(traj.times, slice_norms(traj.U, traj.grid, q),
+                               p)
 
 
 def sobolev_embedding_ratio(f, q):
     """||f||_{L^q} divided by the weighted derivative norm of f."""
-    g = f.grid
-    df = g.diff_matrix @ f.values
-    den = np.sqrt(np.sum(g.quad_weights * (1.0 - g.nodes ** 2)
-                         * np.abs(df) ** 2).real)
+    den = slice_energies(f.values, np.zeros(f.grid.n), f.grid)
     if den <= 1e-300:
         raise UndefinedRatioError("weighted derivative norm vanishes")
     return lq_norm(f, q) / float(den)
@@ -358,20 +398,20 @@ def extrapolate_to(values, grid, y_target, num_points=4):
     """Polynomial extrapolation of node samples to a point off the grid.
 
     Uses the `num_points` nodes nearest to y_target with a Lagrange form;
-    intended for boundary traces at y = +-1.
+    intended for boundary traces at y = +-1. `values` holds one field's
+    samples (giving a complex number) or fields as the columns of an
+    (n, T) array (giving T values).
     """
     nodes = grid.nodes
     order = np.argsort(np.abs(nodes - y_target))[:num_points]
     xs = nodes[order]
-    vs = np.asarray(values)[order]
-    total = 0.0 + 0.0j
+    w = np.ones(num_points)
     for i in range(num_points):
-        li = 1.0
         for k in range(num_points):
             if k != i:
-                li *= (y_target - xs[k]) / (xs[i] - xs[k])
-        total += li * vs[i]
-    return complex(total)
+                w[i] *= (y_target - xs[k]) / (xs[i] - xs[k])
+    out = w @ np.asarray(values)[order]
+    return complex(out) if out.ndim == 0 else out
 
 
 def barycentric_interpolate(grid, values, x):

@@ -19,7 +19,13 @@ from typing import Dict, List, Optional
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .core_types import EnergyState, OddField, Trajectory, energy_norm
+from .core_types import (
+    EnergyState,
+    OddField,
+    Trajectory,
+    energy_norm,
+    slice_energies,
+)
 from .errors import (
     ContourAccuracyError,
     DivergenceError,
@@ -87,22 +93,24 @@ class GeneratorMatrix:
         return self.restrict @ state.stacked()
 
     def expand_state(self, x):
-        n = self.grid.n
-        w = self.expand @ x
-        return EnergyState(OddField(self.grid, w[:n]),
-                           OddField(self.grid, w[n:]))
+        u, v = self.expand_rows(x)
+        return EnergyState(OddField(self.grid, u), OddField(self.grid, v))
+
+    def expand_rows(self, X):
+        """Odd extensions (U, V) of reduced rows X of shape (..., n)."""
+        half = self.grid.n // 2
+        u, v = X[..., :half], X[..., half:]
+        return (np.concatenate([-u[..., ::-1], u], axis=-1),
+                np.concatenate([-v[..., ::-1], v], axis=-1))
+
+    def trajectory(self, times, X, step):
+        """Trajectory of the reduced rows X (one per time)."""
+        U, V = self.expand_rows(X)
+        return Trajectory.from_arrays(self.grid, times, U, V, step=step)
 
     def reduced_energy(self, x):
-        """Squared energy norm of a reduced vector (or a batch: columns)."""
-        grid = self.grid
-        half = grid.n // 2
-        E1 = self.expand[:grid.n, :half]
-        u = E1 @ x[:half]
-        v = E1 @ x[half:]
-        du = grid.diff_matrix @ u
-        wgt = grid.quad_weights
-        fac = wgt * (1.0 - grid.nodes ** 2)
-        return (fac @ (np.abs(du) ** 2) + wgt @ (np.abs(v) ** 2)).real
+        """Energy norm of a reduced vector (or of each column of a batch)."""
+        return slice_energies(*self.expand_rows(np.transpose(x)), self.grid)
 
 
 def assemble_generator(grid, V):
@@ -137,6 +145,28 @@ def _cfl_limit(n, cfl_constant):
     return cfl_constant / float(n) ** 2
 
 
+def _rk4_step(n, ds, cfl_constant):
+    """The RK4 step: ds, by default the stability limit cfl_constant / n^2,
+    which a given ds may not exceed."""
+    limit = _cfl_limit(n, cfl_constant)
+    if ds is None:
+        return limit
+    if ds > limit * (1.0 + 1e-12):
+        raise StabilityError(
+            f"ds = {ds:.3e} exceeds the stability limit {limit:.3e}"
+            f" (= {cfl_constant}/n^2 with n = {n})")
+    return ds
+
+
+def _stored_steps(num_steps, store_every):
+    """Step indices kept in a trajectory: 0, every store_every-th step
+    and the last one."""
+    if store_every < 1:
+        raise InvalidArgumentError("store_every must be >= 1")
+    return np.unique(np.append(np.arange(0, num_steps + 1, store_every),
+                               num_steps))
+
+
 def _rk4_matrix_steps(Lr, X, ds, num_steps, observer=None, observe_every=1,
                       guard=None, guard_every=50):
     """Fixed-step RK4 for X' = Lr X; X may be a vector or a column batch.
@@ -166,39 +196,30 @@ def evolve(gen, init, s_max, ds=None, cfl_constant=DEFAULT_CFL_CONSTANT,
     10 e^{(max|V|+1)s} times the initial norm aborts with a divergence
     error (linear evolutions obey this bound with a wide margin).
     """
-    grid = gen.grid
-    limit = _cfl_limit(grid.n, cfl_constant)
-    if ds is None:
-        ds = limit
-    if ds > limit * (1.0 + 1e-12):
-        raise StabilityError(
-            f"ds = {ds:.3e} exceeds the stability limit {limit:.3e}"
-            f" (= {cfl_constant}/n^2 with n = {grid.n})")
+    ds = _rk4_step(gen.grid.n, ds, cfl_constant)
     M = _step_count(s_max, ds)
 
     x = gen.reduce_state(init)
     norm0 = energy_norm(init)
-    vmax = gen.potential.max_abs()
-    rate = vmax + 1.0
+    rate = gen.potential.max_abs() + 1.0
 
-    times = [0.0]
-    states = [gen.expand_state(x)]
+    steps = _stored_steps(M, store_every)
+    rows = np.empty((steps.size, x.size), dtype=x.dtype)
+    rows[0] = x
 
     def observer(i, s, X):
-        if i % store_every == 0 or i == M:
-            times.append(s)
-            states.append(gen.expand_state(X))
+        rows[-(-i // store_every)] = X  # the last step may be off-stride
 
     def guard(i, s, X):
-        if norm0 > 0 and np.sqrt(gen.reduced_energy(X)) \
+        if norm0 > 0 and gen.reduced_energy(X) \
                 > 10.0 * np.exp(rate * s) * norm0:
             raise DivergenceError(
                 f"norm at s = {s:.3f} exceeds 10 e^{{(max|V|+1)s}} times"
                 " the initial norm")
 
     _rk4_matrix_steps(gen.reduced, x, ds, M, observer=observer,
-                      observe_every=1, guard=guard)
-    return Trajectory(np.asarray(times), states, step=ds)
+                      observe_every=store_every, guard=guard)
+    return gen.trajectory(steps * ds, rows, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +432,12 @@ class UnstableMode:
     phis: List[EnergyState]  # phi_k = (1/k!) (L-lam)^k P_lam init, k <= n(lam)
 
     def state_at(self, s):
-        acc = None
+        u = v = 0.0
         for k, ph in enumerate(self.phis):
-            term_u = ph.u.values * (np.exp(self.lam * s) * s ** k)
-            term_v = ph.v.values * (np.exp(self.lam * s) * s ** k)
-            if acc is None:
-                acc = [term_u, term_v]
-            else:
-                acc[0] = acc[0] + term_u
-                acc[1] = acc[1] + term_v
-        return acc
+            c = np.exp(self.lam * s) * s ** k
+            u = u + ph.u.values * c
+            v = v + ph.v.values * c
+        return [u, v]
 
 
 @dataclass
@@ -436,31 +453,31 @@ class DecomposedEvolution:
     projection: Optional[RieszProjection]
 
     def unstable_state(self, s):
-        grid = self.stable_trajectory.states[0].grid
-        n = grid.n
-        u = np.zeros(n, dtype=complex)
-        v = np.zeros(n, dtype=complex)
+        grid = self.stable_trajectory.grid
+        uv = np.zeros((2, grid.n), dtype=complex)
         for mode in self.unstable_modes:
-            tu, tv = mode.state_at(s)
-            u += tu
-            v += tv
-        return EnergyState(OddField(grid, u), OddField(grid, v))
+            uv += mode.state_at(s)
+        return EnergyState(OddField(grid, uv[0]), OddField(grid, uv[1]))
 
     def total_state(self, index):
         """Unstable + stable at the index-th stored time."""
-        s = self.stable_trajectory.times[index]
-        st = self.stable_trajectory.states[index]
-        un = self.unstable_state(s)
-        grid = st.grid
-        return EnergyState(OddField(grid, st.u.values + un.u.values),
-                           OddField(grid, st.v.values + un.v.values))
+        traj = self.stable_trajectory
+        un = self.unstable_state(traj.times[index])
+        return EnergyState(OddField(traj.grid, traj.U[index] + un.u.values),
+                           OddField(traj.grid, traj.V[index] + un.v.values))
 
 
-def _axis_and_positive_roots(V, window, grid):
+def _growing_modes(V, window, grid, consequence):
+    """Right-half-plane spectral points of V in the window; an
+    imaginary-axis point violates the spectral assumption."""
     roots = find_sigma_v(V, window=window, grid=grid)
-    axis = [r for r in roots if abs(r.lam.real) < 1e-6]
-    pos = [r for r in roots if r.lam.real >= 1e-6]
-    return axis, pos
+    axis = [r.lam for r in roots if abs(r.lam.real) < 1e-6]
+    if axis:
+        bad = ", ".join(f"{lam:.6g}" for lam in axis)
+        raise SpectralAssumptionError(
+            f"imaginary-axis spectral point(s) {bad} for {V!r}:"
+            f" {consequence}")
+    return [r.lam for r in roots if r.lam.real >= 1e-6]
 
 
 def _root_circles(lams, points=128):
@@ -491,34 +508,30 @@ def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
     violates the spectral assumption and aborts. Each growing mode gets a
     small-circle Riesz projection; phi_k = (1/k!) (L-lam)^k P_lam init.
     """
-    axis, pos = _axis_and_positive_roots(gen.potential, window, gen.grid)
-    if axis:
-        bad = ", ".join(f"{r.lam:.6g}" for r in axis)
-        raise SpectralAssumptionError(
-            f"imaginary-axis spectral point(s) found: {bad}")
-
-    if not pos:
+    lams = _growing_modes(gen.potential, window, gen.grid,
+                          "the decomposition does not apply")
+    if not lams:
         traj = evolve(gen, init, s_max, ds=ds, cfl_constant=cfl_constant,
                       store_every=store_every)
         return DecomposedEvolution([], traj, None)
 
-    contours = _root_circles([r.lam for r in pos])
+    contours = _root_circles(lams)
     proj = riesz_projection(gen, contours)
 
     x0 = gen.reduce_state(init).astype(complex)
     modes = []
     half2 = gen.reduced.shape[0]
-    for r, c in zip(pos, contours):
+    for lam, c in zip(lams, contours):
         lams_s, w_s = _contour_nodes(c)
         P_lam = _quadrature_projection(gen, lams_s, w_s)
-        n_lam = _nilpotency_order(gen, r.lam, P_lam)
+        n_lam = _nilpotency_order(gen, lam, P_lam)
         cur = P_lam @ x0
         phis = [gen.expand_state(cur)]
-        A = gen.reduced - r.lam * np.eye(half2)
+        A = gen.reduced - lam * np.eye(half2)
         for k in range(1, n_lam + 1):
             cur = (A @ cur) / k
             phis.append(gen.expand_state(cur))
-        modes.append(UnstableMode(lam=r.lam, phis=phis))
+        modes.append(UnstableMode(lam=lam, phis=phis))
 
     rem = x0 - proj.reduced @ x0
     stable_traj = evolve(gen, gen.expand_state(rem), s_max, ds=ds,
@@ -536,29 +549,23 @@ def stable_growth_probe(gen, ensemble, epsilon, s_max, ds=None,
     """
     if not ensemble:
         return 0.0
-    axis, pos = _axis_and_positive_roots(gen.potential, window, gen.grid)
-    if axis:
-        raise SpectralAssumptionError(
-            "imaginary-axis spectral point: growth probe undefined")
+    lams = _growing_modes(gen.potential, window, gen.grid,
+                          "the growth probe is undefined")
 
     X0 = np.stack([gen.reduce_state(st) for st in ensemble], axis=1)
-    proj = growing_mode_projection(gen, [r.lam for r in pos])
+    proj = growing_mode_projection(gen, lams)
     if proj is not None:
         X0 = X0 - proj.reduced @ X0
 
-    limit = _cfl_limit(gen.grid.n, cfl_constant)
-    if ds is None:
-        ds = limit
-    if ds > limit * (1.0 + 1e-12):
-        raise StabilityError("ds exceeds the stability limit")
+    ds = _rk4_step(gen.grid.n, ds, cfl_constant)
     M = _step_count(s_max, ds)
 
-    norm0 = np.sqrt(gen.reduced_energy(X0))
+    norm0 = gen.reduced_energy(X0)
     nz = norm0 > 0
     best = np.zeros(X0.shape[1])
 
     def observer(i, s, X):
-        norms = np.sqrt(gen.reduced_energy(X))
+        norms = gen.reduced_energy(X)
         r = np.zeros_like(best)
         r[nz] = np.exp(-epsilon * s) * norms[nz] / norm0[nz]
         np.maximum(best, r, out=best)

@@ -16,11 +16,10 @@ from numpy.polynomial import chebyshev as C
 from scipy.integrate import quad
 
 from .core_types import (
-    EnergyState,
     OddField,
     Trajectory,
-    energy_norm,
     extrapolate_to,
+    slice_energies,
 )
 from .errors import InvalidArgumentError, InvalidDataError
 
@@ -124,25 +123,6 @@ def ds_evaluate(sol, s, y):
     return complex(out) if y.ndim == 0 else np.asarray(out, dtype=complex)
 
 
-def evaluate_general(f, fp, g, s, y):
-    """General (not necessarily odd) data formula.
-
-    u(s,y) = f(0) - 1/2 int_{-1+e^{-s}(1+y)}^{0} (1-x) f'(x) dx
-                  + 1/2 int_{0}^{1-e^{-s}(1-y)} (1+x) f'(x) dx
-                  + 1/2 int_{-1+e^{-s}(1+y)}^{1-e^{-s}(1-y)} g(x) dx.
-    """
-    if s < 0:
-        raise InvalidArgumentError(f"s must be >= 0, got {s}")
-    es = np.exp(-s)
-    a = -1.0 + es * (1.0 + y)
-    b = 1.0 - es * (1.0 - y)
-    val = f(0.0)
-    val -= 0.5 * _quad_cc(lambda x: (1.0 - x) * fp(x), a, 0.0)
-    val += 0.5 * _quad_cc(lambda x: (1.0 + x) * fp(x), 0.0, b)
-    val += 0.5 * _quad_cc(g, a, b)
-    return complex(val)
-
-
 def _as_solution(f, g, grid, fp):
     if isinstance(f, ClosedFormSolution):
         return f
@@ -164,12 +144,9 @@ def free_trajectory(f, g, grid, s_max, ds, fp=None):
     sol = _as_solution(f, g, grid, fp)
     num = int(np.floor(s_max / ds + 1e-12))
     times = np.arange(num + 1) * ds
-    states = []
-    for s in times:
-        u = OddField(grid, evaluate(sol, s, grid.nodes))
-        v = OddField(grid, ds_evaluate(sol, s, grid.nodes))
-        states.append(EnergyState(u, v))
-    return Trajectory(times, states, step=ds)
+    U = np.array([evaluate(sol, s, grid.nodes) for s in times])
+    V = np.array([ds_evaluate(sol, s, grid.nodes) for s in times])
+    return Trajectory.from_arrays(grid, times, U, V, step=ds)
 
 
 def energy_flux_check(traj):
@@ -182,15 +159,12 @@ def energy_flux_check(traj):
     """
     if len(traj) < 3:
         raise InvalidDataError("need at least 3 slices")
-    E = np.array([energy_norm(st) ** 2 for st in traj.states])
+    E = slice_energies(traj.U, traj.V, traj.grid) ** 2
     if E[0] == 0.0:
         return 0.0
     t = traj.times
-    worst = 0.0
-    for k in range(1, len(traj) - 1):
-        dE = (E[k + 1] - E[k - 1]) / (t[k + 1] - t[k - 1])
-        v = traj.states[k].v.values
-        fl = abs(extrapolate_to(v, traj.grid, 1.0)) ** 2 \
-            + abs(extrapolate_to(v, traj.grid, -1.0)) ** 2
-        worst = max(worst, abs(dE + 2.0 * fl))
-    return worst / E[0]
+    dE = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
+    V = traj.V[1:-1].T
+    fl = np.abs(extrapolate_to(V, traj.grid, 1.0)) ** 2 \
+        + np.abs(extrapolate_to(V, traj.grid, -1.0)) ** 2
+    return float(np.max(np.abs(dE + 2.0 * fl))) / E[0]

@@ -12,7 +12,7 @@ the equivalent flat-space equation
 connected by W(t,r) = u(t - log cosh r, tanh r).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -25,8 +25,10 @@ from .core_types import (
     OddField,
     Potential,
     Trajectory,
-    energy_norm,
+    _mixed_from_samples,
     barycentric_interpolate,
+    energy_norm,
+    slice_norms,
 )
 from .errors import (
     BlowUpError,
@@ -38,24 +40,19 @@ from .errors import (
 from .evolution import (
     DEFAULT_CFL_CONSTANT,
     _cfl_limit,
+    _rk4_matrix_steps,
+    _rk4_step,
+    _stored_steps,
     assemble_generator,
 )
 
 DEFAULT_DATA_THRESHOLD = 0.05  # empirical smallness threshold
 
 
-def _l6_norms(U, grid):
-    """Columns-of-slices L^6 norms: U has shape (num_slices, n)."""
-    return (np.abs(U) ** 6 @ grid.quad_weights) ** (1.0 / 6.0)
-
-
 def _x_norm(times, U, grid):
     """L^3_s L^6_y + L^inf_s L^6_y of a slice stack."""
-    l6 = _l6_norms(U, grid)
-    if len(times) == 1:
-        return float(l6[0])
-    l3 = np.trapezoid(l6 ** 3, times) ** (1.0 / 3.0)
-    return float(l3 + np.max(l6))
+    l6 = slice_norms(U, grid, 6)
+    return _mixed_from_samples(times, l6, 3) + float(np.max(l6))
 
 
 class PropagatorSet:
@@ -135,23 +132,21 @@ def duhamel_step(prop, f, g, source, check_times=True):
     E = prop.expm_step
     ds = prop.ds
 
-    U = source.first_components()
-    cubes = U[:, half:] ** 3  # odd-sector reduction: values at positive nodes
-    Y = np.zeros((M + 1, 2 * half), dtype=cubes.dtype)
-    Y[:, half:] = cubes
+    # odd-sector reduction of the cubes: values at the positive nodes
+    Y = np.zeros((M + 1, 2 * half), dtype=source.U.dtype)
+    Y[:, half:] = source.U[:, half:] ** 3
 
     x_lin = gen.reduce_state(EnergyState(f, g))
-    out = [x_lin]
-    B = np.zeros(2 * half, dtype=np.result_type(Y.dtype, x_lin.dtype))
+    out = np.empty((M + 1, 2 * half), dtype=np.result_type(Y, x_lin))
+    out[0] = x_lin
     for i in range(1, M + 1):
         x_lin = E @ x_lin
         if i == 1:
             B = 0.5 * (E @ Y[0])
         else:
             B = E @ (B + Y[i - 1])
-        out.append(x_lin - ds * (B + 0.5 * Y[i]))
-    states = [gen.expand_state(x) for x in out]
-    return Trajectory(times, states, step=ds)
+        out[i] = x_lin - ds * (B + 0.5 * Y[i])
+    return gen.trajectory(times, out, ds)
 
 
 @dataclass
@@ -187,10 +182,8 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
             f" threshold {data_threshold}")
     prop = make_propagators(grid, ds, s_max)
     times = prop.times()
-    zero = Trajectory(times, [EnergyState.zero(grid) for _ in times],
-                      step=ds)
-
-    iterates = [zero]
+    zeros = np.zeros((times.size, grid.n))
+    iterates = [Trajectory.from_arrays(grid, times, zeros, zeros, step=ds)]
     x_norms = [0.0]
     deltas = []
     ratios = []
@@ -198,11 +191,9 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
     converged = False
     for _ in range(max_iter):
         nxt = duhamel_step(prop, f, g, iterates[-1], check_times=False)
-        Unew = nxt.first_components()
-        Uold = iterates[-1].first_components()
-        d = _x_norm(times, Unew - Uold, grid)
+        d = _x_norm(times, nxt.U - iterates[-1].U, grid)
         iterates.append(nxt)
-        x_norms.append(_x_norm(times, Unew, grid))
+        x_norms.append(_x_norm(times, nxt.U, grid))
         if deltas:
             r = d / deltas[-1] if deltas[-1] > 0 else 0.0
             ratios.append(r)
@@ -223,8 +214,7 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
 def fixed_point_residual(prop, f, g, traj):
     """sup_s L^6 distance between a trajectory and its Duhamel image."""
     image = duhamel_step(prop, f, g, traj, check_times=False)
-    diff = image.first_components() - traj.first_components()
-    return float(np.max(_l6_norms(diff, prop.gen.grid)))
+    return float(np.max(slice_norms(image.U - traj.U, prop.gen.grid, 6)))
 
 
 def nonlinear_evolve_direct(f, g, s_max, ds=None,
@@ -239,13 +229,7 @@ def nonlinear_evolve_direct(f, g, s_max, ds=None,
     """
     grid = f.grid
     gen = assemble_generator(grid, Potential.constant(-1.0))
-    limit = _cfl_limit(grid.n, cfl_constant)
-    if ds is None:
-        ds = limit
-    if ds > limit * (1.0 + 1e-12):
-        from .errors import StabilityError
-        raise StabilityError(
-            f"ds = {ds:.3e} exceeds the stability limit {limit:.3e}")
+    ds = _rk4_step(grid.n, ds, cfl_constant)
     M = int(np.floor(s_max / ds + 1e-12))
     half = grid.n // 2
     Lr = gen.reduced
@@ -259,36 +243,28 @@ def nonlinear_evolve_direct(f, g, s_max, ds=None,
         out[half:] -= v[:half] ** 3
         return out
 
-    def l6_of(v):
-        u = np.zeros(grid.n, dtype=complex)
-        u[half:] = v[:half]
-        u[:half] = -v[:half][::-1]
-        return float((np.abs(u) ** 6 @ grid.quad_weights) ** (1.0 / 6.0))
-
-    bound = l6_of(x)
-    times = [0.0]
-    states = [gen.expand_state(x)]
+    bound = slice_norms(gen.expand_rows(x)[0], grid, 6)
+    steps = _stored_steps(M, store_every)
+    rows = np.empty((steps.size, x.size), dtype=x.dtype)
+    rows[0] = x
     for i in range(1, M + 1):
         k1 = rhs(x)
         k2 = rhs(x + 0.5 * ds * k1)
         k3 = rhs(x + 0.5 * ds * k2)
         k4 = rhs(x + ds * k3)
         x = x + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        j1 = Lr @ x_lin
-        j2 = Lr @ (x_lin + 0.5 * ds * j1)
-        j3 = Lr @ (x_lin + 0.5 * ds * j2)
-        j4 = Lr @ (x_lin + ds * j3)
-        x_lin = x_lin + (ds / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
+        x_lin = _rk4_matrix_steps(Lr, x_lin, ds, 1)
         if i % 25 == 0 or i == M:
-            bound = max(bound, l6_of(x_lin))
-            if l6_of(x) > 10.0 * bound:
+            l6, l6_lin = slice_norms(
+                gen.expand_rows(np.stack([x, x_lin]))[0], grid, 6)
+            bound = max(bound, l6_lin)
+            if l6 > 10.0 * bound:
                 raise BlowUpError(
                     f"L^6 norm at s = {i * ds:.3f} exceeds 10x the linear"
                     " reference bound; blow-up detected")
         if i % store_every == 0 or i == M:
-            times.append(i * ds)
-            states.append(gen.expand_state(x))
-    return Trajectory(np.asarray(times), states, step=ds)
+            rows[-(-i // store_every)] = x
+    return gen.trajectory(steps * ds, rows, ds)
 
 
 def _lagrange_rows(xs, grid_pts, h, lo):
@@ -339,19 +315,16 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
                           " slice")
 
     # hyperboloidal run with the final slice landing exactly on s1
-    limit = _cfl_limit(grid.n, cfl_constant)
     if ds is None:
-        ds = limit
+        ds = _cfl_limit(grid.n, cfl_constant)
     steps = int(np.ceil(s1 / ds - 1e-12))
     ds = s1 / steps
     store_every = max(1, int(np.floor(2e-3 / ds)))
     traj = nonlinear_evolve_direct(f, g, s1, ds=ds,
                                    cfl_constant=cfl_constant,
                                    store_every=store_every)
-    U = traj.first_components().real
-    Udot = traj.second_components().real
-    spline_u = CubicSpline(traj.times, U, axis=0)
-    spline_v = CubicSpline(traj.times, Udot, axis=0)
+    spline_u = CubicSpline(traj.times, traj.U.real, axis=0)
+    spline_v = CubicSpline(traj.times, traj.V.real, axis=0)
 
     # seed the leapfrog on the level line t = s0
     nr = int(round(2.0 * r_max / dr)) + 1
@@ -364,13 +337,9 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
     us = spline_u(s_line[ok])
     vs = spline_v(s_line[ok])
     yo = y_line[ok]
-    W0ok = np.empty(us.shape[0])
-    Wt0ok = np.empty(us.shape[0])
-    for j in range(us.shape[0]):
-        W0ok[j] = barycentric_interpolate(grid, us[j], yo[j]).real
-        Wt0ok[j] = barycentric_interpolate(grid, vs[j], yo[j]).real
-    W0[ok] = W0ok
-    Wt0[ok] = Wt0ok
+    for j, k in enumerate(np.flatnonzero(ok)):
+        W0[k] = barycentric_interpolate(grid, us[j], yo[j]).real
+        Wt0[k] = barycentric_interpolate(grid, vs[j], yo[j]).real
 
     dt = 0.5 * dr
     nt = int(np.ceil((t_end - s0) / dt)) + 3
@@ -407,7 +376,7 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
 
     pulled = pull_back_slice(w_interp, s1, grid)
     mask = np.abs(grid.nodes) <= y_max
-    diff = np.abs(pulled.values[mask] - traj.states[-1].u.values[mask])
+    diff = np.abs(pulled.values[mask] - traj.U[-1][mask])
     return float(np.max(diff))
 
 
@@ -418,31 +387,24 @@ def asymptotic_stability_report(f, g, s_max, ds=None,
     Reports the X-norm pieces over [0, s_max], the last-half L^3 L^6 tail,
     and a log-linear fit of the L^6 decay over the late window.
     """
-    grid = f.grid
-    limit = _cfl_limit(grid.n, cfl_constant)
-    if ds is None:
-        ds = limit
+    ds = _rk4_step(f.grid.n, ds, cfl_constant)
     M = int(np.floor(s_max / ds + 1e-12))
     store_every = max(1, M // 4000)
     traj = nonlinear_evolve_direct(f, g, s_max, ds=ds,
                                    cfl_constant=cfl_constant,
                                    store_every=store_every)
     times = traj.times
-    l6 = _l6_norms(traj.first_components(), grid)
-    l3 = float(np.trapezoid(l6 ** 3, times) ** (1.0 / 3.0))
-    linf = float(np.max(l6))
+    l6 = slice_norms(traj.U, traj.grid, 6)
     tail_sel = times >= 0.5 * s_max
-    tail = float(np.trapezoid(l6[tail_sel] ** 3, times[tail_sel])
-                 ** (1.0 / 3.0))
     late = (times >= 0.5 * s_max) & (l6 > 1e-14)
     if np.sum(late) >= 2:
         rate = float(np.polyfit(times[late], np.log(l6[late]), 1)[0])
     else:
         rate = 0.0
     return {
-        "l3_l6": l3,
-        "linf_l6": linf,
-        "tail_l3_l6": tail,
+        "l3_l6": _mixed_from_samples(times, l6, 3),
+        "linf_l6": float(np.max(l6)),
+        "tail_l3_l6": _mixed_from_samples(times[tail_sel], l6[tail_sel], 3),
         "decay_rate": rate,
         "s_max": float(s_max),
         "num_slices": int(len(traj)),

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core_types import Grid, OddField, Potential, barycentric_interpolate, make_grid
+from .core_types import OddField, barycentric_interpolate, make_grid
 from .errors import (
     ContourAccuracyError,
     InconsistencyError,
@@ -75,7 +75,7 @@ class FrobeniusSolution:
     """u1(., lam): series near y=1 glued to an ODE solution on [0, 1-delta]."""
 
     __slots__ = ("lam", "potential", "taylor_coeffs", "delta", "u1_at_zero",
-                 "_dense", "sample_y", "sample_u1", "sample_du1")
+                 "_dense", "sample_u1")
 
     def __init__(self, lam, potential, coeffs, dense, delta, grid=None):
         self.lam = lam
@@ -84,15 +84,8 @@ class FrobeniusSolution:
         self.delta = delta
         self._dense = dense
         self.u1_at_zero = complex(dense.sol(1.0)[0])
-        if grid is not None:
-            ys = grid.nodes[grid.nodes > 0]
-            self.sample_y = ys
-            self.sample_u1 = self.u1(ys)
-            self.sample_du1 = self.du1(ys)
-        else:
-            self.sample_y = None
-            self.sample_u1 = None
-            self.sample_du1 = None
+        self.sample_u1 = None if grid is None else self.u1(
+            grid.nodes[grid.nodes > 0])
 
     def _split(self, y):
         y = np.asarray(y, dtype=float)
@@ -511,8 +504,7 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
             continue
         sol = build_u1(V, r, m=m, grid=grid, delta=delta,
                        check_resonance=False)
-        pos = grid.nodes[grid.nodes > 0]
-        upos = sol.u1(pos)
+        upos = sol.sample_u1
         sup = max(float(np.max(np.abs(upos))), abs(sol.u1_at_zero))
         vals = np.concatenate([-upos[::-1], upos])
         scale = vals[np.argmax(np.abs(vals))]
@@ -559,14 +551,6 @@ class GreenFunction:
         wgt = np.exp(-self.lam * np.log1p(-y * y))
         return (self.u1_minus.u1_at_zero * self.u1_branch.u1(y)
                 - self.u1_branch.u1_at_zero * wgt * self.u1_minus.u1(y))
-
-    def du0(self, y):
-        y = np.asarray(y, dtype=float)
-        wgt = np.exp(-self.lam * np.log1p(-y * y))
-        dwgt = wgt * (2.0 * self.lam * y / (1.0 - y * y))
-        return (self.u1_minus.u1_at_zero * self.u1_branch.du1(y)
-                - self.u1_branch.u1_at_zero
-                * (dwgt * self.u1_minus.u1(y) + wgt * self.u1_minus.du1(y)))
 
 
 def resolvent_apply(V, lam, state, eps0=0.25, mesh_n=6000,

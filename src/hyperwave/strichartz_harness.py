@@ -11,7 +11,7 @@ the share of the L^p integral carried by the last quarter of the time
 window, so saturation of the time integral is visible in the report.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -19,19 +19,19 @@ import numpy as np
 from . import free_wave
 from .core_types import (
     EnergyState,
-    OddField,
-    Trajectory,
+    _mixed_from_samples,
     energy_norm,
     make_grid,
+    slice_norms,
 )
-from .errors import InvalidArgumentError, SpectralAssumptionError
+from .errors import InvalidArgumentError
 from .evolution import (
     _cfl_limit,
+    _growing_modes,
     _rk4_matrix_steps,
     assemble_generator,
     growing_mode_projection,
 )
-from .spectral import find_sigma_v
 
 DEFAULT_EXPONENTS = ((2, 4), (3, 6), (4, 8), (np.inf, 2))
 
@@ -121,19 +121,6 @@ def _validate_exponents(exponents):
     return pairs
 
 
-def _lq_of_rows(U, grid, q):
-    """L^q norms of each row of a (num_slices, n) sample stack."""
-    if np.isinf(q):
-        return np.max(np.abs(U), axis=1)
-    return (np.abs(U) ** q @ grid.quad_weights) ** (1.0 / q)
-
-
-def _mixed_from_samples(times, lq, p):
-    if np.isinf(p):
-        return float(np.max(lq))
-    return float(np.trapezoid(lq ** p, times) ** (1.0 / p))
-
-
 def _tail_share(times, lq, p, s_max):
     """Share of the L^p time integral carried by [3/4 s_max, s_max]."""
     sel = times >= 0.75 * s_max
@@ -146,10 +133,58 @@ def _tail_share(times, lq, p, s_max):
     return float(np.trapezoid(lq[sel] ** p, times[sel]) / total)
 
 
-def _free_member_norms(member, grid, times, qs):
-    sol = free_wave.from_chebyshev(grid, member.cheb_f, member.cheb_g)
-    U = np.stack([free_wave.evaluate(sol, t, grid.nodes) for t in times])
-    return {q: _lq_of_rows(U, grid, q) for q in qs}
+def _run_scan(potential_id, spec, pairs, s_max, grid, num_slices, refine,
+              norms_of):
+    """Ratios, tail shares and refinement deltas shared by both scans.
+
+    norms_of(sols, grid, times, qs) returns {q: (len(times), len(sols))}
+    L^q norms of u on the slices for the members' closed-form data
+    `sols`. Refinement reruns the argmax members with the grid doubled
+    and with the horizon (and slice count) doubled.
+    """
+    qs = sorted({q for _, q in pairs})
+    coeffs = spec.coefficient_arrays()
+
+    def sample(idx, grid, s_max, num_slices):
+        sols = [free_wave.from_chebyshev(grid, *coeffs[i]) for i in idx]
+        energies = np.array([energy_norm(EnergyState(s.f_field, s.g_field))
+                             for s in sols])
+        times = np.linspace(0.0, s_max, num_slices + 1)
+        return times, norms_of(sols, grid, times, qs), energies
+
+    times, norms, energies = sample(range(len(coeffs)), grid, s_max,
+                                    num_slices)
+    ratios = {}
+    tail = {}
+    for p, q in pairs:
+        r = np.full(len(coeffs), np.nan)
+        for i in np.flatnonzero(energies > 0):
+            r[i] = _mixed_from_samples(times, norms[q][:, i], p) / energies[i]
+        ratios[(p, q)] = r
+        best = int(np.nanargmax(r))
+        tail[(p, q)] = _tail_share(times, norms[q][:, best], p, s_max)
+    max_ratio = {pq: float(np.nanmax(r)) for pq, r in ratios.items()}
+
+    refinement = {}
+    if refine:
+        best_set = sorted({int(np.nanargmax(r)) for r in ratios.values()})
+        t_n, n_n, e_n = sample(best_set, make_grid(2 * grid.n), s_max,
+                               num_slices)
+        t_h, n_h, _ = sample(best_set, grid, 2.0 * s_max, 2 * num_slices)
+        for p, q in pairs:
+            best = int(np.nanargmax(ratios[(p, q)]))
+            j = best_set.index(best)
+            base = ratios[(p, q)][best]
+            r_n = _mixed_from_samples(t_n, n_n[q][:, j], p) / e_n[j]
+            r_h = _mixed_from_samples(t_h, n_h[q][:, j], p) / energies[best]
+            refinement[(p, q)] = {
+                "grid_doubled": abs(r_n - base) / base,
+                "horizon_doubled": abs(r_h - base) / base,
+            }
+    return StrichartzReport(
+        potential_id=potential_id, exponents=pairs, ratios=ratios,
+        max_ratio=max_ratio, refinement=refinement, tail_share=tail,
+        s_max=float(s_max), grid_n=grid.n, ensemble=spec)
 
 
 def run_free_scan(spec, exponents=DEFAULT_EXPONENTS, s_max=20.0, grid=None,
@@ -160,49 +195,18 @@ def run_free_scan(spec, exponents=DEFAULT_EXPONENTS, s_max=20.0, grid=None,
         grid = make_grid(64)
     if s_max <= 0 or num_slices < 8:
         raise InvalidArgumentError("need s_max > 0 and num_slices >= 8")
-    qs = sorted({q for _, q in pairs})
-    times = np.linspace(0.0, s_max, num_slices + 1)
-    members = spec.fields(grid)
-    energies = np.array([energy_norm(m.state) for m in members])
 
-    norms = [_free_member_norms(m, grid, times, qs) for m in members]
-    ratios = {}
-    tail = {}
-    for p, q in pairs:
-        r = np.full(len(members), np.nan)
-        for i, nm in enumerate(norms):
-            if energies[i] > 0:
-                r[i] = _mixed_from_samples(times, nm[q], p) / energies[i]
-        ratios[(p, q)] = r
-        best = int(np.nanargmax(r))
-        tail[(p, q)] = _tail_share(times, norms[best][q], p, s_max)
-    max_ratio = {pq: float(np.nanmax(r)) for pq, r in ratios.items()}
+    def norms_of(sols, grid, times, qs):
+        cols = {q: [] for q in qs}
+        for sol in sols:
+            U = np.stack([free_wave.evaluate(sol, t, grid.nodes)
+                          for t in times])
+            for q in qs:
+                cols[q].append(slice_norms(U, grid, q))
+        return {q: np.stack(c, axis=1) for q, c in cols.items()}
 
-    refinement = {}
-    if refine:
-        grid2 = make_grid(2 * grid.n)
-        times2 = np.linspace(0.0, 2.0 * s_max, 2 * num_slices + 1)
-        for p, q in pairs:
-            best = int(np.nanargmax(ratios[(p, q)]))
-            m = members[best]
-            base = ratios[(p, q)][best]
-            # grid doubled
-            sol2 = free_wave.from_chebyshev(grid2, m.cheb_f, m.cheb_g)
-            U2 = np.stack([free_wave.evaluate(sol2, t, grid2.nodes)
-                           for t in times])
-            e2 = energy_norm(EnergyState(sol2.f_field, sol2.g_field))
-            r_n = _mixed_from_samples(times, _lq_of_rows(U2, grid2, q), p) / e2
-            # horizon doubled
-            nm = _free_member_norms(m, grid, times2, [q])
-            r_s = _mixed_from_samples(times2, nm[q], p) / energies[best]
-            refinement[(p, q)] = {
-                "grid_doubled": abs(r_n - base) / base,
-                "horizon_doubled": abs(r_s - base) / base,
-            }
-    return StrichartzReport(
-        potential_id="free", exponents=pairs, ratios=ratios,
-        max_ratio=max_ratio, refinement=refinement, tail_share=tail,
-        s_max=float(s_max), grid_n=grid.n, ensemble=spec)
+    return _run_scan("free", spec, pairs, s_max, grid, num_slices, refine,
+                     norms_of)
 
 
 def _batch_slice_norms(gen, X0, s_max, num_slices, qs, cfl_constant):
@@ -210,31 +214,19 @@ def _batch_slice_norms(gen, X0, s_max, num_slices, qs, cfl_constant):
     component at num_slices+1 equispaced times (step chosen to land on
     them exactly)."""
     grid = gen.grid
-    half = grid.n // 2
-    E1 = gen.expand[:grid.n, :half]
     limit = _cfl_limit(grid.n, cfl_constant)
     ds_slice = s_max / num_slices
     k = max(1, int(np.ceil(ds_slice / limit - 1e-12)))
     ds = ds_slice / k
-    M = num_slices * k
-
     norms = {q: np.zeros((num_slices + 1, X0.shape[1])) for q in qs}
 
-    def record(row, X):
-        U = (E1 @ X[:half]).T  # (members, n)
-        for q in qs:
-            if np.isinf(q):
-                norms[q][row] = np.max(np.abs(U), axis=1)
-            else:
-                norms[q][row] = (np.abs(U) ** q
-                                 @ grid.quad_weights) ** (1.0 / q)
-
-    record(0, X0)
-
     def observer(i, s, X):
-        record(i // k, X)
+        U = gen.expand_rows(X.T)[0]  # (members, n)
+        for q in qs:
+            norms[q][i // k] = slice_norms(U, grid, q)
 
-    _rk4_matrix_steps(gen.reduced, X0, ds, M, observer=observer,
+    observer(0, 0.0, X0)
+    _rk4_matrix_steps(gen.reduced, X0, ds, num_slices * k, observer=observer,
                       observe_every=k)
     times = np.linspace(0.0, s_max, num_slices + 1)
     return times, norms
@@ -252,78 +244,21 @@ def run_potential_scan(V, spec, exponents=DEFAULT_EXPONENTS, s_max=20.0,
     pairs = _validate_exponents(exponents)
     if grid is None:
         grid = make_grid(64)
-    qs = sorted({q for _, q in pairs})
+    lams = _growing_modes(V, window, grid,
+                          "the projected-evolution bound does not apply")
+    flows = {}  # grid size -> (generator, growing-mode projection)
 
-    roots = find_sigma_v(V, window=window, grid=grid)
-    axis = [r for r in roots if abs(r.lam.real) < 1e-6]
-    if axis:
-        bad = ", ".join(f"{r.lam:.6g}" for r in axis)
-        raise SpectralAssumptionError(
-            f"imaginary-axis spectral point(s) {bad} for {V!r}: the"
-            " projected-evolution bound does not apply")
-    pos = [r.lam for r in roots if r.lam.real >= 1e-6]
-
-    gen = assemble_generator(grid, V)
-    members = spec.fields(grid)
-    energies = np.array([energy_norm(m.state) for m in members])
-    X0 = np.stack([gen.reduce_state(m.state) for m in members], axis=1)
-    proj = growing_mode_projection(gen, pos)
-    if proj is not None:
-        X0 = X0 - proj.reduced @ X0
-
-    times, norms = _batch_slice_norms(gen, X0, s_max, num_slices, qs,
-                                      cfl_constant)
-
-    ratios = {}
-    tail = {}
-    for p, q in pairs:
-        r = np.full(len(members), np.nan)
-        for i in range(len(members)):
-            if energies[i] > 0:
-                r[i] = _mixed_from_samples(times, norms[q][:, i], p) \
-                    / energies[i]
-        ratios[(p, q)] = r
-        best = int(np.nanargmax(r))
-        tail[(p, q)] = _tail_share(times, norms[q][:, best], p, s_max)
-    max_ratio = {pq: float(np.nanmax(r)) for pq, r in ratios.items()}
-
-    refinement = {}
-    if refine:
-        best_set = sorted({int(np.nanargmax(ratios[pq])) for pq in ratios})
-        # grid doubled: rebuild everything at 2n for the argmax members
-        grid2 = make_grid(2 * grid.n)
-        gen2 = assemble_generator(grid2, V)
-        members2 = {i: free_wave.from_chebyshev(
-            grid2, members[i].cheb_f, members[i].cheb_g) for i in best_set}
-        X02 = np.stack([gen2.reduce_state(
-            EnergyState(members2[i].f_field, members2[i].g_field))
-            for i in best_set], axis=1)
-        proj2 = growing_mode_projection(gen2, pos)
-        if proj2 is not None:
-            X02 = X02 - proj2.reduced @ X02
-        t_n, n_n = _batch_slice_norms(gen2, X02, s_max, num_slices, qs,
-                                      cfl_constant)
-        # horizon doubled on the original grid
-        X0h = np.stack([gen.reduce_state(members[i].state)
-                        for i in best_set], axis=1)
+    def norms_of(sols, grid, times, qs):
+        if grid.n not in flows:
+            gen = assemble_generator(grid, V)
+            flows[grid.n] = gen, growing_mode_projection(gen, lams)
+        gen, proj = flows[grid.n]
+        X0 = np.stack([gen.reduce_state(EnergyState(s.f_field, s.g_field))
+                       for s in sols], axis=1)
         if proj is not None:
-            X0h = X0h - proj.reduced @ X0h
-        t_h, n_h = _batch_slice_norms(gen, X0h, 2.0 * s_max, 2 * num_slices,
-                                      qs, cfl_constant)
-        col = {i: j for j, i in enumerate(best_set)}
-        for p, q in pairs:
-            best = int(np.nanargmax(ratios[(p, q)]))
-            j = col[best]
-            base = ratios[(p, q)][best]
-            e2 = energy_norm(EnergyState(members2[best].f_field,
-                                         members2[best].g_field))
-            r_n = _mixed_from_samples(t_n, n_n[q][:, j], p) / e2
-            r_h = _mixed_from_samples(t_h, n_h[q][:, j], p) / energies[best]
-            refinement[(p, q)] = {
-                "grid_doubled": abs(r_n - base) / base,
-                "horizon_doubled": abs(r_h - base) / base,
-            }
-    return StrichartzReport(
-        potential_id=str(V.name), exponents=pairs, ratios=ratios,
-        max_ratio=max_ratio, refinement=refinement, tail_share=tail,
-        s_max=float(s_max), grid_n=grid.n, ensemble=spec)
+            X0 = X0 - proj.reduced @ X0
+        return _batch_slice_norms(gen, X0, times[-1], len(times) - 1, qs,
+                                  cfl_constant)[1]
+
+    return _run_scan(str(V.name), spec, pairs, s_max, grid, num_slices,
+                     refine, norms_of)

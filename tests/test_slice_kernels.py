@@ -1,0 +1,113 @@
+"""Slice-norm kernels, array-backed trajectories, and the complex-safe
+Taylor data of CLI polynomial potentials."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+import hyperwave as hw
+from hyperwave import cli
+from hyperwave.core_types import slice_energies, slice_norms
+
+QS = (2.0, 4.0, 6.0, 8.0, np.inf)
+
+
+@st.composite
+def odd_stacks(draw, count=1):
+    """A grid and `count` random odd (T, n) sample stacks on it."""
+    n = draw(st.sampled_from([8, 16, 32]))
+    T = draw(st.integers(1, 6))
+    grid = hw.make_grid(n)
+    stacks = []
+    for _ in range(count):
+        half = draw(hnp.arrays(float, (T, n // 2), elements=st.integers(
+            -1000, 1000).map(lambda k: k / 100.0)))
+        stacks.append(np.concatenate([-half[:, ::-1], half], axis=1))
+    return grid, stacks
+
+
+@settings(max_examples=50, deadline=None)
+@given(odd_stacks(count=2))
+def test_kernels_match_per_slice_norms(data):
+    grid, (U, V) = data
+    energies = slice_energies(U, V, grid)
+    for i in range(U.shape[0]):
+        u, v = hw.OddField(grid, U[i]), hw.OddField(grid, V[i])
+        want = hw.energy_norm(hw.EnergyState(u, v))
+        assert energies[i] == pytest.approx(want, rel=1e-13, abs=0.0)
+        for q in QS:
+            assert slice_norms(U, grid, q)[i] == pytest.approx(
+                hw.lq_norm(u, q), rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(odd_stacks(count=2), st.data())
+def test_trajectory_rejects_non_odd_rows(data, draw):
+    grid, (U, V) = data
+    row = draw.draw(st.integers(0, U.shape[0] - 1))
+    col = draw.draw(st.integers(0, grid.n - 1))
+    bad = U.copy()
+    bad[row, col] += 1e-3 * max(1.0, np.max(np.abs(U[row])))
+    times = np.arange(U.shape[0], dtype=float)
+    with pytest.raises(hw.InvalidDataError):
+        hw.Trajectory.from_arrays(grid, times, bad, V)
+    with pytest.raises(hw.InvalidDataError):
+        hw.Trajectory.from_arrays(grid, times, V, bad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(odd_stacks(count=2))
+def test_trajectory_states_view_matches_rows(data):
+    grid, (U, V) = data
+    traj = hw.Trajectory.from_arrays(grid, np.arange(U.shape[0]) * 0.5, U, V)
+    assert not traj.U.flags.writeable and not traj.V.flags.writeable
+    assert len(traj.states) == len(traj) == U.shape[0]
+    for i, st_ in enumerate(traj.states):
+        assert np.array_equal(st_.u.values, traj.U[i])
+        assert np.array_equal(st_.v.values, traj.V[i])
+        assert np.array_equal(traj.states[i].u.values, U[i])
+    again = hw.Trajectory(traj.times, list(traj.states), step=traj.step)
+    assert np.array_equal(again.U, traj.U)
+    assert np.array_equal(again.V, traj.V)
+
+
+def test_cli_even_poly_is_complex_safe():
+    V = cli._build_potential({"kind": "even_poly", "coeffs": [-1, 0.5]},
+                             "potential")
+    z = 1.0 + 0.2 * np.exp(2j * np.pi * np.arange(8) / 8)
+    assert np.allclose(V._fn(z), -1.0 + 0.5 * z ** 2, rtol=1e-15)
+    # V = -1 + y^2/2 = -1/2 + (y-1) + (y-1)^2/2 about y = 1
+    assert np.allclose(V.taylor_at_one(5), [-0.5, 1.0, 0.5, 0.0, 0.0],
+                       rtol=0.0, atol=1e-13)
+
+
+def test_taylor_at_one_fits_callables_with_real_output():
+    # real output for complex input would make the Cauchy FFT return
+    # Fourier coefficients of V(1 + rho cos theta)
+    V = hw.Potential.from_callable(lambda y: np.real(y) ** 2 - 2.0)
+    assert np.allclose(V.taylor_at_one(3), [-1.0, 2.0, 1.0], atol=1e-9)
+
+
+def test_threads_flag_is_gone(tmp_path):
+    cfg = tmp_path / "ev.json"
+    cfg.write_text(json.dumps({"grid_n": 16, "data": {"kind": "linear"},
+                               "s_max": 0.1}))
+    with pytest.raises(SystemExit):
+        cli.main(["evolve", "--config", str(cfg), "--out",
+                  str(tmp_path / "o"), "--threads", "2"])
+    assert cli.main(["evolve", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert "threads" not in manifest
+
+
+@pytest.mark.parametrize("store_every", [0, -3])
+def test_evolve_rejects_bad_store_stride(store_every):
+    g = hw.make_grid(16)
+    gen = hw.assemble_generator(g, hw.Potential.constant(0.0))
+    init = hw.EnergyState.from_callables(g, lambda y: y, lambda y: 0 * y)
+    with pytest.raises(hw.InvalidArgumentError):
+        hw.evolve(gen, init, 0.1, store_every=store_every)
