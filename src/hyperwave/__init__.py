@@ -47,7 +47,6 @@ from .errors import (  # noqa: F401
     OutOfChartError,
     ResonanceError,
     SpectralAssumptionError,
-    StabilityError,
     StiffFailureError,
     UndefinedRatioError,
     VolterraDivergenceError,
@@ -62,6 +61,7 @@ from .evolution import (  # noqa: F401
     decompose_and_evolve,
     evolve,
     growing_mode_projection,
+    propagator,
     resolvent_matrix,
     riesz_projection,
     stable_growth_probe,

@@ -54,10 +54,6 @@ class NearEigenvalueError(HyperwaveError):
     """Resolvent requested too close to a spectral point."""
 
 
-class StabilityError(HyperwaveError):
-    """Time step violates the stability constraint."""
-
-
 class DivergenceError(HyperwaveError):
     """Trajectory norm exceeded the semigroup growth bound."""
 
@@ -89,7 +85,6 @@ NUMERICAL_GUARDS = (
     InconsistencyError,
     ContourAccuracyError,
     NearEigenvalueError,
-    StabilityError,
     DivergenceError,
     SpectralAssumptionError,
     ContractionFailureError,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import expm, lu_factor, lu_solve
 
 from .core_types import (
     EnergyState,
@@ -32,11 +32,8 @@ from .errors import (
     InvalidArgumentError,
     NearEigenvalueError,
     SpectralAssumptionError,
-    StabilityError,
 )
 from .spectral import find_sigma_v
-
-DEFAULT_CFL_CONSTANT = 4.0
 
 
 def _odd_sector_maps(n):
@@ -133,29 +130,21 @@ def assemble_generator(grid, V):
     return GeneratorMatrix(grid, V, matrix, reduced, E, R)
 
 
-def _step_count(s_max, ds):
+def propagator(gen, h):
+    """The exact one-step matrix e^{h L} of the odd-sector generator."""
+    return expm(h * gen.reduced)
+
+
+def _step_count(s_max, ds, n):
+    """Step size and number of steps over [0, s_max]. ds defaults to
+    4/n^2, the spacing at which default runs store their slices."""
+    if ds is None:
+        ds = 4.0 / float(n) ** 2
     if ds <= 0:
         raise InvalidArgumentError("ds must be positive")
     if s_max < 0:
         raise InvalidArgumentError("s_max must be nonnegative")
-    return int(np.floor(s_max / ds + 1e-12))
-
-
-def _cfl_limit(n, cfl_constant):
-    return cfl_constant / float(n) ** 2
-
-
-def _rk4_step(n, ds, cfl_constant):
-    """The RK4 step: ds, by default the stability limit cfl_constant / n^2,
-    which a given ds may not exceed."""
-    limit = _cfl_limit(n, cfl_constant)
-    if ds is None:
-        return limit
-    if ds > limit * (1.0 + 1e-12):
-        raise StabilityError(
-            f"ds = {ds:.3e} exceeds the stability limit {limit:.3e}"
-            f" (= {cfl_constant}/n^2 with n = {n})")
-    return ds
+    return ds, int(np.floor(s_max / ds + 1e-12))
 
 
 def _stored_steps(num_steps, store_every):
@@ -167,19 +156,16 @@ def _stored_steps(num_steps, store_every):
                                num_steps))
 
 
-def _rk4_matrix_steps(Lr, X, ds, num_steps, observer=None, observe_every=1,
-                      guard=None, guard_every=50):
-    """Fixed-step RK4 for X' = Lr X; X may be a vector or a column batch.
+def _propagate(E, X, ds, num_steps, observer=None, observe_every=1,
+               guard=None, guard_every=50):
+    """Apply the one-step propagator E = e^{ds L} num_steps times to X, a
+    vector or a column batch.
 
     observer(i, s, X) is called after selected steps; guard(i, s, X) may
     raise. The final X is returned.
     """
     for i in range(1, num_steps + 1):
-        k1 = Lr @ X
-        k2 = Lr @ (X + 0.5 * ds * k1)
-        k3 = Lr @ (X + 0.5 * ds * k2)
-        k4 = Lr @ (X + ds * k3)
-        X = X + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        X = E @ X
         if observer is not None and (i % observe_every == 0 or i == num_steps):
             observer(i, i * ds, X)
         if guard is not None and (i % guard_every == 0 or i == num_steps):
@@ -187,17 +173,16 @@ def _rk4_matrix_steps(Lr, X, ds, num_steps, observer=None, observe_every=1,
     return X
 
 
-def evolve(gen, init, s_max, ds=None, cfl_constant=DEFAULT_CFL_CONSTANT,
-           store_every=1):
-    """Semigroup trajectory by classical RK4 on the odd-sector system.
+def evolve(gen, init, s_max, ds=None, store_every=1):
+    """Semigroup trajectory on the odd-sector system, stepped by the exact
+    propagator e^{ds L}.
 
-    ds defaults to the stability limit cfl_constant / n^2; a larger ds
-    raises the stability error. A norm growing past
-    10 e^{(max|V|+1)s} times the initial norm aborts with a divergence
-    error (linear evolutions obey this bound with a wide margin).
+    Any ds > 0 is accepted; it sets the slice spacing only (default
+    4/n^2). A norm growing past 10 e^{(max|V|+1)s} times the initial norm
+    aborts with a divergence error (linear evolutions obey this bound
+    with a wide margin).
     """
-    ds = _rk4_step(gen.grid.n, ds, cfl_constant)
-    M = _step_count(s_max, ds)
+    ds, M = _step_count(s_max, ds, gen.grid.n)
 
     x = gen.reduce_state(init)
     norm0 = energy_norm(init)
@@ -217,8 +202,8 @@ def evolve(gen, init, s_max, ds=None, cfl_constant=DEFAULT_CFL_CONSTANT,
                 f"norm at s = {s:.3f} exceeds 10 e^{{(max|V|+1)s}} times"
                 " the initial norm")
 
-    _rk4_matrix_steps(gen.reduced, x, ds, M, observer=observer,
-                      observe_every=store_every, guard=guard)
+    _propagate(propagator(gen, ds), x, ds, M, observer=observer,
+               observe_every=store_every, guard=guard)
     return gen.trajectory(steps * ds, rows, ds)
 
 
@@ -313,7 +298,8 @@ class RieszProjection:
     """Contour-quadrature spectral projection.
 
     `matrix` is the full 2n x 2n projection; `reduced` the odd-sector
-    one. `nilpotency[lam]` is the largest power k with
+    one, and `parts` the odd-sector projection of each contour in turn
+    (their sum is `reduced`). `nilpotency[lam]` is the largest power k with
     (L - lam)^k P_lam nonzero at tolerance, i.e. the degree of the
     polynomial-in-s factor in the mode evolution (0 = no Jordan block).
     """
@@ -321,6 +307,7 @@ class RieszProjection:
     matrix: np.ndarray
     reduced: np.ndarray
     rank: int
+    parts: List[np.ndarray] = field(default_factory=list)
     eigenvalues_inside: List[complex] = field(default_factory=list)
     multiplicity: Dict[complex, int] = field(default_factory=dict)
     nilpotency: Dict[complex, int] = field(default_factory=dict)
@@ -381,11 +368,13 @@ def riesz_projection(gen, contour):
     """
     contours = contour if isinstance(contour, (list, tuple)) else [contour]
     lam_all = []
+    parts = []
     P = np.zeros_like(gen.reduced, dtype=complex)
     for c in contours:
         lams, w = _contour_nodes(c)
         lam_all.append(lams)
-        P += _quadrature_projection(gen, lams, w)
+        parts.append(_quadrature_projection(gen, lams, w))
+        P += parts[-1]
     lam_all = np.concatenate(lam_all)
 
     rank = _matrix_rank_svd(P)
@@ -418,7 +407,7 @@ def riesz_projection(gen, contour):
 
     matrix = gen.expand @ P @ gen.restrict
     return RieszProjection(contour_points=lam_all, matrix=matrix, reduced=P,
-                           rank=rank, eigenvalues_inside=inside,
+                           rank=rank, parts=parts, eigenvalues_inside=inside,
                            multiplicity=multiplicity, nilpotency=nilpotency)
 
 
@@ -501,7 +490,7 @@ def growing_mode_projection(gen, lams):
 
 
 def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
-                         store_every=1, cfl_constant=DEFAULT_CFL_CONSTANT):
+                         store_every=1):
     """Split off the growing modes, evolve the remainder.
 
     Scans for right-half-plane spectral points; an imaginary-axis point
@@ -511,19 +500,15 @@ def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
     lams = _growing_modes(gen.potential, window, gen.grid,
                           "the decomposition does not apply")
     if not lams:
-        traj = evolve(gen, init, s_max, ds=ds, cfl_constant=cfl_constant,
-                      store_every=store_every)
+        traj = evolve(gen, init, s_max, ds=ds, store_every=store_every)
         return DecomposedEvolution([], traj, None)
 
-    contours = _root_circles(lams)
-    proj = riesz_projection(gen, contours)
+    proj = growing_mode_projection(gen, lams)
 
     x0 = gen.reduce_state(init).astype(complex)
     modes = []
     half2 = gen.reduced.shape[0]
-    for lam, c in zip(lams, contours):
-        lams_s, w_s = _contour_nodes(c)
-        P_lam = _quadrature_projection(gen, lams_s, w_s)
+    for lam, P_lam in zip(lams, proj.parts):
         n_lam = _nilpotency_order(gen, lam, P_lam)
         cur = P_lam @ x0
         phis = [gen.expand_state(cur)]
@@ -535,13 +520,12 @@ def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
 
     rem = x0 - proj.reduced @ x0
     stable_traj = evolve(gen, gen.expand_state(rem), s_max, ds=ds,
-                         cfl_constant=cfl_constant, store_every=store_every)
+                         store_every=store_every)
     return DecomposedEvolution(modes, stable_traj, proj)
 
 
 def stable_growth_probe(gen, ensemble, epsilon, s_max, ds=None,
-                        window=(3.0, 20.0), cfl_constant=DEFAULT_CFL_CONSTANT,
-                        check_every=10):
+                        window=(3.0, 20.0), check_every=10):
     """max over members and s of e^{-eps s} ||u~(s)|| / ||init||.
 
     Members with zero initial norm contribute 0 by convention. All
@@ -557,8 +541,7 @@ def stable_growth_probe(gen, ensemble, epsilon, s_max, ds=None,
     if proj is not None:
         X0 = X0 - proj.reduced @ X0
 
-    ds = _rk4_step(gen.grid.n, ds, cfl_constant)
-    M = _step_count(s_max, ds)
+    ds, M = _step_count(s_max, ds, gen.grid.n)
 
     norm0 = gen.reduced_energy(X0)
     nz = norm0 > 0
@@ -571,6 +554,6 @@ def stable_growth_probe(gen, ensemble, epsilon, s_max, ds=None,
         np.maximum(best, r, out=best)
 
     observer(0, 0.0, X0)
-    _rk4_matrix_steps(gen.reduced, X0, ds, M, observer=observer,
-                      observe_every=check_every)
+    _propagate(propagator(gen, ds), X0, ds, M, observer=observer,
+               observe_every=check_every)
     return float(np.max(best)) if np.any(nz) else 0.0

@@ -89,28 +89,38 @@ def _quad_cc(fn, a, b):
     return val
 
 
+def _as_times(s):
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise InvalidArgumentError(f"s must be >= 0, got {np.min(s)}")
+    return s
+
+
+def _complex_result(out):
+    out = np.asarray(out)
+    return complex(out) if out.ndim == 0 else out.astype(complex)
+
+
 def evaluate(sol, s, y):
-    """u(s, y) for odd data; y may be a scalar or an array."""
-    if s < 0:
-        raise InvalidArgumentError(f"s must be >= 0, got {s}")
+    """u(s, y) for odd data; s and y may be scalars or arrays that
+    broadcast against each other (e.g. times (T, 1) and nodes (n,))."""
+    s = _as_times(s)
     y = np.asarray(y, dtype=float)
     a, b = _region_endpoints(s, y)
     if sol._cheb_H is not None:
         H = sol._cheb_H
-        out = 0.5 * (C.chebval(b, H) - C.chebval(a, H))
-        return complex(out) if y.ndim == 0 else out.astype(complex)
+        return _complex_result(0.5 * (C.chebval(b, H) - C.chebval(a, H)))
     f, fp, g = sol._callables
     integrand = lambda x: (1.0 + x) * fp(x) + g(x)
-    if y.ndim == 0:
-        return complex(0.5 * _quad_cc(integrand, float(a), float(b)))
-    return np.array([0.5 * _quad_cc(integrand, float(ai), float(bi))
-                     for ai, bi in zip(a, b)], dtype=complex)
+    out = [0.5 * _quad_cc(integrand, float(ai), float(bi))
+           for ai, bi in zip(a.ravel(), b.ravel())]
+    return _complex_result(np.reshape(out, a.shape))
 
 
 def ds_evaluate(sol, s, y):
-    """Exact s-derivative of the odd-data solution (boundary terms)."""
-    if s < 0:
-        raise InvalidArgumentError(f"s must be >= 0, got {s}")
+    """Exact s-derivative of the odd-data solution (boundary terms); s
+    and y broadcast as in evaluate."""
+    s = _as_times(s)
     y = np.asarray(y, dtype=float)
     a, b = _region_endpoints(s, y)
     es = np.exp(-s)
@@ -119,8 +129,8 @@ def ds_evaluate(sol, s, y):
     else:
         f, fp, g = sol._callables
         F = lambda x: (1.0 + x) * fp(x) + g(x)
-    out = 0.5 * (F(b) * es * (1.0 - y) - F(a) * es * (1.0 + y))
-    return complex(out) if y.ndim == 0 else np.asarray(out, dtype=complex)
+    return _complex_result(
+        0.5 * (F(b) * es * (1.0 - y) - F(a) * es * (1.0 + y)))
 
 
 def _as_solution(f, g, grid, fp):
@@ -144,8 +154,8 @@ def free_trajectory(f, g, grid, s_max, ds, fp=None):
     sol = _as_solution(f, g, grid, fp)
     num = int(np.floor(s_max / ds + 1e-12))
     times = np.arange(num + 1) * ds
-    U = np.array([evaluate(sol, s, grid.nodes) for s in times])
-    V = np.array([ds_evaluate(sol, s, grid.nodes) for s in times])
+    U = evaluate(sol, times[:, None], grid.nodes)
+    V = ds_evaluate(sol, times[:, None], grid.nodes)
     return Trajectory.from_arrays(grid, times, U, V, step=ds)
 
 

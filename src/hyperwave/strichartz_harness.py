@@ -26,11 +26,11 @@ from .core_types import (
 )
 from .errors import InvalidArgumentError
 from .evolution import (
-    _cfl_limit,
     _growing_modes,
-    _rk4_matrix_steps,
+    _propagate,
     assemble_generator,
     growing_mode_projection,
+    propagator,
 )
 
 DEFAULT_EXPONENTS = ((2, 4), (3, 6), (4, 8), (np.inf, 2))
@@ -199,8 +199,7 @@ def run_free_scan(spec, exponents=DEFAULT_EXPONENTS, s_max=20.0, grid=None,
     def norms_of(sols, grid, times, qs):
         cols = {q: [] for q in qs}
         for sol in sols:
-            U = np.stack([free_wave.evaluate(sol, t, grid.nodes)
-                          for t in times])
+            U = free_wave.evaluate(sol, times[:, None], grid.nodes)
             for q in qs:
                 cols[q].append(slice_norms(U, grid, q))
         return {q: np.stack(c, axis=1) for q, c in cols.items()}
@@ -209,32 +208,28 @@ def run_free_scan(spec, exponents=DEFAULT_EXPONENTS, s_max=20.0, grid=None,
                      norms_of)
 
 
-def _batch_slice_norms(gen, X0, s_max, num_slices, qs, cfl_constant):
+def _batch_slice_norms(gen, X0, s_max, num_slices, qs):
     """Evolve a reduced column batch, recording L^q norms of the first
-    component at num_slices+1 equispaced times (step chosen to land on
-    them exactly)."""
+    component at num_slices+1 equispaced times, one propagator step
+    apart."""
     grid = gen.grid
-    limit = _cfl_limit(grid.n, cfl_constant)
-    ds_slice = s_max / num_slices
-    k = max(1, int(np.ceil(ds_slice / limit - 1e-12)))
-    ds = ds_slice / k
+    ds = s_max / num_slices
     norms = {q: np.zeros((num_slices + 1, X0.shape[1])) for q in qs}
 
     def observer(i, s, X):
         U = gen.expand_rows(X.T)[0]  # (members, n)
         for q in qs:
-            norms[q][i // k] = slice_norms(U, grid, q)
+            norms[q][i] = slice_norms(U, grid, q)
 
     observer(0, 0.0, X0)
-    _rk4_matrix_steps(gen.reduced, X0, ds, num_slices * k, observer=observer,
-                      observe_every=k)
+    _propagate(propagator(gen, ds), X0, ds, num_slices, observer=observer)
     times = np.linspace(0.0, s_max, num_slices + 1)
     return times, norms
 
 
 def run_potential_scan(V, spec, exponents=DEFAULT_EXPONENTS, s_max=20.0,
                        grid=None, window=(3.0, 20.0), num_slices=400,
-                       cfl_constant=4.0, refine=True):
+                       refine=True):
     """Ratio scan for the evolution under V, growing modes projected out.
 
     Aborts with a diagnostic if the mode finder reports imaginary-axis
@@ -257,8 +252,7 @@ def run_potential_scan(V, spec, exponents=DEFAULT_EXPONENTS, s_max=20.0,
                        for s in sols], axis=1)
         if proj is not None:
             X0 = X0 - proj.reduced @ X0
-        return _batch_slice_norms(gen, X0, times[-1], len(times) - 1, qs,
-                                  cfl_constant)[1]
+        return _batch_slice_norms(gen, X0, times[-1], len(times) - 1, qs)[1]
 
     return _run_scan(str(V.name), spec, pairs, s_max, grid, num_slices,
                      refine, norms_of)

@@ -206,8 +206,8 @@ def test_criterion_09_perturbed_mixed_norm_ratios():
     members = spec.fields(g)
     X0 = np.stack([gen.reduce_state(m.state) for m in members], axis=1)
     Xp = X0 - proj.reduced @ X0
-    _, raw = _batch_slice_norms(gen, X0, 5.0, 100, [2.0], 4.0)
-    _, prj = _batch_slice_norms(gen, Xp, 5.0, 100, [2.0], 4.0)
+    _, raw = _batch_slice_norms(gen, X0, 5.0, 100, [2.0])
+    _, prj = _batch_slice_norms(gen, Xp, 5.0, 100, [2.0])
     contrast = float(np.min(raw[2.0][-1] / prj[2.0][-1]))
     need = float(np.exp(2.5))
 

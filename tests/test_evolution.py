@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import hyperwave as hw
 
@@ -134,12 +136,28 @@ def test_evolve_semigroup_property():
     assert np.max(np.abs(a - b)) < 1e-7 * max(1.0, np.max(np.abs(a)))
 
 
-def test_evolve_rejects_unstable_step():
+def test_evolve_large_step_matches_closed_form():
+    # the step only spaces the slices: each one is e^{ds L} applied exactly
     g = hw.make_grid(64)
     gen = hw.assemble_generator(g, hw.Potential.constant(0.0))
     st = hw.EnergyState.from_callables(g, lambda y: y, lambda y: 0 * y)
-    with pytest.raises(hw.StabilityError):
-        hw.evolve(gen, st, 1.0, ds=0.5)
+    traj = hw.evolve(gen, st, 1.0, ds=0.5)
+    assert np.allclose(traj.times, [0.0, 0.5, 1.0], rtol=0, atol=1e-15)
+    for s, u in zip(traj.times, traj.U):
+        want = g.nodes * np.exp(-s) * (2.0 - np.exp(-s))
+        assert np.max(np.abs(u - want)) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=hst.sampled_from([16, 32]),
+       v=hst.floats(min_value=-6.0, max_value=1.0),
+       h=hst.floats(min_value=1e-3, max_value=0.5),
+       k=hst.integers(min_value=1, max_value=8))
+def test_propagator_semigroup(n, v, h, k):
+    gen = hw.assemble_generator(hw.make_grid(n), hw.Potential.constant(v))
+    Ek = np.linalg.matrix_power(hw.propagator(gen, h), k)
+    want = hw.propagator(gen, k * h)
+    assert np.max(np.abs(Ek - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_reduced_eigenvalue_convergence():
@@ -211,6 +229,18 @@ def test_riesz_rectangle_matches_circle():
                                    "im": [-0.5, 0.5], "points": 800})
     assert pr.rank == 1
     assert np.max(np.abs(pc.reduced - pr.reduced)) < 1e-6
+
+
+def test_riesz_parts_are_the_single_contour_projections():
+    g = hw.make_grid(32)
+    gen = hw.assemble_generator(g, hw.Potential.constant(-6.0))
+    circles = [{"kind": "circle", "center": [c, 0.0], "radius": 0.3}
+               for c in (1.0, 2.5)]
+    proj = hw.riesz_projection(gen, circles)
+    assert len(proj.parts) == 2
+    for c, part in zip(circles, proj.parts):
+        assert np.array_equal(part, hw.riesz_projection(gen, c).reduced)
+    assert np.array_equal(proj.parts[0] + proj.parts[1], proj.reduced)
 
 
 def test_riesz_contour_through_eigenvalue_rejected():

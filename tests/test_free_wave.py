@@ -84,6 +84,33 @@ def test_rejects_negative_time():
         free_wave.evaluate(sol, -0.1, 0.5)
 
 
+def test_evaluate_broadcasts_times():
+    # one call over a (T, 1) time column equals the per-slice calls
+    # exactly; scalar arguments keep their scalar results
+    g = _grid()
+    cf = np.array([0.0, 0.3, 0.0, -0.15, 0.0, 0.02])
+    cg = np.array([0.0, 0.2, 0.0, 0.07])
+    cheb = np.polynomial.chebyshev
+    sols = [free_wave.from_chebyshev(g, cf, cg),
+            free_wave.from_callables(
+                g,
+                lambda y: cheb.chebval(y, cf),
+                lambda y: cheb.chebval(y, cheb.chebder(cf)),
+                lambda y: cheb.chebval(y, cg))]
+    times = np.linspace(0.0, 4.0, 5)
+    ys = np.linspace(-0.85, 0.85, 7)
+    for sol in sols:
+        for fn in (free_wave.evaluate, free_wave.ds_evaluate):
+            many = fn(sol, times[:, None], ys)
+            assert many.shape == (5, 7) and many.dtype == complex
+            assert np.array_equal(many, [fn(sol, s, ys) for s in times])
+            assert isinstance(fn(sol, 0.5, 0.25), complex)
+            assert np.array_equal(fn(sol, times, 0.25),
+                                  [fn(sol, s, 0.25) for s in times])
+        with pytest.raises(hw.InvalidArgumentError):
+            free_wave.evaluate(sol, np.array([0.5, -0.1]), 0.25)
+
+
 def test_callable_route_matches_chebyshev_route():
     g = _grid()
     cf = np.array([0.0, 0.3, 0.0, -0.15, 0.0, 0.02])

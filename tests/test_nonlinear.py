@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperwave as hw
+from hyperwave.core_types import slice_norms
 
 
 def _small_data(grid, energy=0.01, width=0.6):
@@ -151,6 +152,33 @@ def test_direct_matches_picard():
     # the whole window instead of growing exponentially
     d6 = (np.abs(Up - Ud) ** 6 @ grid.quad_weights) ** (1.0 / 6.0)
     assert d6[-1] <= 10 * (np.max(d6[: m // 2]) + 1e-12)
+
+
+@settings(max_examples=8, deadline=None)
+@given(energy=st.floats(min_value=1e-3, max_value=0.02),
+       width=st.floats(min_value=0.4, max_value=0.8))
+def test_lawson_step_converged_on_small_data(energy, width):
+    # the linear part is exact, so the Picard step 0.05 already resolves
+    # the cubic term: it agrees with a 52x finer step on the shared nodes
+    grid = hw.make_grid(64)
+    f, g = _small_data(grid, energy=energy, width=width)
+    coarse = hw.nonlinear_evolve_direct(f, g, 2.0, ds=0.05)
+    fine = hw.nonlinear_evolve_direct(f, g, 2.0, ds=0.05 / 52,
+                                      store_every=52)
+    assert np.allclose(coarse.times, fine.times, rtol=0, atol=1e-12)
+    d6 = slice_norms(coarse.U - fine.U, grid, 6)
+    assert np.max(d6) < 1e-10
+
+
+@pytest.mark.parametrize("s_max, ds", [(1.0, -0.01), (1.0, 0.0),
+                                       (-1.0, 0.01)])
+def test_cubic_solvers_reject_bad_steps(s_max, ds):
+    grid = hw.make_grid(32)
+    f, g = _small_data(grid)
+    with pytest.raises(hw.InvalidArgumentError):
+        hw.nonlinear_evolve_direct(f, g, s_max, ds=ds)
+    with pytest.raises(hw.InvalidArgumentError):
+        hw.asymptotic_stability_report(f, g, s_max, ds=ds)
 
 
 def test_direct_parity_preserved():
