@@ -45,7 +45,7 @@ from .nonlinear import (
     nonlinear_evolve_direct,
     picard_solve,
 )
-from .spectral import find_sigma_v, resolvent_apply
+from .spectral import GreenFunction, find_sigma_v
 from .strichartz_harness import (
     EnsembleSpec,
     run_free_scan,
@@ -345,13 +345,14 @@ def _cmd_resolvent_check(cfg, out_dir, seed):
     members = spec.fields(grid)
     gen = assemble_generator(grid, V)
     handle = resolvent_matrix(gen, lam)
+    green = GreenFunction(V, lam)
 
     rows = []
     rels = []
     idds = []
     for m in members:
         w_mat = handle.apply(m.state)
-        w_green = resolvent_apply(V, lam, m.state)
+        w_green = green.apply(m.state)
         num_d = np.linalg.norm(w_green.stacked() - w_mat.stacked())
         den_d = np.linalg.norm(w_mat.stacked())
         rel = float(num_d / den_d) if den_d > 0 else 0.0

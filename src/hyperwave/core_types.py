@@ -417,15 +417,17 @@ def extrapolate_to(values, grid, y_target, num_points=4):
 def barycentric_interpolate(grid, values, x):
     """Barycentric evaluation of the interpolant of node samples at x.
 
-    x may be a scalar or an array with |x| < 1. Exact reproduction at the
-    nodes themselves is handled explicitly.
+    x may be a scalar or an array with |x| < 1. values is (n,) or (n, k)
+    for k sample columns interpolated in one pass; the result then has a
+    trailing k axis. Exact reproduction at the nodes themselves is
+    handled explicitly.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xf = np.atleast_1d(x)
     vals = np.asarray(values)
     diffs = xf[:, None] - grid.nodes[None, :]
-    out = np.empty(xf.shape, dtype=complex)
+    out = np.empty(xf.shape + vals.shape[1:], dtype=complex)
     hit = np.abs(diffs) < 1e-14
     exact_rows = hit.any(axis=1)
     if np.any(exact_rows):
@@ -434,5 +436,8 @@ def barycentric_interpolate(grid, values, x):
     rows = ~exact_rows
     if np.any(rows):
         w = grid.bary_weights[None, :] / diffs[rows]
-        out[rows] = (w @ vals) / w.sum(axis=1)
-    return complex(out[0]) if scalar else out
+        out[rows] = (w @ vals) / w.sum(axis=1).reshape(
+            (-1,) + (1,) * (vals.ndim - 1))
+    if scalar:
+        return complex(out[0]) if vals.ndim == 1 else out[0]
+    return out

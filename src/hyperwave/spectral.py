@@ -19,7 +19,12 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core_types import OddField, barycentric_interpolate, make_grid
+from .core_types import (
+    EnergyState,
+    OddField,
+    barycentric_interpolate,
+    make_grid,
+)
 from .errors import (
     ContourAccuracyError,
     InconsistencyError,
@@ -55,13 +60,15 @@ def _frobenius_coefficients(bz, lam, m, check=True):
     """Taylor recurrence of the z-form ODE at z = 0, branch exponent 0.
 
     2 (k+1)(k+1+lam) c_{k+1} = (k+lam)(k+lam+1) c_k + sum_j bz_j c_{k-j},
-    seeded with c_0 = 2^(-lam). The denominators only vanish at negative
-    integer lambda; `check=False` skips the resonance test for contour
-    paths that are known to stay right of Re lambda = -1/2.
+    seeded with c_0 = 2^(-lam). `lam` may be an array of N values; the
+    coefficients are then an (m+1, N) array. The denominators only vanish
+    at negative integer lambda; `check=False` skips the resonance test
+    for contour paths that are known to stay right of Re lambda = -1/2.
     """
     if check:
         _resonance_check(lam)
-    c = np.zeros(m + 1, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    c = np.zeros((m + 1,) + lam.shape, dtype=complex)
     c[0] = np.exp(-lam * np.log(2.0))
     for k in range(m):
         s = (k + lam) * (k + lam + 1.0) * c[k]
@@ -159,53 +166,81 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, grid=None,
     return FrobeniusSolution(lam, V, c, sol, delta, grid=grid)
 
 
+# Contour samples of u1(0, lam) are held to this error, relative to the
+# median |u1| on the contour; `_z_mesh` is sized for it.
+_CONTOUR_REL_ERROR = 1e-5
+# `_winding` trusts a node only when |u1| is at least this share of the
+# median: 10x the sample error, so its phase is off by at most ~0.1 rad.
+_CONTOUR_GUARD = 10.0 * _CONTOUR_REL_ERROR
+
+
+def _z_mesh(kappa, delta):
+    """RK4 mesh on [delta, 1] for the contour evaluation of u1(0, .).
+
+    kappa >= 1 bounds the rates of the ODE's solutions on z >= 0.1: |lam|
+    for the analytic branch ~ (2-z)^(-lam) and sqrt(|V| / (z(2-z))) for
+    the potential. Up to z = 0.1 the mesh is geometric with
+    kappa * (ratio - 1) <= 1, which keeps the non-analytic branch
+    ~ z^(-lam) inside RK4's stability region. Beyond, RK4's error on a
+    rate-kappa branch over the remaining length 0.9 is about
+    0.9 kappa (h kappa)^4 / 120, so h kappa is chosen to hold that to
+    _CONTOUR_REL_ERROR (h <= 0.01 resolves V and the 1/(z(2-z))
+    coefficient).
+    """
+    zs = [delta]
+    ratio = 1.0 + min(0.1, 1.0 / kappa)
+    while zs[-1] < 0.1:
+        zs.append(min(zs[-1] * ratio, 0.1))
+    theta = (120.0 * _CONTOUR_REL_ERROR / (0.9 * kappa)) ** 0.25
+    h = min(0.01, theta / kappa)
+    return np.concatenate(
+        [zs, np.linspace(0.1, 1.0, int(np.ceil(0.9 / h)) + 1)[1:]])
+
+
 def _u1_zero_batch(V, lams, m=DEFAULT_SERIES_ORDER, delta=DEFAULT_SEED_OFFSET):
     """u1(0, lam) for an array of lambdas by vectorized fixed-step RK4.
 
-    Accuracy ~1e-8; used for contour winding counts where thousands of
-    evaluations are needed. Roots are always re-polished by the scalar
-    adaptive route.
+    The Frobenius seeds of all lambdas come from one array recurrence and
+    the state (w, w') is carried as two arrays over one z-mesh (V sampled
+    once per node and midpoint). The error relative to the median |u1|
+    is _CONTOUR_REL_ERROR (see `_z_mesh`): enough for winding counts,
+    where thousands of evaluations are needed. Roots are always
+    re-polished by the scalar adaptive route.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if np.any(lams.real < -0.49):
         raise InvalidArgumentError("batch evaluation requires Re lambda > -1/2")
-    bz = _v_z_coefficients(V, m)
-    c = np.stack([_frobenius_coefficients(bz, l, m, check=False)
-                  for l in lams])
+    c = _frobenius_coefficients(_v_z_coefficients(V, m), lams, m, check=False)
     k = np.arange(m + 1)
-    w = c @ (delta ** k)
-    dw = (c[:, 1:] * k[1:]) @ (delta ** (k[1:] - 1.0))
+    w = delta ** k @ c
+    dw = (k[1:] * delta ** (k[1:] - 1.0)) @ c[1:]
 
-    maxl = max(1.0, float(np.max(np.abs(lams))))
-    zs = [delta]
-    ratio = 1.0 + min(0.03, 0.5 / maxl)
-    z = delta
-    while z < 0.1:
-        z = min(z * ratio, 0.1)
-        zs.append(z)
-    h_u = min(1e-3, 0.2 / maxl)
-    nst = int(np.ceil(0.9 / h_u))
-    zs.extend(np.linspace(0.1, 1.0, nst + 1)[1:])
-    zs = np.asarray(zs)
+    # z(2-z) = 0.19 at z = 0.1, where the rate of the potential peaks
+    kappa = max(1.0, float(np.max(np.abs(lams))),
+                np.sqrt(V.max_abs() / 0.19))
+    zs = _z_mesh(kappa, delta)
+    hs = np.diff(zs)
+    zm = zs[:-1] + 0.5 * hs
+    v_node = V(1.0 - zs)
+    v_mid = V(1.0 - zm)
+    a = -2.0 * (lams + 1.0)
+    b = lams * (lams + 1.0)
 
-    state = np.stack([w, dw])
+    def ddw(z, vz, w_, dw_):
+        return (a * (1.0 - z) * dw_ + (b + vz) * w_) / (z * (2.0 - z))
 
-    def f(z, st):
-        w_, dw_ = st
-        vy = float(V(1.0 - z))
-        ddw = (-2.0 * (lams + 1.0) * (1.0 - z) * dw_
-               + (lams * (lams + 1.0) + vy) * w_) / (z * (2.0 - z))
-        return np.stack([dw_, ddw])
-
-    for i in range(len(zs) - 1):
-        z0 = zs[i]
-        h = zs[i + 1] - z0
-        k1 = f(z0, state)
-        k2 = f(z0 + 0.5 * h, state + 0.5 * h * k1)
-        k3 = f(z0 + 0.5 * h, state + 0.5 * h * k2)
-        k4 = f(z0 + h, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return state[0]
+    for i, h in enumerate(hs):
+        z0, z1 = zs[i], zs[i + 1]
+        k1w, k1d = dw, ddw(z0, v_node[i], w, dw)
+        k2w = dw + 0.5 * h * k1d
+        k2d = ddw(zm[i], v_mid[i], w + 0.5 * h * k1w, k2w)
+        k3w = dw + 0.5 * h * k2d
+        k3d = ddw(zm[i], v_mid[i], w + 0.5 * h * k2w, k3w)
+        k4w = dw + h * k3d
+        k4d = ddw(z1, v_node[i + 1], w + h * k3w, k4w)
+        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        dw = dw + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -378,34 +413,45 @@ def _rect_path(re_lo, re_hi, im_lo, im_hi, pts):
 
 
 def _winding(V, rect, pts, m, delta):
-    """Integer winding of u1(0, .) along the rectangle boundary.
+    """Winding of u1(0, .) along the rectangle boundary, with its first
+    log-derivative moment.
 
-    Returns None when the sampling looks unreliable (near-zero on the
-    contour or phase steps too large), so the caller can jitter/refine.
+    Returns (w, mu): the integer winding w, and
+    mu = sum lam_mid * dlog u1 / (2 pi i), the midpoint rule for the
+    contour integral of lam u1'/u1 / (2 pi i), which is the sum of the
+    zeros inside (Delves & Lyness 1967), so the zero itself when w = 1.
+    Returns None when the sampling looks unreliable (a node below
+    _CONTOUR_GUARD times the median, or phase steps too large), so the
+    caller can jitter/refine. The phase errors of the steps telescope,
+    so only a step misjudged by a whole turn can change w.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     path = _rect_path(re_lo, re_hi, im_lo, im_hi, pts)
     vals = _u1_zero_batch(V, path, m=m, delta=delta)
     mags = np.abs(vals)
-    if np.min(mags) < 1e-7 * max(np.median(mags), 1e-30):
+    if np.min(mags) < _CONTOUR_GUARD * max(np.median(mags), 1e-30):
         return None
-    phase = np.angle(vals[1:] / vals[:-1])
-    if np.max(np.abs(phase)) > 2.5:
+    dlog = np.log(vals[1:] / vals[:-1])
+    if np.max(np.abs(dlog.imag)) > 2.5:
         return None
-    w = float(np.sum(phase) / (2.0 * np.pi))
+    w = float(np.sum(dlog.imag) / (2.0 * np.pi))
     wi = int(round(w))
     if abs(w - wi) > 0.1:
         return None
-    return wi
+    mu = np.sum(0.5 * (path[1:] + path[:-1]) * dlog) / (2j * np.pi)
+    return wi, complex(mu)
 
 
 def _stable_winding(V, rect, pts, m, delta):
+    """(winding, moment, rect): the winding agreed at pts and 2*pts
+    points per edge, the moment of the 2*pts count, and the rectangle,
+    jittered outward when a count was unreliable."""
     for attempt in range(6):
-        w1 = _winding(V, rect, pts, m, delta)
-        if w1 is not None:
-            w2 = _winding(V, rect, 2 * pts, m, delta)
-            if w2 == w1:
-                return w1, rect
+        c1 = _winding(V, rect, pts, m, delta)
+        if c1 is not None:
+            c2 = _winding(V, rect, 2 * pts, m, delta)
+            if c2 is not None and c2[0] == c1[0]:
+                return c2[0], c2[1], rect
         # deterministic jitter: expand the rectangle slightly, with
         # different factors per side so symmetric zeros are not re-hit
         re_lo, re_hi, im_lo, im_hi = rect
@@ -455,10 +501,17 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     """Zeros of u1(0, .) on the rectangle Re in [0, a], |Im| <= b.
 
     Argument-principle counting with adaptive cell subdivision until each
-    cell holds at most one zero, then Newton polishing with a
-    finite-difference derivative. Eigenfunctions are odd extensions of
-    u1(., root) sampled on the grid. The left edge sits slightly left of
-    the axis so purely imaginary zeros are caught rather than straddled.
+    cell holds at most one zero. A count is trusted only when it agrees
+    at points_per_edge and twice that, and every node clears the
+    near-zero guard (_CONTOUR_GUARD times the median |u1|); otherwise the
+    cell is jittered outward. In a cell of winding 1, Newton polishing
+    (finite-difference derivative) starts from the cell's first
+    log-derivative moment, which is the zero up to quadrature error; the
+    polished zero is kept only if it lies inside the (jittered) cell,
+    otherwise the cell is subdivided. Eigenfunctions are odd extensions
+    of u1(., root) sampled on the grid. The left edge sits slightly left
+    of the axis so purely imaginary zeros are caught rather than
+    straddled.
     """
     a, b = window
     if grid is None:
@@ -466,15 +519,15 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     roots = []
 
     def recurse(rect, depth):
-        w, rect = _stable_winding(V, rect, points_per_edge, m, delta)
+        w, mu, rect = _stable_winding(V, rect, points_per_edge, m, delta)
         if w == 0:
             return
         re_lo, re_hi, im_lo, im_hi = rect
         small = max(re_hi - re_lo, im_hi - im_lo) < 0.2
         if w == 1:
-            seed = 0.5 * (re_lo + re_hi) + 0.5j * (im_lo + im_hi)
-            root = _newton_polish(V, seed, m, delta, rect)
-            if root is not None:
+            root = _newton_polish(V, mu, m, delta, rect)
+            if root is not None and re_lo <= root.real <= re_hi \
+                    and im_lo <= root.imag <= im_hi:
                 roots.append(root)
                 return
             if small:
@@ -522,10 +575,13 @@ class GreenFunction:
 
     u0 is the odd solution vanishing at 0, assembled from the analytic
     branches at +-lambda; the Wronskian factor 2 lam u1(0,lam) is the
-    constant p W(u0, u1) with p = (1-y^2)^(1+lam).
+    constant p W(u0, u1) with p = (1-y^2)^(1+lam). `apply` is the
+    resolvent at lambda; build one GreenFunction per lambda and apply it
+    to every state, since the kernel samples are reused.
     """
 
-    __slots__ = ("lam", "u1_branch", "u1_minus", "wronskian_factor")
+    __slots__ = ("lam", "u1_branch", "u1_minus", "wronskian_factor",
+                 "_kernels")
 
     def __init__(self, V, lam, eps0=0.25, m=DEFAULT_SERIES_ORDER,
                  delta=DEFAULT_SEED_OFFSET):
@@ -542,6 +598,7 @@ class GreenFunction:
                 f"|u1(0,lambda)| = {abs(u10):.3e} < 1e-10: resolvent"
                 " blow-up (lambda is an eigenvalue or too close to one)")
         self.wronskian_factor = 2.0 * lam * u10
+        self._kernels = {}
 
     def u1(self, y):
         return self.u1_branch.u1(y)
@@ -552,46 +609,58 @@ class GreenFunction:
         return (self.u1_minus.u1_at_zero * self.u1_branch.u1(y)
                 - self.u1_branch.u1_at_zero * wgt * self.u1_minus.u1(y))
 
+    def _kernel(self, grid, mesh_n):
+        """Kernel samples on the quadrature mesh of `grid`'s positive
+        nodes, computed once per (grid size, mesh_n)."""
+        key = (grid.n, mesh_n)
+        if key not in self._kernels:
+            pos = grid.nodes[grid.nodes > 0]
+            xs = np.unique(np.concatenate([graded_mesh(mesh_n), pos]))
+            u1x = self.u1_branch.u1(xs)
+            wfac = np.exp(self.lam * np.log1p(-xs * xs))  # (1-x^2)^lam
+            # (1-x^2)^lam u0(x): written so the growing factor cancels
+            # exactly
+            low = (self.u1_minus.u1_at_zero * wfac * u1x
+                   - self.u1_branch.u1_at_zero * self.u1_minus.u1(xs))
+            self._kernels[key] = (xs, _panel_weights(xs), wfac * u1x, low,
+                                  np.searchsorted(xs, pos), self.u0(pos),
+                                  self.u1(pos))
+        return self._kernels[key]
+
+    def apply(self, state, mesh_n=6000):
+        """Apply the Green-function resolvent (lam - L)^(-1) to a state.
+
+        First component: integral of the Green kernel against
+        F(x) = 2x f1'(x) + (lam+1) f1(x) + f2(x); second component
+        lam * (first) - f1.
+        """
+        grid = state.grid
+        xs, (idx, Wp), up_kernel, low_kernel, sel, u0_pos, u1_pos = \
+            self._kernel(grid, mesh_n)
+        f1 = state.u.values
+        f2 = state.v.values
+        df1 = grid.diff_matrix @ f1
+        samples = barycentric_interpolate(
+            grid, np.stack([df1, f1, f2], axis=1), xs)
+        Fx = (2.0 * xs * samples[:, 0] + (self.lam + 1.0) * samples[:, 1]
+              + samples[:, 2])
+        I_up = _cum_from_top(idx, Wp, up_kernel * Fx)
+        I_low = _cum_from_bottom(idx, Wp, low_kernel * Fx)
+        w_pos = -(u0_pos * I_up[sel] + u1_pos * I_low[sel]) \
+            / self.wronskian_factor
+        w_full = np.concatenate([-w_pos[::-1], w_pos])
+        return EnergyState(OddField(grid, w_full),
+                           OddField(grid, self.lam * w_full - f1))
+
 
 def resolvent_apply(V, lam, state, eps0=0.25, mesh_n=6000,
                     m=DEFAULT_SERIES_ORDER, delta=DEFAULT_SEED_OFFSET):
     """Apply the Green-function resolvent to a state.
 
-    First component: integral of the Green kernel against
-    F(x) = 2x f1'(x) + (lam+1) f1(x) + f2(x); second component
-    lam * (first) - f1. Requires Re lambda in (0, eps0] and lambda away
-    from the point spectrum.
+    Builds the GreenFunction at lam and applies it (see
+    GreenFunction.apply). Requires Re lambda in (0, eps0] and lambda away
+    from the point spectrum; to apply one lambda to many states, build
+    the GreenFunction once.
     """
-    from .core_types import EnergyState  # local import to avoid cycle noise
-
-    lam = complex(lam)
     G = GreenFunction(V, lam, eps0=eps0, m=m, delta=delta)
-    grid = state.grid
-    f1 = state.u.values
-    f2 = state.v.values
-    df1 = grid.diff_matrix @ f1
-
-    pos = grid.nodes[grid.nodes > 0]
-    xs = np.unique(np.concatenate([graded_mesh(mesh_n), pos]))
-    idx, Wp = _panel_weights(xs)
-
-    Fx = (2.0 * xs * barycentric_interpolate(grid, df1, xs)
-          + (lam + 1.0) * barycentric_interpolate(grid, f1, xs)
-          + barycentric_interpolate(grid, f2, xs))
-    u1x = G.u1_branch.u1(xs)
-    u1mx = G.u1_minus.u1(xs)
-    wfac = np.exp(lam * np.log1p(-xs * xs))  # (1-x^2)^lam
-
-    I_up = _cum_from_top(idx, Wp, wfac * u1x * Fx)
-    # (1-x^2)^lam u0(x): written so the growing factor cancels exactly
-    g_low = (G.u1_minus.u1_at_zero * wfac * u1x
-             - G.u1_branch.u1_at_zero * u1mx) * Fx
-    I_low = _cum_from_bottom(idx, Wp, g_low)
-
-    sel = np.searchsorted(xs, pos)
-    w_pos = -(G.u0(pos) * I_up[sel] + G.u1_branch.u1(pos) * I_low[sel]) \
-        / G.wronskian_factor
-    w_full = np.concatenate([-w_pos[::-1], w_pos])
-    u_out = OddField(grid, w_full)
-    v_out = OddField(grid, lam * w_full - f1)
-    return EnergyState(u_out, v_out)
+    return G.apply(state, mesh_n=mesh_n)

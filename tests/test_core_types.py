@@ -52,6 +52,21 @@ def test_barycentric_interpolation_polynomial_exact():
     assert at_node == pytest.approx(vals[3], abs=1e-14)
 
 
+def test_barycentric_interpolation_columns_in_one_pass():
+    g = hw.make_grid(16)
+    cols = np.stack([g.nodes ** 5, 1j * g.nodes, np.cos(g.nodes)], axis=1)
+    xs = np.concatenate([np.linspace(-0.95, 0.95, 17), g.nodes[2:4]])
+    got = hw.barycentric_interpolate(g, cols, xs)
+    assert got.shape == (len(xs), 3)
+    for k in range(3):
+        want = hw.barycentric_interpolate(g, cols[:, k], xs)
+        assert np.max(np.abs(got[:, k] - want)) <= 1e-14
+    at_x = hw.barycentric_interpolate(g, cols, 0.3)
+    want = [hw.barycentric_interpolate(g, cols[:, k], 0.3) for k in range(3)]
+    assert at_x.shape == (3,)
+    assert np.max(np.abs(at_x - want)) <= 1e-14
+
+
 def test_parity_defect_detects_even_part():
     g = hw.make_grid(16)
     assert hw.parity_defect(g.nodes ** 3) < 1e-15

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperwave as hw
+from hyperwave import cli
 from hyperwave.spectral import (
+    _CONTOUR_GUARD,
     GreenFunction,
+    _rect_path,
+    _u1_zero_batch,
     build_u1,
     build_v1_volterra,
     find_sigma_v,
@@ -195,3 +201,90 @@ def test_spectral_point_fields():
     r = roots[0]
     assert r.eigenfunction is not None
     assert np.isfinite(r.residual)
+
+
+def _contour_potential(name):
+    if name == "even_poly":  # the CLI's complex-safe Horner closure
+        return cli._build_potential(
+            {"kind": "even_poly", "coeffs": [0, -6, 2]}, "potential")
+    return hw.Potential.constant(float(name))
+
+
+def _u1_zero_adaptive(V, lam):
+    return build_u1(V, lam, check_resonance=False).u1_at_zero
+
+
+@pytest.mark.parametrize("vname,window", [
+    ("0", (3.0, 40.0)), ("-1", (3.0, 20.0)), ("-6", (2.0, 10.0)),
+    ("-30", (3.0, 40.0)), ("-30", (1.0, 1.0)), ("even_poly", (3.0, 20.0))])
+def test_contour_evaluation_matches_adaptive_solver(vname, window):
+    # the fixed-mesh batch values on a search contour against the adaptive
+    # scalar solver, at the corners and edge midpoints (largest |lam|)
+    V = _contour_potential(vname)
+    a, b = window
+    path = _rect_path(-0.015, a, -b, b, 256)
+    vals = _u1_zero_batch(V, path)
+    med = np.median(np.abs(vals))
+    picks = np.arange(0, len(path) - 1, 128)
+    ref = np.array([_u1_zero_adaptive(V, lam) for lam in path[picks]])
+    err = np.abs(vals[picks] - ref)
+    assert np.max(np.abs(np.angle(vals[picks] / ref))) <= 1e-3
+    assert 10.0 * np.max(err) / med <= _CONTOUR_GUARD
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(min_value=-0.015, max_value=3.0),
+       st.floats(min_value=-40.0, max_value=40.0),
+       st.sampled_from(["0", "-1", "-6", "-30", "even_poly"]))
+def test_contour_evaluation_accuracy_in_strip(re, im, vname):
+    V = _contour_potential(vname)
+    path = _rect_path(re, re + 0.5, im, im + 0.5, 4)  # starts at lam
+    vals = _u1_zero_batch(V, path)
+    err = abs(vals[0] - _u1_zero_adaptive(V, complex(re, im)))
+    assert 10.0 * err / np.median(np.abs(vals)) <= _CONTOUR_GUARD
+
+
+def _generator_roots(V, window, n):
+    a, b = window
+    eigs = hw.assemble_generator(hw.make_grid(n), V).reduced_eigenvalues()
+    return sorted((e for e in eigs
+                   if -1e-6 <= e.real <= a + 0.1 and abs(e.imag) <= b),
+                  key=lambda z: z.real)
+
+
+@pytest.mark.parametrize("vval,window,want", [
+    # the axis root 0 sits in a winding-1 cell whose centre polishes to 2
+    (-12.0, (3.0, 20.0), [0.0, 2.0]),
+    (-30.0, (3.0, 40.0), [0.0, 2.0]),
+    # one window of winding 2: reached only by subdivision
+    (-20.0, (3.0, 20.0), [1.0, 3.0])])
+def test_sigma_v_finds_every_generator_root(vval, window, want):
+    V = hw.Potential.constant(vval)
+    got = sorted((r.lam for r in find_sigma_v(V, window=window)),
+                 key=lambda z: z.real)
+    assert len(got) == len(want)
+    assert max(abs(g - w) for g, w in zip(got, want)) < 1e-8
+    for n in (64, 128):
+        eigs = _generator_roots(V, window, n)
+        assert len(eigs) == len(want)
+        assert max(abs(g - e) for g, e in zip(got, eigs)) < 1e-8
+
+
+def test_sigma_v_depth_exhausted_raises():
+    # the whole window has winding 2, so it must be split at least once
+    with pytest.raises(hw.ContourAccuracyError):
+        find_sigma_v(hw.Potential.constant(-20.0), window=(3.0, 20.0),
+                     max_depth=0)
+
+
+def test_green_function_reused_across_states_and_grids():
+    V = hw.Potential.constant(-1.0)
+    lam = 0.05 + 2.0j
+    green = GreenFunction(V, lam)
+    for n in (32, 64, 32):
+        g = hw.make_grid(n)
+        state = hw.EnergyState.from_callables(g, lambda y: y - y ** 3,
+                                              lambda y: 0.5 * y ** 3)
+        fresh = resolvent_apply(V, lam, state)
+        np.testing.assert_array_equal(green.apply(state).stacked(),
+                                      fresh.stacked())

@@ -134,6 +134,14 @@ def test_potential_scan_refuses_axis_spectrum():
                            [(3.0, 6.0)], 4.0, num_slices=80, refine=False)
 
 
+def test_potential_scan_refuses_axis_root_beside_growing_mode():
+    # V = -12 has the growing mode 2 and the axis root 0 (u1(0, 0) ~ 7e-13)
+    spec = EnsembleSpec(count=3, band_limit=4, seed=2)
+    with pytest.raises(hw.SpectralAssumptionError):
+        run_potential_scan(hw.Potential.constant(-12.0), spec,
+                           [(3.0, 6.0)], 4.0, num_slices=80, refine=False)
+
+
 def test_tail_share_fields():
     spec = EnsembleSpec(count=4, band_limit=4, seed=31)
     rep = run_free_scan(spec, [(2.0, 4.0)], 8.0, num_slices=160,
