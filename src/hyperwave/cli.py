@@ -8,8 +8,8 @@ column order), and manifest.json (resolved config echoed back, library
 versions, and the wall-clock timestamp — the only non-deterministic
 field).
 
-Exit codes: 0 success, 2 config error, 3 numerical guard tripped,
-4 internal error.
+Exit codes: 0 success, 2 config error (including a value the library
+rejects as out of range), 3 numerical guard tripped, 4 internal error.
 """
 
 import argparse
@@ -30,7 +30,12 @@ from .core_types import (
     slice_energies,
     slice_norms,
 )
-from .errors import NUMERICAL_GUARDS, ConfigError, HyperwaveError
+from .errors import (
+    NUMERICAL_GUARDS,
+    ConfigError,
+    HyperwaveError,
+    InvalidArgumentError,
+)
 from .evolution import (
     assemble_generator,
     evolve,
@@ -65,9 +70,11 @@ def _cfg_get(cfg, key, path, types, default=KeyError, choices=None):
             raise ConfigError(f"{path}{key}: required key missing")
         return default
     val = cfg[key]
-    if types is not None and not isinstance(val, types):
-        names = types.__name__ if isinstance(types, type) else \
-            "/".join(t.__name__ for t in types)
+    types = (types,) if isinstance(types, type) else types
+    # bool is an int subclass: accept it only where bool is asked for
+    if types is not None and (not isinstance(val, types) or (
+            isinstance(val, bool) and bool not in types)):
+        names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}{key}: expected {names},"
                           f" got {type(val).__name__}")
     if choices is not None and val not in choices:
@@ -83,8 +90,6 @@ def _no_unknown(cfg, allowed, path):
 
 def _cfg_number(cfg, key, path, default=KeyError, positive=False):
     v = _cfg_get(cfg, key, path, (int, float), default=default)
-    if isinstance(v, bool):
-        raise ConfigError(f"{path}{key}: expected a number, got bool")
     if positive and v is not None and v <= 0:
         raise ConfigError(f"{path}{key}: must be positive")
     return v
@@ -561,7 +566,9 @@ def main(argv=None):
         print(f"{args.command}: wrote {out_dir}/results.json,"
               f" series.csv, manifest.json")
         return 0
-    except ConfigError as e:
+    except (ConfigError, InvalidArgumentError) as e:
+        # an out-of-range config value surfaces as InvalidArgumentError
+        # from the library call it is passed to
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NUMERICAL_GUARDS as e:

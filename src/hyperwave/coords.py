@@ -44,7 +44,7 @@ def phi_inv(p):
     return HyperboloidalPoint(float(t - logcosh(x)), float(np.tanh(x)))
 
 
-def pull_back_slice(W, s, grid, tol=1e-6):
+def pull_back_slice(W, s, grid):
     """Sample u(s, y_i) = W(s - log sqrt(1-y_i^2), artanh y_i) on a grid.
 
     W is a callable of (t, r). Evaluation failures are reported as
@@ -62,4 +62,4 @@ def pull_back_slice(W, s, grid, tol=1e-6):
             raise InterpolationDomainError(
                 f"W evaluation failed at (t,r)=({t[i]:.6g},{r[i]:.6g}): {exc}"
             ) from exc
-    return OddField(grid, vals, tol=tol)
+    return OddField(grid, vals)

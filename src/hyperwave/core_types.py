@@ -122,8 +122,8 @@ class OddField:
         self.values = _odd_part(grid, values, tol)
 
     @classmethod
-    def from_callable(cls, grid, fn, tol=1e-6):
-        return cls(grid, np.asarray(fn(grid.nodes)), tol=tol)
+    def from_callable(cls, grid, fn):
+        return cls(grid, np.asarray(fn(grid.nodes)))
 
     @classmethod
     def zero(cls, grid):
@@ -200,6 +200,10 @@ class Potential:
         yy = np.linspace(0.0, 0.997, 61)
         v_plus = np.asarray(fn(yy), dtype=float)
         v_minus = np.asarray(fn(-yy), dtype=float)
+        if v_plus.shape != yy.shape or v_minus.shape != yy.shape:
+            raise InvalidDataError(
+                "potential must return one value per input point, got"
+                f" shape {v_plus.shape} for input shape {yy.shape}")
         scale = 1.0 + float(np.max(np.abs(v_plus)))
         if np.max(np.abs(v_plus - v_minus)) > 1e-12 * scale:
             raise InvalidDataError("potential is not even to 1e-12")

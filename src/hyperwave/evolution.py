@@ -297,14 +297,12 @@ def _contour_nodes(contour):
 class RieszProjection:
     """Contour-quadrature spectral projection.
 
-    `matrix` is the full 2n x 2n projection; `reduced` the odd-sector
-    one, and `parts` the odd-sector projection of each contour in turn
-    (their sum is `reduced`). `nilpotency[lam]` is the largest power k with
-    (L - lam)^k P_lam nonzero at tolerance, i.e. the degree of the
-    polynomial-in-s factor in the mode evolution (0 = no Jordan block).
+    `reduced` is the odd-sector projection and `parts` the odd-sector
+    projection of each contour in turn (their sum is `reduced`).
+    `nilpotency[lam]` is the largest power k with (L - lam)^k P_lam
+    nonzero at tolerance, i.e. the degree of the polynomial-in-s factor
+    in the mode evolution (0 = no Jordan block).
     """
-    contour_points: np.ndarray
-    matrix: np.ndarray
     reduced: np.ndarray
     rank: int
     parts: List[np.ndarray] = field(default_factory=list)
@@ -367,15 +365,11 @@ def riesz_projection(gen, contour):
     such dicts sums the projections of disjoint contours.
     """
     contours = contour if isinstance(contour, (list, tuple)) else [contour]
-    lam_all = []
     parts = []
     P = np.zeros_like(gen.reduced, dtype=complex)
     for c in contours:
-        lams, w = _contour_nodes(c)
-        lam_all.append(lams)
-        parts.append(_quadrature_projection(gen, lams, w))
+        parts.append(_quadrature_projection(gen, *_contour_nodes(c)))
         P += parts[-1]
-    lam_all = np.concatenate(lam_all)
 
     rank = _matrix_rank_svd(P)
     eigs = gen.reduced_eigenvalues()
@@ -405,9 +399,8 @@ def riesz_projection(gen, contour):
         multiplicity[lam_c] = _matrix_rank_svd(P_lam)
         nilpotency[lam_c] = _nilpotency_order(gen, lam_c, P_lam)
 
-    matrix = gen.expand @ P @ gen.restrict
-    return RieszProjection(contour_points=lam_all, matrix=matrix, reduced=P,
-                           rank=rank, parts=parts, eigenvalues_inside=inside,
+    return RieszProjection(reduced=P, rank=rank, parts=parts,
+                           eigenvalues_inside=inside,
                            multiplicity=multiplicity, nilpotency=nilpotency)
 
 
@@ -525,11 +518,12 @@ def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
 
 
 def stable_growth_probe(gen, ensemble, epsilon, s_max, ds=None,
-                        window=(3.0, 20.0), check_every=10):
+                        window=(3.0, 20.0)):
     """max over members and s of e^{-eps s} ||u~(s)|| / ||init||.
 
-    Members with zero initial norm contribute 0 by convention. All
-    members evolve together as one column batch.
+    The maximum is taken at s = 0 and every 10th step. Members with zero
+    initial norm contribute 0 by convention. All members evolve together
+    as one column batch.
     """
     if not ensemble:
         return 0.0
@@ -555,5 +549,5 @@ def stable_growth_probe(gen, ensemble, epsilon, s_max, ds=None,
 
     observer(0, 0.0, X0)
     _propagate(propagator(gen, ds), X0, ds, M, observer=observer,
-               observe_every=check_every)
+               observe_every=10)
     return float(np.max(best)) if np.any(nz) else 0.0

@@ -107,7 +107,7 @@ def make_propagators(grid, ds, s_max):
     return PropagatorSet(gen, ds, M, propagator(gen, ds))
 
 
-def duhamel_step(prop, f, g, source, check_times=True):
+def duhamel_step(prop, f, g, source):
     """One application of the integral map: the new trajectory is
 
         u(s_i) = C(s_i) f + S(s_i) g - int_0^{s_i} S(s_i - s') u(s')^3 ds'
@@ -121,8 +121,8 @@ def duhamel_step(prop, f, g, source, check_times=True):
     if f.grid is not grid or g.grid is not grid or source.grid is not grid:
         raise InvalidDataError("fields and propagators on different grids")
     times = prop.times()
-    if check_times and (len(source.times) != len(times) or
-                        np.max(np.abs(source.times - times)) > 1e-9):
+    if len(source.times) != len(times) or \
+            np.max(np.abs(source.times - times)) > 1e-9:
         raise InvalidDataError("source trajectory nodes differ from the"
                                " propagator nodes")
     half = grid.n // 2
@@ -188,7 +188,7 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
     bad_streak = 0
     converged = False
     for _ in range(max_iter):
-        nxt = duhamel_step(prop, f, g, iterates[-1], check_times=False)
+        nxt = duhamel_step(prop, f, g, iterates[-1])
         d = _x_norm(times, nxt.U - iterates[-1].U, grid)
         iterates.append(nxt)
         x_norms.append(_x_norm(times, nxt.U, grid))
@@ -211,7 +211,7 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
 
 def fixed_point_residual(prop, f, g, traj):
     """sup_s L^6 distance between a trajectory and its Duhamel image."""
-    image = duhamel_step(prop, f, g, traj, check_times=False)
+    image = duhamel_step(prop, f, g, traj)
     return float(np.max(slice_norms(image.U - traj.U, prop.gen.grid, 6)))
 
 

@@ -35,10 +35,10 @@ from .errors import (
     VolterraDivergenceError,
 )
 
-# series order and seeding offset: truncation ~ delta^(m+1), far below
-# the 1e-8 root tolerance
+# series order and seeding offset: truncation ~ _SEED_OFFSET^(m+1), far
+# below the 1e-8 root tolerance
 DEFAULT_SERIES_ORDER = 12
-DEFAULT_SEED_OFFSET = 1e-6
+_SEED_OFFSET = 1e-6
 
 
 def _resonance_check(lam):
@@ -79,16 +79,16 @@ def _frobenius_coefficients(bz, lam, m, check=True):
 
 
 class FrobeniusSolution:
-    """u1(., lam): series near y=1 glued to an ODE solution on [0, 1-delta]."""
+    """u1(., lam): series near y=1 glued to an ODE solution on
+    [0, 1 - _SEED_OFFSET]."""
 
-    __slots__ = ("lam", "potential", "taylor_coeffs", "delta", "u1_at_zero",
+    __slots__ = ("lam", "potential", "taylor_coeffs", "u1_at_zero",
                  "_dense", "sample_u1")
 
-    def __init__(self, lam, potential, coeffs, dense, delta, grid=None):
+    def __init__(self, lam, potential, coeffs, dense, grid=None):
         self.lam = lam
         self.potential = potential
         self.taylor_coeffs = coeffs
-        self.delta = delta
         self._dense = dense
         self.u1_at_zero = complex(dense.sol(1.0)[0])
         self.sample_u1 = None if grid is None else self.u1(
@@ -99,7 +99,7 @@ class FrobeniusSolution:
         if np.any(y < -1e-14) or np.any(y > 1.0 + 1e-14):
             raise InvalidArgumentError("u1 samples live on [0, 1]")
         z = np.clip(1.0 - y, 0.0, 1.0)
-        return z, z >= self.delta
+        return z, z >= _SEED_OFFSET
 
     def u1(self, y):
         scalar = np.ndim(y) == 0
@@ -132,15 +132,14 @@ class FrobeniusSolution:
         return complex(out[0]) if scalar else out
 
 
-def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, grid=None,
-             delta=DEFAULT_SEED_OFFSET, check_resonance=True):
+def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, grid=None, check_resonance=True):
     """Construct the analytic-at-one branch for one lambda.
 
     Requires Re lambda >= -1/4. Detects indicial resonance (which only
     obstructs pairing with the second branch, so root polishing disables
-    the check), seeds the series at z = delta and integrates to y = 0
-    with adaptive high-order stepping (dense output retained for later
-    sampling).
+    the check), seeds the series at z = _SEED_OFFSET and integrates to
+    y = 0 with adaptive high-order stepping (dense output retained for
+    later sampling).
     """
     lam = complex(lam)
     if lam.real < -0.25 - 1e-12:
@@ -149,8 +148,8 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, grid=None,
     bz = _v_z_coefficients(V, m)
     c = _frobenius_coefficients(bz, lam, m, check=check_resonance)
     k = np.arange(m + 1)
-    w0 = complex(np.sum(c * delta ** k))
-    dw0 = complex(np.sum(c[1:] * k[1:] * delta ** (k[1:] - 1.0)))
+    w0 = complex(np.sum(c * _SEED_OFFSET ** k))
+    dw0 = complex(np.sum(c[1:] * k[1:] * _SEED_OFFSET ** (k[1:] - 1.0)))
 
     def rhs(z, st):
         w, dw = st
@@ -159,11 +158,11 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, grid=None,
               + (lam * (lam + 1.0) + vy) * w) / (z * (2.0 - z))
         return [dw, dd]
 
-    sol = solve_ivp(rhs, (delta, 1.0), [w0, dw0], method="DOP853",
+    sol = solve_ivp(rhs, (_SEED_OFFSET, 1.0), [w0, dw0], method="DOP853",
                     rtol=1e-12, atol=1e-14, dense_output=True)
     if not sol.success:
         raise StiffFailureError(f"integration failed: {sol.message}")
-    return FrobeniusSolution(lam, V, c, sol, delta, grid=grid)
+    return FrobeniusSolution(lam, V, c, sol, grid=grid)
 
 
 # Contour samples of u1(0, lam) are held to this error, relative to the
@@ -174,8 +173,8 @@ _CONTOUR_REL_ERROR = 1e-5
 _CONTOUR_GUARD = 10.0 * _CONTOUR_REL_ERROR
 
 
-def _z_mesh(kappa, delta):
-    """RK4 mesh on [delta, 1] for the contour evaluation of u1(0, .).
+def _z_mesh(kappa):
+    """RK4 mesh on [_SEED_OFFSET, 1] for the contour evaluation of u1(0, .).
 
     kappa >= 1 bounds the rates of the ODE's solutions on z >= 0.1: |lam|
     for the analytic branch ~ (2-z)^(-lam) and sqrt(|V| / (z(2-z))) for
@@ -187,7 +186,7 @@ def _z_mesh(kappa, delta):
     _CONTOUR_REL_ERROR (h <= 0.01 resolves V and the 1/(z(2-z))
     coefficient).
     """
-    zs = [delta]
+    zs = [_SEED_OFFSET]
     ratio = 1.0 + min(0.1, 1.0 / kappa)
     while zs[-1] < 0.1:
         zs.append(min(zs[-1] * ratio, 0.1))
@@ -197,7 +196,7 @@ def _z_mesh(kappa, delta):
         [zs, np.linspace(0.1, 1.0, int(np.ceil(0.9 / h)) + 1)[1:]])
 
 
-def _u1_zero_batch(V, lams, m=DEFAULT_SERIES_ORDER, delta=DEFAULT_SEED_OFFSET):
+def _u1_zero_batch(V, lams, m=DEFAULT_SERIES_ORDER):
     """u1(0, lam) for an array of lambdas by vectorized fixed-step RK4.
 
     The Frobenius seeds of all lambdas come from one array recurrence and
@@ -212,13 +211,13 @@ def _u1_zero_batch(V, lams, m=DEFAULT_SERIES_ORDER, delta=DEFAULT_SEED_OFFSET):
         raise InvalidArgumentError("batch evaluation requires Re lambda > -1/2")
     c = _frobenius_coefficients(_v_z_coefficients(V, m), lams, m, check=False)
     k = np.arange(m + 1)
-    w = delta ** k @ c
-    dw = (k[1:] * delta ** (k[1:] - 1.0)) @ c[1:]
+    w = _SEED_OFFSET ** k @ c
+    dw = (k[1:] * _SEED_OFFSET ** (k[1:] - 1.0)) @ c[1:]
 
     # z(2-z) = 0.19 at z = 0.1, where the rate of the potential peaks
     kappa = max(1.0, float(np.max(np.abs(lams))),
                 np.sqrt(V.max_abs() / 0.19))
-    zs = _z_mesh(kappa, delta)
+    zs = _z_mesh(kappa)
     hs = np.diff(zs)
     zm = zs[:-1] + 0.5 * hs
     v_node = V(1.0 - zs)
@@ -246,15 +245,15 @@ def _u1_zero_batch(V, lams, m=DEFAULT_SERIES_ORDER, delta=DEFAULT_SEED_OFFSET):
 # ---------------------------------------------------------------------------
 # Volterra route
 
-def graded_mesh(n=400, gmin=1e-12, uniform_until=0.9):
-    """Mesh on [0, 1) uniform up to `uniform_until`, then geometrically
-    graded toward 1 (last gap ~ gmin), matching the (1-x)^(-1/2)
-    integrability of the kernel."""
+def graded_mesh(n=400):
+    """Mesh on [0, 1) uniform up to 0.9, then geometrically graded toward
+    1 (last gap ~ 1e-12), matching the (1-x)^(-1/2) integrability of the
+    kernel."""
     n_geo = n // 2
-    g = gmin ** (np.arange(n_geo) / (n_geo - 1.0))
+    g = 1e-12 ** (np.arange(n_geo) / (n_geo - 1.0))
     tail = 1.0 - g
-    tail = tail[tail > uniform_until]
-    ys = np.concatenate([np.linspace(0.0, uniform_until, n - len(tail)), tail])
+    tail = tail[tail > 0.9]
+    ys = np.concatenate([np.linspace(0.0, 0.9, n - len(tail)), tail])
     return np.unique(ys)
 
 
@@ -316,11 +315,12 @@ class VolterraSolution:
         return np.exp(-self.lam * np.log1p(self.mesh)) * self.h1
 
 
-def build_v1_volterra(V, lam, mesh=None, tol=1e-12, max_iter=200):
+def build_v1_volterra(V, lam, mesh=None):
     """Successive approximation for h1 on a graded mesh.
 
     h1 <- 1 + (1/2lam) [ int_y^1 V h1 - q(y)^(-lam) int_y^1 q^lam V h1 ],
-    q = (1-y)/(1+y). Iterates until the sup-difference drops below tol.
+    q = (1-y)/(1+y). Iterates until the sup-difference drops below 1e-12,
+    at most 200 times.
     """
     lam = complex(lam)
     if abs(lam) < 1e-3:
@@ -338,23 +338,23 @@ def build_v1_volterra(V, lam, mesh=None, tol=1e-12, max_iter=200):
     qlam = np.exp(lam * logq)
     qlam_inv = np.exp(-lam * logq)
     h = np.ones_like(x, dtype=complex)
-    for it in range(max_iter):
+    for it in range(200):
         IV = _cum_from_top(idx, Wp, Vx * h)
         Iq = _cum_from_top(idx, Wp, qlam * Vx * h)
         hn = 1.0 + (IV - Iq * qlam_inv) / (2.0 * lam)
         d = float(np.max(np.abs(hn - h)))
         h = hn
-        if d <= tol:
+        if d <= 1e-12:
             return VolterraSolution(lam, x, h, it + 1)
     raise VolterraDivergenceError(
-        f"no convergence in {max_iter} iterations (last delta {d:.3e});"
+        f"no convergence in 200 iterations (last delta {d:.3e});"
         " lambda outside the validity strip or mesh too coarse")
 
 
 # ---------------------------------------------------------------------------
 # Wronskians
 
-def wronskian_pair(V, lam, m=DEFAULT_SERIES_ORDER, delta=DEFAULT_SEED_OFFSET):
+def wronskian_pair(V, lam):
     """The pair Wronskian of the analytic branches at +-lambda.
 
     Evaluated as (1-y^2)(u1(lam) u1'(-lam) - u1'(lam) u1(-lam))
@@ -366,8 +366,8 @@ def wronskian_pair(V, lam, m=DEFAULT_SERIES_ORDER, delta=DEFAULT_SEED_OFFSET):
         raise InvalidArgumentError("lambda must be nonzero")
     if abs(lam.real) > 0.25 + 1e-12:
         raise InvalidArgumentError("|Re lambda| <= 1/4 required")
-    sp = build_u1(V, lam, m=m, delta=delta)
-    sm = build_u1(V, -lam, m=m, delta=delta)
+    sp = build_u1(V, lam)
+    sm = build_u1(V, -lam)
     ys = np.array([0.0, 0.15, 0.30, 0.45, 0.60, 0.75])
     up, dup = sp.u1(ys), sp.du1(ys)
     um, dum = sm.u1(ys), sm.du1(ys)
@@ -385,16 +385,12 @@ def wronskian_pair(V, lam, m=DEFAULT_SERIES_ORDER, delta=DEFAULT_SEED_OFFSET):
 
 @dataclass
 class SpectralPoint:
-    """One point of the right-half-plane spectrum.
-
-    algebraic_multiplicity and nilpotency are filled in by the projection
-    machinery in the evolution module; the mode finder itself reports
-    geometric roots.
-    """
+    """One point of the right-half-plane spectrum: a zero of u1(0, .),
+    its eigenfunction, and the residual |u1(0, lam)| / sup |u1|.
+    Multiplicities come from the Riesz projections of the evolution
+    module."""
     lam: complex
     eigenfunction: Optional[OddField] = None
-    algebraic_multiplicity: Optional[int] = None
-    nilpotency: Optional[int] = None
     residual: float = field(default=np.nan)
 
 
@@ -412,9 +408,9 @@ def _rect_path(re_lo, re_hi, im_lo, im_hi, pts):
     return np.append(path, path[0])
 
 
-def _winding(V, rect, pts, m, delta):
-    """Winding of u1(0, .) along the rectangle boundary, with its first
-    log-derivative moment.
+def _winding(path, vals):
+    """Winding of u1(0, .) along a closed path, from its samples `vals`
+    at the path nodes, with its first log-derivative moment.
 
     Returns (w, mu): the integer winding w, and
     mu = sum lam_mid * dlog u1 / (2 pi i), the midpoint rule for the
@@ -425,9 +421,6 @@ def _winding(V, rect, pts, m, delta):
     caller can jitter/refine. The phase errors of the steps telescope,
     so only a step misjudged by a whole turn can change w.
     """
-    re_lo, re_hi, im_lo, im_hi = rect
-    path = _rect_path(re_lo, re_hi, im_lo, im_hi, pts)
-    vals = _u1_zero_batch(V, path, m=m, delta=delta)
     mags = np.abs(vals)
     if np.min(mags) < _CONTOUR_GUARD * max(np.median(mags), 1e-30):
         return None
@@ -442,14 +435,20 @@ def _winding(V, rect, pts, m, delta):
     return wi, complex(mu)
 
 
-def _stable_winding(V, rect, pts, m, delta):
+def _stable_winding(V, rect, pts, m):
     """(winding, moment, rect): the winding agreed at pts and 2*pts
     points per edge, the moment of the 2*pts count, and the rectangle,
-    jittered outward when a count was unreliable."""
+    jittered outward when a count was unreliable.
+
+    u1(0, .) is evaluated once per attempt, on the 2*pts path: its
+    even-indexed nodes are the pts path, and the batch z-mesh depends
+    only on the corners, so those samples are the pts evaluation."""
     for attempt in range(6):
-        c1 = _winding(V, rect, pts, m, delta)
+        path = _rect_path(*rect, 2 * pts)
+        vals = _u1_zero_batch(V, path, m=m)
+        c1 = _winding(path[::2], vals[::2])
         if c1 is not None:
-            c2 = _winding(V, rect, 2 * pts, m, delta)
+            c2 = _winding(path, vals)
             if c2 is not None and c2[0] == c1[0]:
                 return c2[0], c2[1], rect
         # deterministic jitter: expand the rectangle slightly, with
@@ -461,27 +460,26 @@ def _stable_winding(V, rect, pts, m, delta):
         f"winding number did not stabilize on rectangle {rect}")
 
 
-def _u1_zero_scalar(V, lam, m, delta):
-    return build_u1(V, lam, m=m, delta=delta,
-                    check_resonance=False).u1_at_zero
+def _u1_zero_scalar(V, lam, m):
+    return build_u1(V, lam, m=m, check_resonance=False).u1_at_zero
 
 
-def _newton_polish(V, lam0, m, delta, rect):
+def _newton_polish(V, lam0, m, rect):
     re_lo, re_hi, im_lo, im_hi = rect
     # keep iterates near the cell and inside the validity strip of u1
     margin = min(0.5 * max(re_hi - re_lo, im_hi - im_lo), 0.5) + 0.05
     lam = complex(lam0)
     for _ in range(60):
         try:
-            f0 = _u1_zero_scalar(V, lam, m, delta)
+            f0 = _u1_zero_scalar(V, lam, m)
         except ResonanceError:
             lam += 1e-9 + 1e-9j
             continue
         except InvalidArgumentError:
             return None  # outside the strip: caller subdivides further
         h = 1e-6 * (1.0 + abs(lam))
-        fp = (_u1_zero_scalar(V, lam + h, m, delta)
-              - _u1_zero_scalar(V, lam - h, m, delta)) / (2.0 * h)
+        fp = (_u1_zero_scalar(V, lam + h, m)
+              - _u1_zero_scalar(V, lam - h, m)) / (2.0 * h)
         if fp == 0:
             return None
         step = f0 / fp
@@ -496,8 +494,7 @@ def _newton_polish(V, lam0, m, delta, rect):
 
 
 def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
-                 delta=DEFAULT_SEED_OFFSET, points_per_edge=256,
-                 max_depth=40):
+                 points_per_edge=256, max_depth=40):
     """Zeros of u1(0, .) on the rectangle Re in [0, a], |Im| <= b.
 
     Argument-principle counting with adaptive cell subdivision until each
@@ -519,13 +516,13 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     roots = []
 
     def recurse(rect, depth):
-        w, mu, rect = _stable_winding(V, rect, points_per_edge, m, delta)
+        w, mu, rect = _stable_winding(V, rect, points_per_edge, m)
         if w == 0:
             return
         re_lo, re_hi, im_lo, im_hi = rect
         small = max(re_hi - re_lo, im_hi - im_lo) < 0.2
         if w == 1:
-            root = _newton_polish(V, mu, m, delta, rect)
+            root = _newton_polish(V, mu, m, rect)
             if root is not None and re_lo <= root.real <= re_hi \
                     and im_lo <= root.imag <= im_hi:
                 roots.append(root)
@@ -555,8 +552,7 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     for r in uniq:
         if r.real < -1e-8:
             continue
-        sol = build_u1(V, r, m=m, grid=grid, delta=delta,
-                       check_resonance=False)
+        sol = build_u1(V, r, m=m, grid=grid, check_resonance=False)
         upos = sol.sample_u1
         sup = max(float(np.max(np.abs(upos))), abs(sol.u1_at_zero))
         vals = np.concatenate([-upos[::-1], upos])
@@ -576,22 +572,22 @@ class GreenFunction:
     u0 is the odd solution vanishing at 0, assembled from the analytic
     branches at +-lambda; the Wronskian factor 2 lam u1(0,lam) is the
     constant p W(u0, u1) with p = (1-y^2)^(1+lam). `apply` is the
-    resolvent at lambda; build one GreenFunction per lambda and apply it
-    to every state, since the kernel samples are reused.
+    resolvent at lambda, for Re lambda in (0, 1/4]; build one
+    GreenFunction per lambda and apply it to every state, since the
+    kernel samples are reused.
     """
 
     __slots__ = ("lam", "u1_branch", "u1_minus", "wronskian_factor",
                  "_kernels")
 
-    def __init__(self, V, lam, eps0=0.25, m=DEFAULT_SERIES_ORDER,
-                 delta=DEFAULT_SEED_OFFSET):
+    def __init__(self, V, lam):
         lam = complex(lam)
-        if not (0.0 < lam.real <= eps0 + 1e-12):
+        if not (0.0 < lam.real <= 0.25 + 1e-12):
             raise InvalidArgumentError(
-                f"Re lambda must lie in (0, {eps0}], got {lam.real}")
+                f"Re lambda must lie in (0, 0.25], got {lam.real}")
         self.lam = lam
-        self.u1_branch = build_u1(V, lam, m=m, delta=delta)
-        self.u1_minus = build_u1(V, -lam, m=m, delta=delta)
+        self.u1_branch = build_u1(V, lam)
+        self.u1_minus = build_u1(V, -lam)
         u10 = self.u1_branch.u1_at_zero
         if abs(u10) < 1e-10:
             raise NearEigenvalueError(
@@ -609,13 +605,14 @@ class GreenFunction:
         return (self.u1_minus.u1_at_zero * self.u1_branch.u1(y)
                 - self.u1_branch.u1_at_zero * wgt * self.u1_minus.u1(y))
 
-    def _kernel(self, grid, mesh_n):
-        """Kernel samples on the quadrature mesh of `grid`'s positive
-        nodes, computed once per (grid size, mesh_n)."""
-        key = (grid.n, mesh_n)
+    def _kernel(self, grid):
+        """Kernel samples on the quadrature mesh (a 6000-point graded
+        mesh merged with `grid`'s positive nodes), computed once per grid
+        size."""
+        key = grid.n
         if key not in self._kernels:
             pos = grid.nodes[grid.nodes > 0]
-            xs = np.unique(np.concatenate([graded_mesh(mesh_n), pos]))
+            xs = np.unique(np.concatenate([graded_mesh(6000), pos]))
             u1x = self.u1_branch.u1(xs)
             wfac = np.exp(self.lam * np.log1p(-xs * xs))  # (1-x^2)^lam
             # (1-x^2)^lam u0(x): written so the growing factor cancels
@@ -627,7 +624,7 @@ class GreenFunction:
                                   self.u1(pos))
         return self._kernels[key]
 
-    def apply(self, state, mesh_n=6000):
+    def apply(self, state):
         """Apply the Green-function resolvent (lam - L)^(-1) to a state.
 
         First component: integral of the Green kernel against
@@ -636,7 +633,7 @@ class GreenFunction:
         """
         grid = state.grid
         xs, (idx, Wp), up_kernel, low_kernel, sel, u0_pos, u1_pos = \
-            self._kernel(grid, mesh_n)
+            self._kernel(grid)
         f1 = state.u.values
         f2 = state.v.values
         df1 = grid.diff_matrix @ f1
@@ -653,14 +650,12 @@ class GreenFunction:
                            OddField(grid, self.lam * w_full - f1))
 
 
-def resolvent_apply(V, lam, state, eps0=0.25, mesh_n=6000,
-                    m=DEFAULT_SERIES_ORDER, delta=DEFAULT_SEED_OFFSET):
+def resolvent_apply(V, lam, state):
     """Apply the Green-function resolvent to a state.
 
     Builds the GreenFunction at lam and applies it (see
-    GreenFunction.apply). Requires Re lambda in (0, eps0] and lambda away
+    GreenFunction.apply). Requires Re lambda in (0, 1/4] and lambda away
     from the point spectrum; to apply one lambda to many states, build
     the GreenFunction once.
     """
-    G = GreenFunction(V, lam, eps0=eps0, m=m, delta=delta)
-    return G.apply(state, mesh_n=mesh_n)
+    return GreenFunction(V, lam).apply(state)

@@ -12,7 +12,7 @@ window, so saturation of the time integral is visible in the report.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -38,10 +38,8 @@ DEFAULT_EXPONENTS = ((2, 4), (3, 6), (4, 8), (np.inf, 2))
 
 @dataclass
 class EnsembleMember:
-    """One random datum: Chebyshev coefficients plus grid samples."""
+    """One random datum sampled on a grid."""
     index: int
-    cheb_f: np.ndarray
-    cheb_g: np.ndarray
     state: EnergyState
 
 
@@ -83,8 +81,7 @@ class EnsembleSpec:
         for i, (cf, cg) in enumerate(self.coefficient_arrays()):
             sol = free_wave.from_chebyshev(grid, cf, cg)
             members.append(EnsembleMember(
-                index=i, cheb_f=cf, cheb_g=cg,
-                state=EnergyState(sol.f_field, sol.g_field)))
+                index=i, state=EnergyState(sol.f_field, sol.g_field)))
         return members
 
 
@@ -98,7 +95,6 @@ class StrichartzReport:
     tail_share: Dict[Tuple[float, float], float]
     s_max: float = 0.0
     grid_n: int = 0
-    ensemble: Optional[EnsembleSpec] = None
 
 
 def _validate_exponents(exponents):
@@ -184,7 +180,7 @@ def _run_scan(potential_id, spec, pairs, s_max, grid, num_slices, refine,
     return StrichartzReport(
         potential_id=potential_id, exponents=pairs, ratios=ratios,
         max_ratio=max_ratio, refinement=refinement, tail_share=tail,
-        s_max=float(s_max), grid_n=grid.n, ensemble=spec)
+        s_max=float(s_max), grid_n=grid.n)
 
 
 def run_free_scan(spec, exponents=DEFAULT_EXPONENTS, s_max=20.0, grid=None,

@@ -152,6 +152,29 @@ def test_numerical_guard_exit_code(tmp_path, capsys):
     assert "numerical guard" in capsys.readouterr().err
 
 
+_BUMP = {"kind": "bump", "amplitude": 0.05, "width": 0.6}
+_ENSEMBLE = {"count": 2, "band_limit": 2, "seed": 1}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("evolve", {"grid_n": 32, "data": {"kind": "linear"}, "s_max": 1.0,
+                "store_every": 0}),
+    ("evolve", {"grid_n": 32, "data": {"kind": "linear"}, "s_max": 1.0,
+                "store_every": True}),
+    ("strichartz", {"grid_n": 32, "mode": "free", "ensemble": _ENSEMBLE,
+                    "exponents": [[1, 2]], "s_max": 2.0}),
+    ("crosscheck", {"grid_n": 32, "data": _BUMP, "y_max": 0.95}),
+    ("yangmills", {"grid_n": 32, "data": dict(_BUMP, energy=1.0)}),
+    ("resolvent-check", {"grid_n": 32,
+                         "potential": {"kind": "constant", "value": -1.0},
+                         "lambda": {"re": 0.5, "im": 2.0}})])
+def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys,
+                                                     command, cfg):
+    code, _ = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def boom(cfg, out_dir, seed):
         raise RuntimeError("synthetic failure")

@@ -196,6 +196,17 @@ def test_potential_evenness_guard():
     assert V.max_abs() == pytest.approx(2.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("fn", [
+    lambda y: -1.0,
+    lambda y: np.stack([y ** 2, y ** 2]),
+    lambda y: np.sum(y ** 2)])
+def test_potential_rejects_output_of_another_shape(fn):
+    # one value per input point is required; a scalar would otherwise
+    # only fail later, inside the Taylor fit at y = 1
+    with pytest.raises(hw.InvalidDataError):
+        hw.Potential.from_callable(fn)
+
+
 def test_potential_taylor_at_one():
     # V = y^2 - 2 about y=1: -1 + 2(y-1) + (y-1)^2
     V = hw.Potential.from_callable(lambda y: y * y - 2.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperwave as hw
-from hyperwave import cli
+from hyperwave import cli, spectral
 from hyperwave.spectral import (
     _CONTOUR_GUARD,
     GreenFunction,
@@ -214,9 +214,12 @@ def _u1_zero_adaptive(V, lam):
     return build_u1(V, lam, check_resonance=False).u1_at_zero
 
 
-@pytest.mark.parametrize("vname,window", [
+_CONTOUR_WINDOWS = [
     ("0", (3.0, 40.0)), ("-1", (3.0, 20.0)), ("-6", (2.0, 10.0)),
-    ("-30", (3.0, 40.0)), ("-30", (1.0, 1.0)), ("even_poly", (3.0, 20.0))])
+    ("-30", (3.0, 40.0)), ("-30", (1.0, 1.0)), ("even_poly", (3.0, 20.0))]
+
+
+@pytest.mark.parametrize("vname,window", _CONTOUR_WINDOWS)
 def test_contour_evaluation_matches_adaptive_solver(vname, window):
     # the fixed-mesh batch values on a search contour against the adaptive
     # scalar solver, at the corners and edge midpoints (largest |lam|)
@@ -230,6 +233,38 @@ def test_contour_evaluation_matches_adaptive_solver(vname, window):
     err = np.abs(vals[picks] - ref)
     assert np.max(np.abs(np.angle(vals[picks] / ref))) <= 1e-3
     assert 10.0 * np.max(err) / med <= _CONTOUR_GUARD
+
+
+@pytest.mark.parametrize("pts", [256, 512])
+@pytest.mark.parametrize("vname,window", _CONTOUR_WINDOWS)
+def test_contour_half_path_is_the_coarse_evaluation(vname, window, pts):
+    # the winding check counts at pts from the even-indexed samples of its
+    # 2*pts evaluation: those must be the pts evaluation bit for bit
+    V = _contour_potential(vname)
+    a, b = window
+    rect = (-0.015, a, -b, b)
+    fine = _rect_path(*rect, 2 * pts)
+    coarse = _rect_path(*rect, pts)
+    assert np.array_equal(fine[::2], coarse)
+    assert np.array_equal(_u1_zero_batch(V, fine)[::2],
+                          _u1_zero_batch(V, coarse))
+
+
+@pytest.mark.parametrize("vval,window", [
+    (-6.0, (2.0, 10.0)), (-2.0, (1.0, 1.0)), (-1.0, (3.0, 20.0))])
+def test_winding_check_evaluates_the_contour_once(vval, window, monkeypatch):
+    # each of these windows is settled by one winding check, which must
+    # evaluate u1(0, .) once, on the 2*256 points per edge path
+    sizes = []
+    batch = spectral._u1_zero_batch
+
+    def counting(V, lams, m=spectral.DEFAULT_SERIES_ORDER):
+        sizes.append(len(lams))
+        return batch(V, lams, m=m)
+
+    monkeypatch.setattr(spectral, "_u1_zero_batch", counting)
+    find_sigma_v(hw.Potential.constant(vval), window=window)
+    assert sizes == [8 * 256 + 1]
 
 
 @settings(max_examples=10, deadline=None)
