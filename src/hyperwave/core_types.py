@@ -418,6 +418,19 @@ def extrapolate_to(values, grid, y_target, num_points=4):
     return complex(out) if out.ndim == 0 else out
 
 
+def _barycentric_matrix(grid, x):
+    """Row-normalized barycentric weights at the points x (|x| < 1), one
+    row per point; a point within 1e-14 of a node gets its one-hot row."""
+    W = np.atleast_1d(np.asarray(x, dtype=float))[:, None] - grid.nodes
+    hit = np.abs(W) < 1e-14
+    W[hit] = 1.0
+    np.divide(grid.bary_weights, W, out=W)  # in place: W can be large
+    exact = hit.any(axis=1)
+    W[exact] = hit[exact]
+    W /= W.sum(axis=1, keepdims=True)
+    return W
+
+
 def barycentric_interpolate(grid, values, x):
     """Barycentric evaluation of the interpolant of node samples at x.
 
@@ -426,22 +439,7 @@ def barycentric_interpolate(grid, values, x):
     trailing k axis. Exact reproduction at the nodes themselves is
     handled explicitly.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xf = np.atleast_1d(x)
-    vals = np.asarray(values)
-    diffs = xf[:, None] - grid.nodes[None, :]
-    out = np.empty(xf.shape + vals.shape[1:], dtype=complex)
-    hit = np.abs(diffs) < 1e-14
-    exact_rows = hit.any(axis=1)
-    if np.any(exact_rows):
-        idx = np.argmax(hit[exact_rows], axis=1)
-        out[exact_rows] = vals[idx]
-    rows = ~exact_rows
-    if np.any(rows):
-        w = grid.bary_weights[None, :] / diffs[rows]
-        out[rows] = (w @ vals) / w.sum(axis=1).reshape(
-            (-1,) + (1,) * (vals.ndim - 1))
-    if scalar:
-        return complex(out[0]) if vals.ndim == 1 else out[0]
+    out = (_barycentric_matrix(grid, x) @ np.asarray(values)).astype(complex)
+    if np.ndim(x) == 0:
+        return complex(out[0]) if out.ndim == 1 else out[0]
     return out

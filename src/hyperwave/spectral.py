@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from .core_types import (
     EnergyState,
     OddField,
-    barycentric_interpolate,
+    _barycentric_matrix,
     make_grid,
 )
 from .errors import (
@@ -606,9 +606,9 @@ class GreenFunction:
                 - self.u1_branch.u1_at_zero * wgt * self.u1_minus.u1(y))
 
     def _kernel(self, grid):
-        """Kernel samples on the quadrature mesh (a 6000-point graded
-        mesh merged with `grid`'s positive nodes), computed once per grid
-        size."""
+        """Kernel samples and the barycentric interpolation matrix onto
+        the quadrature mesh (a 6000-point graded mesh merged with `grid`'s
+        positive nodes), computed once per grid size."""
         key = grid.n
         if key not in self._kernels:
             pos = grid.nodes[grid.nodes > 0]
@@ -619,7 +619,8 @@ class GreenFunction:
             # exactly
             low = (self.u1_minus.u1_at_zero * wfac * u1x
                    - self.u1_branch.u1_at_zero * self.u1_minus.u1(xs))
-            self._kernels[key] = (xs, _panel_weights(xs), wfac * u1x, low,
+            self._kernels[key] = (xs, _barycentric_matrix(grid, xs),
+                                  _panel_weights(xs), wfac * u1x, low,
                                   np.searchsorted(xs, pos), self.u0(pos),
                                   self.u1(pos))
         return self._kernels[key]
@@ -632,13 +633,15 @@ class GreenFunction:
         lam * (first) - f1.
         """
         grid = state.grid
-        xs, (idx, Wp), up_kernel, low_kernel, sel, u0_pos, u1_pos = \
+        xs, interp, (idx, Wp), up_kernel, low_kernel, sel, u0_pos, u1_pos = \
             self._kernel(grid)
         f1 = state.u.values
         f2 = state.v.values
-        df1 = grid.diff_matrix @ f1
-        samples = barycentric_interpolate(
-            grid, np.stack([df1, f1, f2], axis=1), xs)
+        cols = np.stack([grid.diff_matrix @ f1, f1, f2], axis=1)
+        # parts apart: matmul would cast the real matrix to complex
+        samples = interp @ cols.real
+        if np.iscomplexobj(cols):
+            samples = samples + 1j * (interp @ cols.imag)
         Fx = (2.0 * xs * samples[:, 0] + (self.lam + 1.0) * samples[:, 1]
               + samples[:, 2])
         I_up = _cum_from_top(idx, Wp, up_kernel * Fx)

@@ -222,6 +222,20 @@ def test_crosscheck_command(tmp_path):
     assert res["discrepancy"] < 1e-3
 
 
+def test_crosscheck_leapfrog_overflow_is_a_numerical_guard(tmp_path):
+    # dt^2 W^2 >> 1 makes the Cauchy leapfrog overflow: exit 3, not 4
+    cfg_path = _write_cfg(tmp_path, "cc.json",
+                          {"grid_n": 16, "r_max": 6.0, "dr": 0.25,
+                           "data": {"kind": "bump", "amplitude": 200,
+                                    "width": 0.6}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperwave.cli", "crosscheck",
+         "--config", cfg_path, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "numerical guard: BlowUpError" in proc.stderr
+
+
 def test_yangmills_command(tmp_path):
     cfg = {"grid_n": 48,
            "data": {"kind": "bump", "amplitude": 1.0, "width": 0.6,

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperwave as hw
-from hyperwave.core_types import extrapolate_to
+from hyperwave.coords import logcosh
+from hyperwave.core_types import _barycentric_matrix, extrapolate_to
 
 
 def test_make_grid_basic():
@@ -65,6 +66,36 @@ def test_barycentric_interpolation_columns_in_one_pass():
     want = [hw.barycentric_interpolate(g, cols[:, k], 0.3) for k in range(3)]
     assert at_x.shape == (3,)
     assert np.max(np.abs(at_x - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_barycentric_matrix_rows_interpolate(n):
+    g = hw.make_grid(n)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n)
+    # random points and the Cauchy cross-check's seeding points: the
+    # level line t = 4 at dr = 1/32, where s = 4 - log cosh r >= 0
+    r = -20.0 + np.arange(1281) / 32.0
+    level = np.tanh(r[4.0 - logcosh(r) >= 0.0])
+    xs = np.concatenate([rng.uniform(-0.999, 0.999, 200), level])
+    got = _barycentric_matrix(g, xs) @ vals
+    per_point = [hw.barycentric_interpolate(g, vals, x) for x in xs]
+    assert np.max(np.abs(got - per_point)) <= 1e-14
+    # the barycentric formula of the second kind, point by point
+    second_kind = [(w @ vals) / w.sum()
+                   for w in (g.bary_weights / (x - g.nodes) for x in xs)]
+    assert np.max(np.abs(got - second_kind)) <= 1e-14
+
+
+def test_barycentric_matrix_node_rows_are_one_hot():
+    # no division by the zero difference: a RuntimeWarning fails the run
+    g = hw.make_grid(16)
+    xs = [g.nodes[3], g.nodes[10] + 5e-15, 0.3]
+    W = _barycentric_matrix(g, xs)
+    assert np.array_equal(W[0], np.eye(16)[3])
+    assert np.array_equal(W[1], np.eye(16)[10])
+    assert np.all(W[2] != 0.0)
+    assert abs(W[2].sum() - 1.0) <= 1e-14
 
 
 def test_parity_defect_detects_even_part():

@@ -170,6 +170,74 @@ def test_lawson_step_converged_on_small_data(energy, width):
     assert np.max(d6) < 1e-10
 
 
+def _lawson_reference(f, g, s_max, ds):
+    """Reduced rows of the Lawson RK4 run written out stage by stage,
+    with full products by E = e^{ds L} and Eh = e^{ds L/2}."""
+    gen = hw.assemble_generator(f.grid, hw.Potential.constant(-1.0))
+    half = f.grid.n // 2
+    E = hw.propagator(gen, ds)
+    Eh = hw.propagator(gen, 0.5 * ds)
+
+    def cubic(v):
+        out = np.zeros_like(v)
+        out[half:] = -v[:half] ** 3
+        return out
+
+    x = gen.reduce_state(hw.EnergyState(f, g))
+    rows = [x]
+    for _ in range(int(np.floor(s_max / ds + 1e-12))):
+        Ex = E @ x
+        Ehx = Eh @ x
+        k1 = cubic(x)
+        k2 = cubic(Ehx + (0.5 * ds) * (Eh @ k1))
+        k3 = cubic(Ehx + (0.5 * ds) * k2)
+        k4 = cubic(Ex + ds * (Eh @ k3))
+        x = Ex + (ds / 6.0) * (E @ k1 + 2.0 * (Eh @ (k2 + k3)) + k4)
+        rows.append(x)
+    return gen, np.array(rows)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([16, 32, 64]),
+       ds=st.floats(min_value=1e-3, max_value=0.1),
+       energy=st.floats(min_value=1e-3, max_value=0.03),
+       width=st.floats(min_value=0.4, max_value=0.8),
+       store_every=st.integers(min_value=2, max_value=7))
+def test_lawson_step_matches_stagewise_reference(n, ds, energy, width,
+                                                 store_every):
+    grid = hw.make_grid(n)
+    f, g = _small_data(grid, energy=energy, width=width)
+    s_max = 1.0
+    gen, rows = _lawson_reference(f, g, s_max, ds)
+    want = gen.trajectory(ds * np.arange(len(rows)), rows, ds)
+    got = hw.nonlinear_evolve_direct(f, g, s_max, ds=ds)
+    assert np.array_equal(got.times, want.times)
+    scale = np.maximum(np.abs(want.U).max(axis=1), np.abs(want.V).max(axis=1))
+    err = np.maximum(np.abs(got.U - want.U).max(axis=1),
+                     np.abs(got.V - want.V).max(axis=1))
+    # the products sum in another order: round-off that accumulates over
+    # up to 1,000 steps (measured worst 3e-13) is all that may differ
+    assert np.all(err <= 1e-12 * scale)
+    # thinned storage keeps rows 0, k, 2k, ..., M of the full run exactly
+    thin = hw.nonlinear_evolve_direct(f, g, s_max, ds=ds,
+                                      store_every=store_every)
+    M = len(got) - 1
+    keep = np.unique(np.append(np.arange(0, M + 1, store_every), M))
+    assert np.array_equal(thin.times, got.times[keep])
+    assert np.array_equal(thin.U, got.U[keep])
+    assert np.array_equal(thin.V, got.V[keep])
+
+
+def test_direct_solver_reports_overflow_as_blow_up():
+    # the solution overflows to NaN between two norm checks; NaN compares
+    # false against the bound, so the check must not read as a pass
+    grid = hw.make_grid(32)
+    y = grid.nodes
+    f = hw.OddField(grid, 30.0 * y * np.exp(-((y / 0.6) ** 2)))
+    with pytest.warns(RuntimeWarning), pytest.raises(hw.BlowUpError):
+        hw.nonlinear_evolve_direct(f, hw.OddField.zero(grid), 4.0, ds=0.5)
+
+
 @pytest.mark.parametrize("s_max, ds", [(1.0, -0.01), (1.0, 0.0),
                                        (-1.0, 0.01)])
 def test_cubic_solvers_reject_bad_steps(s_max, ds):

@@ -323,3 +323,10 @@ def test_green_function_reused_across_states_and_grids():
         fresh = resolvent_apply(V, lam, state)
         np.testing.assert_array_equal(green.apply(state).stacked(),
                                       fresh.stacked())
+    # complex data: the resolvent is complex-linear
+    other = hw.EnergyState.from_callables(g, lambda y: y ** 5,
+                                          lambda y: -y)
+    both = hw.EnergyState(state.u + 1j * other.u, state.v + 1j * other.v)
+    want = green.apply(state).stacked() + 1j * green.apply(other).stacked()
+    got = green.apply(both).stacked()
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
