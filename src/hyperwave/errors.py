@@ -47,7 +47,8 @@ class InconsistencyError(HyperwaveError):
 
 
 class ContourAccuracyError(HyperwaveError):
-    """Winding number did not stabilize under quadrature refinement."""
+    """Winding number did not stabilize under quadrature refinement, or a
+    projection contour runs too close to an eigenvalue."""
 
 
 class NearEigenvalueError(HyperwaveError):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg import expm, lu_factor, lu_solve, schur
+from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .core_types import (
     EnergyState,
@@ -54,10 +55,11 @@ class GeneratorMatrix:
     `matrix` is the public parity-projected 2n x 2n operator; `reduced`
     is the equivalent n x n odd-sector matrix actually used for time
     stepping and resolvents (matrix = expand @ reduced @ restrict).
+    Its eigenvalues and complex Schur form are computed on first use.
     """
 
     __slots__ = ("grid", "potential", "matrix", "reduced", "expand",
-                 "restrict", "_eigs")
+                 "restrict", "_eigs", "_schur")
 
     def __init__(self, grid, potential, matrix, reduced, expand, restrict):
         self.grid = grid
@@ -67,6 +69,7 @@ class GeneratorMatrix:
         self.expand = expand
         self.restrict = restrict
         self._eigs = None
+        self._schur = None
 
     def apply(self, state):
         self._check_grid(state)
@@ -79,6 +82,12 @@ class GeneratorMatrix:
         if self._eigs is None:
             self._eigs = np.linalg.eigvals(self.reduced)
         return self._eigs
+
+    def reduced_schur(self):
+        """(T, Q) with reduced = Q T Q^H, T upper triangular."""
+        if self._schur is None:
+            self._schur = schur(self.reduced, output="complex")
+        return self._schur
 
     def _check_grid(self, state):
         if state.grid is not self.grid and not np.array_equal(
@@ -253,59 +262,48 @@ def _as_complex(v):
     return complex(v)
 
 
-def _contour_nodes(contour):
-    """Nodes and quadrature weights for (1/2 pi i) of the resolvent.
-
-    Circle contours use the exact parametrization (spectrally accurate
-    trapezoid); rectangles use composite trapezoid per edge.
-    """
+def _boundary_distance(contour, z):
+    """Signed distance of the points z to the contour curve: negative
+    inside, positive outside. Refuses malformed contours."""
     kind = contour.get("kind", "circle")
+    keys = {"circle": {"center", "radius"}, "rect": {"re", "im"}}.get(kind)
+    if keys is None or set(contour) - {"kind"} != keys:
+        raise InvalidArgumentError(
+            f"bad contour {contour!r}: a circle takes exactly center and"
+            " radius, a rect exactly re and im")
     if kind == "circle":
-        c = _as_complex(contour["center"])
         r = float(contour["radius"])
-        M = int(contour.get("points", 64))
-        if r <= 0 or M < 8:
-            raise InvalidArgumentError("circle needs radius > 0, points >= 8")
-        th = 2.0 * np.pi * np.arange(M) / M
-        lams = c + r * np.exp(1j * th)
-        w = (r / M) * np.exp(1j * th)  # (1/2pi i) * i r e^{i th} * (2pi/M)
-        return lams, w
-    if kind == "rect":
-        re_lo, re_hi = map(float, contour["re"])
-        im_lo, im_hi = map(float, contour["im"])
-        M = int(contour.get("points", 512))
-        corners = [re_lo + 1j * im_lo, re_hi + 1j * im_lo,
-                   re_hi + 1j * im_hi, re_lo + 1j * im_hi]
-        lams = []
-        w = []
-        for k in range(4):
-            a, b = corners[k], corners[(k + 1) % 4]
-            t = np.linspace(0.0, 1.0, M + 1)
-            seg = a + t * (b - a)
-            wt = np.full(M + 1, (b - a) / M)
-            wt[0] *= 0.5
-            wt[-1] *= 0.5
-            lams.append(seg)
-            w.append(wt)
-        lams = np.concatenate(lams)
-        w = np.concatenate(w) / (2j * np.pi)
-        return lams, w
-    raise InvalidArgumentError(f"unknown contour kind {kind!r}")
+        if not r > 0:
+            raise InvalidArgumentError("circle radius must be positive")
+        return np.abs(z - _as_complex(contour["center"])) - r
+    re_lo, re_hi = map(float, contour["re"])
+    im_lo, im_hi = map(float, contour["im"])
+    if not (re_lo < re_hi and im_lo < im_hi):
+        raise InvalidArgumentError("rect needs lo < hi on both axes")
+    dx = np.maximum(re_lo - z.real, z.real - re_hi)
+    dy = np.maximum(im_lo - z.imag, z.imag - im_hi)
+    return np.where((dx < 0) & (dy < 0), np.maximum(dx, dy),
+                    np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0)))
 
 
 @dataclass
 class RieszProjection:
-    """Contour-quadrature spectral projection.
+    """Spectral projection onto the generator eigenvalues inside one or
+    more contours, exact up to round-off (no quadrature).
 
     `reduced` is the odd-sector projection and `parts` the odd-sector
-    projection of each contour in turn (their sum is `reduced`).
-    `nilpotency[lam]` is the largest power k with (L - lam)^k P_lam
+    projection of each contour in turn (their sum is `reduced`). `sep`
+    holds each part's LAPACK estimate of sep(T11, T22), the separation of
+    its eigenvalues from the rest; the smaller it is, the more sensitive
+    the part. `multiplicity[lam]` is the size of the eigenvalue cluster at
+    lam, and `nilpotency[lam]` the largest power k with (L - lam)^k P_lam
     nonzero at tolerance, i.e. the degree of the polynomial-in-s factor
     in the mode evolution (0 = no Jordan block).
     """
     reduced: np.ndarray
     rank: int
     parts: List[np.ndarray] = field(default_factory=list)
+    sep: List[float] = field(default_factory=list)
     eigenvalues_inside: List[complex] = field(default_factory=list)
     multiplicity: Dict[complex, int] = field(default_factory=dict)
     nilpotency: Dict[complex, int] = field(default_factory=dict)
@@ -315,93 +313,86 @@ class RieszProjection:
         return gen.expand_state(self.reduced @ x)
 
 
-def _quadrature_projection(gen, lams, w):
-    eigs = gen.reduced_eigenvalues()
-    half2 = gen.reduced.shape[0]
-    P = np.zeros((half2, half2), dtype=complex)
-    Iden = np.eye(half2)
-    for lam, wk in zip(lams, w):
-        if float(np.min(np.abs(eigs - lam))) < 1e-6:
-            raise ContourAccuracyError(
-                f"contour node {lam:.6g} is within 1e-6 of the spectrum")
-        P += wk * np.linalg.solve(lam * Iden - gen.reduced, Iden)
-    return P
+def _schur_split(T, Q, select):
+    """Reorder the selected diagonal entries of the complex Schur form
+    Q T Q^H to the front and block-diagonalize it. Returns the reordered
+    T11 and Q, the solution Y of T11 Y - Y T22 = -T12, and the LAPACK
+    estimate of sep(T11, T22)."""
+    n = T.shape[0]
+    T, Q, _, k, _, sep, info = ztrsen(select.astype(np.int32), T, Q,
+                                      job="B", lwork=n * n)
+    Y, scale = np.zeros((k, n - k), dtype=complex), 1.0
+    if info == 0 and 0 < k < n:
+        Y, scale, info = ztrsyl(T[:k, :k], T[k:, k:], -T[:k, k:], isgn=-1)
+    if info != 0:
+        raise ContourAccuracyError(
+            "the eigenvalues inside the contour cannot be split from the"
+            " others at working precision")
+    return T[:k, :k], Q, Y / scale, float(sep)
 
 
-def _inside(contour, z):
-    if contour.get("kind", "circle") == "circle":
-        return abs(z - _as_complex(contour["center"])) < float(
-            contour["radius"])
-    re_lo, re_hi = map(float, contour["re"])
-    im_lo, im_hi = map(float, contour["im"])
-    return re_lo < z.real < re_hi and im_lo < z.imag < im_hi
-
-
-def _matrix_rank_svd(P, threshold=1e-6):
-    sv = np.linalg.svd(P, compute_uv=False)
-    return int(np.sum(sv > threshold))
-
-
-def _nilpotency_order(gen, lam, P):
-    """Smallest k >= 0 such that (L - lam)^(k+1) P vanishes at tolerance."""
-    half2 = gen.reduced.shape[0]
-    A = gen.reduced - lam * np.eye(half2)
-    scale = max(1.0, float(np.linalg.norm(P, 2)))
-    tol = 1e-8 * (1.0 + abs(lam))
-    Q = P.copy()
-    for k in range(half2):
-        Q = A @ Q
-        if float(np.linalg.norm(Q, 2)) / scale <= tol:
+def _nilpotency(T11, Y, lam):
+    """Smallest k >= 0 with (L - lam)^(k+1) P_lam negligible, taken in the
+    Schur basis: ||N^(k+1) [I, -Y]|| / max(1, ||P_lam||) <= 1e-8 (1 + |lam|)
+    with N = T11 - lam I and ||P_lam|| = ||[I, -Y]||."""
+    m = T11.shape[0]
+    B = np.hstack([np.eye(m), -Y])
+    N = T11 - lam * np.eye(m)
+    scale = max(1.0, float(np.linalg.norm(B, 2)))
+    for k in range(m):
+        B = N @ B
+        if float(np.linalg.norm(B, 2)) / scale <= 1e-8 * (1.0 + abs(lam)):
             return k
     raise ContourAccuracyError(
         f"no nilpotency order found at lambda = {lam:.6g}")
 
 
+def _add_part(proj, T, Q, contour):
+    """Add to proj the projection onto the eigenvalues of Q T Q^H inside
+    the contour, P = Q [[I, -Y], [0, 0]] Q^H in the reordered basis, and
+    the multiplicity and nilpotency of each eigenvalue cluster inside."""
+    z = np.diag(T)
+    dist = _boundary_distance(contour, z)
+    if float(np.min(np.abs(dist))) < 1e-6:
+        raise ContourAccuracyError(
+            "the contour passes within 1e-6 of a generator eigenvalue")
+    T11, Qs, Y, sep = _schur_split(T, Q, dist < 0)
+    k = T11.shape[0]
+    P = Qs[:, :k] @ (Qs[:, :k].conj().T - Y @ Qs[:, k:].conj().T)
+    proj.parts.append(P)
+    proj.sep.append(sep)
+    proj.reduced += P
+    proj.rank += k
+    inside = np.sort_complex(z[dist < 0])
+    proj.eigenvalues_inside.extend(complex(q) for q in inside)
+    # a cluster gathers the discretization eigenvalues within 1e-6 of its
+    # first member, which approximate one spectral point
+    while inside.size:
+        near = np.abs(inside - inside[0]) < 1e-6
+        cl, inside = inside[near], inside[~near]
+        lam = complex(np.mean(cl))
+        if cl.size < k:
+            T11, _, Y, _ = _schur_split(T, Q, np.isin(z, cl))
+        proj.multiplicity[lam] = cl.size
+        proj.nilpotency[lam] = _nilpotency(T11, Y, lam)
+
+
 def riesz_projection(gen, contour):
-    """Trapezoid contour quadrature of the resolvent.
+    """Riesz projection onto the generator eigenvalues inside a contour,
+    computed exactly from the ordered Schur form of the odd-sector matrix
+    and one Sylvester solve per part (Golub & Van Loan, Matrix
+    Computations, 7.6).
 
-    contour: {"kind": "circle", "center", "radius", "points"} or
-    {"kind": "rect", "re": (lo, hi), "im": (lo, hi), "points"}; a list of
-    such dicts sums the projections of disjoint contours.
+    contour: {"kind": "circle", "center", "radius"} or
+    {"kind": "rect", "re": (lo, hi), "im": (lo, hi)}; a list of such
+    dicts sums the projections of disjoint contours. A contour that
+    passes within 1e-6 of an eigenvalue is refused.
     """
-    contours = contour if isinstance(contour, (list, tuple)) else [contour]
-    parts = []
-    P = np.zeros_like(gen.reduced, dtype=complex)
-    for c in contours:
-        parts.append(_quadrature_projection(gen, *_contour_nodes(c)))
-        P += parts[-1]
-
-    rank = _matrix_rank_svd(P)
-    eigs = gen.reduced_eigenvalues()
-    inside = [complex(z) for z in eigs
-              if any(_inside(c, complex(z)) for c in contours)]
-    # cluster discretization eigenvalues that approximate one spectral point
-    clusters = []
-    for z in sorted(inside, key=lambda q: (q.real, q.imag)):
-        for cl in clusters:
-            if abs(z - cl[0]) < 1e-6:
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-
-    multiplicity = {}
-    nilpotency = {}
-    for cl in clusters:
-        lam_c = complex(np.mean(cl))
-        others = [complex(np.mean(c2)) for c2 in clusters if c2 is not cl]
-        sep = min([abs(lam_c - o) for o in others], default=np.inf)
-        radius = min(0.25, 0.45 * sep)
-        small = {"kind": "circle", "center": lam_c, "radius": radius,
-                 "points": 128}
-        lams_s, w_s = _contour_nodes(small)
-        P_lam = _quadrature_projection(gen, lams_s, w_s)
-        multiplicity[lam_c] = _matrix_rank_svd(P_lam)
-        nilpotency[lam_c] = _nilpotency_order(gen, lam_c, P_lam)
-
-    return RieszProjection(reduced=P, rank=rank, parts=parts,
-                           eigenvalues_inside=inside,
-                           multiplicity=multiplicity, nilpotency=nilpotency)
+    T, Q = gen.reduced_schur()
+    proj = RieszProjection(reduced=np.zeros_like(T), rank=0)
+    for c in contour if isinstance(contour, (list, tuple)) else [contour]:
+        _add_part(proj, T, Q, c)
+    return proj
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +453,13 @@ def _growing_modes(V, window, grid, consequence):
     return [r.lam for r in roots if r.lam.real >= 1e-6]
 
 
-def _root_circles(lams, points=128):
+def _root_circles(lams):
     """Small disjoint circles around each growing mode, kept off the axis."""
     out = []
     for lam in lams:
         sep = min([abs(lam - o) for o in lams if o != lam], default=np.inf)
         radius = min(0.25, 0.45 * sep, 0.9 * lam.real)
-        out.append({"kind": "circle", "center": lam, "radius": radius,
-                    "points": points})
+        out.append({"kind": "circle", "center": lam, "radius": radius})
     return out
 
 
@@ -488,7 +478,9 @@ def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
 
     Scans for right-half-plane spectral points; an imaginary-axis point
     violates the spectral assumption and aborts. Each growing mode gets a
-    small-circle Riesz projection; phi_k = (1/k!) (L-lam)^k P_lam init.
+    small-circle Riesz projection P_lam, and its nilpotency order n(lam)
+    is the one that projection found for its eigenvalue cluster;
+    phi_k = (1/k!) (L-lam)^k P_lam init for k <= n(lam).
     """
     lams = _growing_modes(gen.potential, window, gen.grid,
                           "the decomposition does not apply")
@@ -502,7 +494,8 @@ def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
     modes = []
     half2 = gen.reduced.shape[0]
     for lam, P_lam in zip(lams, proj.parts):
-        n_lam = _nilpotency_order(gen, lam, P_lam)
+        near = min(proj.nilpotency, key=lambda z: abs(z - lam), default=None)
+        n_lam = proj.nilpotency.get(near, 0)
         cur = P_lam @ x0
         phis = [gen.expand_state(cur)]
         A = gen.reduced - lam * np.eye(half2)

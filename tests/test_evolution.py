@@ -226,7 +226,7 @@ def test_riesz_rectangle_matches_circle():
     pc = hw.riesz_projection(gen, {"kind": "circle", "center": [1.0, 0.0],
                                    "radius": 0.5})
     pr = hw.riesz_projection(gen, {"kind": "rect", "re": [0.5, 1.5],
-                                   "im": [-0.5, 0.5], "points": 800})
+                                   "im": [-0.5, 0.5]})
     assert pr.rank == 1
     assert np.max(np.abs(pc.reduced - pr.reduced)) < 1e-6
 
@@ -249,6 +249,34 @@ def test_riesz_contour_through_eigenvalue_rejected():
     with pytest.raises(hw.ContourAccuracyError):
         hw.riesz_projection(gen, {"kind": "circle", "center": [1.25, 0.0],
                                   "radius": 0.25})
+
+
+@pytest.mark.parametrize("M", [64, 128])
+def test_riesz_contour_through_eigenvalue_between_nodes_rejected(M):
+    # the eigenvalue sits on the circle halfway between two of M
+    # equispaced angles, where a check of quadrature nodes misses it
+    g = hw.make_grid(64)
+    gen = hw.assemble_generator(g, hw.Potential.constant(-6.0))
+    eigs = gen.reduced_eigenvalues()
+    lam1 = eigs[np.argmin(np.abs(eigs - 1.0))]
+    center = lam1 - 0.25 * np.exp(1j * (np.pi + np.pi / M))
+    with pytest.raises(hw.ContourAccuracyError):
+        hw.riesz_projection(gen, {"kind": "circle", "radius": 0.25,
+                                  "center": [center.real, center.imag]})
+
+
+@pytest.mark.parametrize("contour", [
+    {"kind": "rect", "re": [1.5, 0.5], "im": [-0.5, 0.5]},
+    {"kind": "rect", "re": [0.5, 1.5], "im": [0.5, -0.5]},
+    {"kind": "rect", "re": [1.0, 1.0], "im": [-0.5, 0.5]},
+    {"kind": "rect", "re": [0.5, 1.5], "im": [-0.5, 0.5], "points": 800},
+    {"kind": "circle", "center": [1.0, 0.0], "radius": 0.5, "points": 128},
+    {"kind": "circle", "center": [1.0, 0.0]},
+])
+def test_riesz_malformed_contour_rejected(contour):
+    gen = hw.assemble_generator(hw.make_grid(48), hw.Potential.constant(-6.0))
+    with pytest.raises(hw.InvalidArgumentError):
+        hw.riesz_projection(gen, contour)
 
 
 def test_decompose_and_evolve_single_mode():
