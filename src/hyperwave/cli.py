@@ -14,6 +14,7 @@ rejects as out of range), 3 numerical guard tripped, 4 internal error.
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -517,12 +518,21 @@ def _scipy_version():
     return scipy.__version__
 
 
+def _finite(literal):
+    """A JSON number literal as a finite float (NaN, +-Infinity and
+    overflowing literals are refused)."""
+    if not math.isfinite(val := float(literal)):
+        raise ConfigError(f"non-finite number {literal} in config")
+    return val
+
+
 def _load_config(path):
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(p.read_text(), parse_float=_finite,
+                         parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config parse error at line {e.lineno},"
                           f" column {e.colno}: {e.msg}") from e

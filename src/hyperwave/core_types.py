@@ -3,7 +3,10 @@
 Everything downstream works on samples over an interior Chebyshev-Gauss
 grid on (-1,1): no endpoint nodes, because the wave operator degenerates
 at y = +-1 and the solutions live on the open interval. Boundary traces,
-where needed, are obtained by polynomial extrapolation.
+where needed, are obtained by polynomial extrapolation. The nodes ascend
+and are antisymmetric, so an odd field is fixed by its samples at the
+n/2 positive nodes (the upper half); positive_half, odd_extension and
+odd_fold convert between the two forms for the other modules.
 """
 
 from collections.abc import Sequence
@@ -15,9 +18,6 @@ from .errors import (
     InvalidDataError,
     UndefinedRatioError,
 )
-
-# operations that claim to preserve parity are held to this relative defect
-PARITY_ASSERT_TOL = 1e-10
 
 
 class Grid:
@@ -79,30 +79,63 @@ def parity_defect(values):
     return float(np.max(np.abs(values + values[::-1])))
 
 
-def _odd_part(grid, values, tol, ndim=1):
-    """Checked odd projection of one field's samples (ndim 1) or of a
-    (T, n) stack of them (ndim 2).
+def positive_half(values):
+    """The samples at the n/2 positive nodes, along the last axis."""
+    return values[..., values.shape[-1] // 2:]
 
-    Each field's parity defect max|v_i + v_{n-1-i}| must stay within
-    `tol` times max(1, max|v|); the result (v - reversed(v))/2 is
-    read-only.
-    """
+
+def odd_extension(half):
+    """All-node samples [-reversed(h), h] of the odd function whose
+    samples at the positive nodes are h (along the last axis)."""
+    return np.concatenate([-half[..., ::-1], half], axis=-1)
+
+
+def odd_fold(values):
+    """Positive-node samples 0.5 v[h:] - 0.5 v[h-1::-1] of the odd part of
+    the all-node samples v (along the last axis), h = n/2."""
+    h = values.shape[-1] // 2
+    return 0.5 * values[..., h:] - 0.5 * values[..., h - 1::-1]
+
+
+def _checked(grid, values, ndim, size):
+    """values as a finite float or complex array of `ndim` dimensions
+    whose last axis has length `size`."""
     values = np.asarray(values)
-    values = values.astype(complex if np.iscomplexobj(values) else float)
-    if values.ndim != ndim or values.shape[-1] != grid.n:
+    values = values.astype(complex if np.iscomplexobj(values) else float,
+                           copy=False)
+    if values.ndim != ndim or values.shape[-1] != size:
         raise InvalidDataError(
             f"field shape {values.shape} does not match grid n={grid.n}")
     if not np.all(np.isfinite(values)):
         raise InvalidDataError("non-finite field values")
+    return values
+
+
+def _odd_part(grid, values, ndim=1):
+    """Checked odd projection of one field's samples (ndim 1) or of a
+    (T, n) stack of them (ndim 2).
+
+    Each field's parity defect max|v_i + v_{n-1-i}| must stay within 1e-6
+    times max(1, max|v|); the result (v - reversed(v))/2 is read-only.
+    """
+    values = _checked(grid, values, ndim, grid.n)
     flipped = values[..., ::-1]
     defect = np.max(np.abs(values + flipped), axis=-1)
     ratio = defect / np.maximum(1.0, np.max(np.abs(values), axis=-1))
-    if np.any(ratio > tol):
+    if np.any(ratio > 1e-6):
         raise InvalidDataError(
             f"parity defect {np.max(ratio):.3e} times max(1, max|v|)"
-            f" exceeds {tol:.1e}; data is not odd")
+            " exceeds 1.0e-06; data is not odd")
     out = values - flipped
     out *= 0.5
+    out.setflags(write=False)
+    return out
+
+
+def _from_half(grid, half, ndim=1):
+    """Checked, read-only odd extension of one field's positive-node
+    samples (ndim 1) or of a (T, n/2) stack of them (ndim 2)."""
+    out = odd_extension(_checked(grid, half, ndim, grid.n // 2))
     out.setflags(write=False)
     return out
 
@@ -111,15 +144,22 @@ class OddField:
     """Samples of an odd function of y on a grid.
 
     The constructor measures the parity defect max|v_i + v_{n-1-i}|,
-    rejects input whose defect exceeds `tol` relative to the field size,
+    rejects input whose defect exceeds 1e-6 relative to the field size,
     and stores the projected samples (v - reversed(v))/2.
     """
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid, values, tol=1e-6):
+    def __init__(self, grid, values):
         self.grid = grid
-        self.values = _odd_part(grid, values, tol)
+        self.values = _odd_part(grid, values)
+
+    @classmethod
+    def from_half(cls, grid, half):
+        """The odd field with samples `half` at the n/2 positive nodes."""
+        f = cls.__new__(cls)
+        f.grid, f.values = grid, _from_half(grid, half)
+        return f
 
     @classmethod
     def from_callable(cls, grid, fn):
@@ -127,20 +167,22 @@ class OddField:
 
     @classmethod
     def zero(cls, grid):
-        return cls(grid, np.zeros(grid.n))
+        return cls.from_half(grid, np.zeros(grid.n // 2))
 
     def deriv(self):
         """Collocation derivative (an even function, returned as raw samples)."""
         return self.grid.diff_matrix @ self.values
 
     def __add__(self, other):
-        return OddField(self.grid, self.values + other.values, tol=np.inf)
+        return OddField.from_half(self.grid,
+                                  positive_half(self.values + other.values))
 
     def __sub__(self, other):
-        return OddField(self.grid, self.values - other.values, tol=np.inf)
+        return OddField.from_half(self.grid,
+                                  positive_half(self.values - other.values))
 
     def __mul__(self, c):
-        return OddField(self.grid, self.values * c, tol=np.inf)
+        return OddField.from_half(self.grid, positive_half(self.values) * c)
 
     __rmul__ = __mul__
 
@@ -278,7 +320,9 @@ class Trajectory(Sequence):
     of u and ds_u on each slice. `Trajectory(times, states, step)` stacks
     a list of energy states and `Trajectory.from_arrays` takes the stacks
     directly; either way every slice is held to the OddField parity
-    tolerance and projected, in one vectorised pass. The trajectory is a
+    tolerance and projected, in one vectorised pass.
+    `Trajectory.from_halves` takes (T, n/2) stacks of the samples at the
+    positive nodes and is odd by construction. The trajectory is a
     read-only sequence of its slices: indexing builds an EnergyState.
     """
 
@@ -291,16 +335,24 @@ class Trajectory(Sequence):
         if any(st.grid is not grid for st in states):
             raise InvalidDataError("states live on different grids")
         self._fill(grid, times, [st.u.values for st in states],
-                   [st.v.values for st in states], step)
+                   [st.v.values for st in states], step, _odd_part)
 
     @classmethod
     def from_arrays(cls, grid, times, U, V, step=None):
         """Trajectory of (T,) times and (T, n) stacks U of u, V of ds_u."""
         traj = cls.__new__(cls)
-        traj._fill(grid, times, U, V, step)
+        traj._fill(grid, times, U, V, step, _odd_part)
         return traj
 
-    def _fill(self, grid, times, U, V, step):
+    @classmethod
+    def from_halves(cls, grid, times, U, V, step=None):
+        """Trajectory of (T,) times and (T, n/2) stacks U of u, V of ds_u
+        at the positive nodes."""
+        traj = cls.__new__(cls)
+        traj._fill(grid, times, U, V, step, _from_half)
+        return traj
+
+    def _fill(self, grid, times, U, V, step, rows):
         times = np.array(times, dtype=float)
         if times.size == 0:
             raise InvalidDataError("empty trajectory")
@@ -311,8 +363,8 @@ class Trajectory(Sequence):
         times.setflags(write=False)
         self.grid = grid
         self.times = times
-        self.U = _odd_part(grid, U, 1e-6, ndim=2)
-        self.V = _odd_part(grid, V, 1e-6, ndim=2)
+        self.U = rows(grid, U, ndim=2)
+        self.V = rows(grid, V, ndim=2)
         if step is None:
             step = float(times[1] - times[0]) if times.size > 1 else 0.0
         self.step = step
@@ -326,8 +378,9 @@ class Trajectory(Sequence):
         return self.times.size
 
     def __getitem__(self, i):
-        return EnergyState(OddField(self.grid, self.U[i]),
-                           OddField(self.grid, self.V[i]))
+        return EnergyState(
+            OddField.from_half(self.grid, positive_half(self.U[i])),
+            OddField.from_half(self.grid, positive_half(self.V[i])))
 
     def first_components(self):
         """(num_slices, n) array of the u components."""
@@ -337,8 +390,9 @@ class Trajectory(Sequence):
         sel = (self.times >= s_lo - 1e-12) & (self.times <= s_hi + 1e-12)
         if not np.any(sel):
             raise InvalidDataError("no slices in the requested window")
-        return Trajectory.from_arrays(self.grid, self.times[sel],
-                                      self.U[sel], self.V[sel],
+        return Trajectory.from_halves(self.grid, self.times[sel],
+                                      positive_half(self.U[sel]),
+                                      positive_half(self.V[sel]),
                                       step=self.step)
 
 

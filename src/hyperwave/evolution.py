@@ -7,10 +7,11 @@ The first-order system evolved here is
     L (f1, f2) = (f2, (1-y^2) f1'' - 2y f1' - 2y f2' - f2 - V f1),
 
 collocated at the parity-symmetric Chebyshev nodes. All states of
-interest are odd, so the public 2n x 2n matrix is conjugated with the
-parity projector, and time stepping runs on the equivalent odd-sector
-reduction (one unknown per positive node, exact parity by construction,
-and no spurious even-sector eigenvalues).
+interest are odd, so time stepping runs on the odd-sector reduction: the
+unknowns are f1 and f2 at the n/2 positive nodes (exact parity by
+construction, and no spurious even-sector eigenvalues), and the public
+2n x 2n matrix is that reduction unfolded onto all nodes. The layout
+itself lives in core_types (odd_fold, odd_extension, positive_half).
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +26,8 @@ from .core_types import (
     OddField,
     Trajectory,
     energy_norm,
+    odd_extension,
+    odd_fold,
     slice_energies,
 )
 from .errors import (
@@ -37,37 +40,24 @@ from .errors import (
 from .spectral import find_sigma_v
 
 
-def _odd_sector_maps(n):
-    """Extension / restriction between odd fields on n nodes and their
-    values at the n//2 positive nodes."""
-    half = n // 2
-    E1 = np.zeros((n, half))
-    for k in range(half):
-        E1[half + k, k] = 1.0
-        E1[half - 1 - k, k] = -1.0
-    R1 = 0.5 * E1.T
-    return E1, R1
-
-
 class GeneratorMatrix:
     """Discretized first-order generator for a fixed potential.
 
-    `matrix` is the public parity-projected 2n x 2n operator; `reduced`
-    is the equivalent n x n odd-sector matrix actually used for time
-    stepping and resolvents (matrix = expand @ reduced @ restrict).
-    Its eigenvalues and complex Schur form are computed on first use.
+    `reduced` is the n x n odd-sector matrix, acting on (f1, f2) at the
+    positive nodes, that time stepping and resolvents use; `matrix` is
+    the public parity-projected 2n x 2n operator, `reduced` unfolded onto
+    all nodes. Eigenvalues and the complex Schur form of `reduced` are
+    computed on first use.
     """
 
-    __slots__ = ("grid", "potential", "matrix", "reduced", "expand",
-                 "restrict", "_eigs", "_schur")
+    __slots__ = ("grid", "potential", "matrix", "reduced", "_eigs",
+                 "_schur")
 
-    def __init__(self, grid, potential, matrix, reduced, expand, restrict):
+    def __init__(self, grid, potential, matrix, reduced):
         self.grid = grid
         self.potential = potential
         self.matrix = matrix
         self.reduced = reduced
-        self.expand = expand
-        self.restrict = restrict
         self._eigs = None
         self._schur = None
 
@@ -96,23 +86,20 @@ class GeneratorMatrix:
 
     def reduce_state(self, state):
         self._check_grid(state)
-        return self.restrict @ state.stacked()
+        return odd_fold(np.stack([state.u.values, state.v.values])).ravel()
 
     def expand_state(self, x):
-        u, v = self.expand_rows(x)
-        return EnergyState(OddField(self.grid, u), OddField(self.grid, v))
+        return EnergyState(*(OddField.from_half(self.grid, h)
+                             for h in np.split(x, 2)))
 
     def expand_rows(self, X):
         """Odd extensions (U, V) of reduced rows X of shape (..., n)."""
-        half = self.grid.n // 2
-        u, v = X[..., :half], X[..., half:]
-        return (np.concatenate([-u[..., ::-1], u], axis=-1),
-                np.concatenate([-v[..., ::-1], v], axis=-1))
+        return tuple(odd_extension(h) for h in np.split(X, 2, axis=-1))
 
     def trajectory(self, times, X, step):
         """Trajectory of the reduced rows X (one per time)."""
-        U, V = self.expand_rows(X)
-        return Trajectory.from_arrays(self.grid, times, U, V, step=step)
+        return Trajectory.from_halves(self.grid, times,
+                                      *np.split(X, 2, axis=-1), step=step)
 
     def reduced_energy(self, x):
         """Energy norm of a reduced vector (or of each column of a batch)."""
@@ -130,13 +117,17 @@ def assemble_generator(grid, V):
     B = -2.0 * y[:, None] * D - Iden
     L = np.block([[np.zeros((n, n)), Iden], [A, B]])
 
-    E1, R1 = _odd_sector_maps(n)
-    Z = np.zeros_like(E1)
-    E = np.block([[E1, Z], [Z, E1]])
-    R = np.block([[R1, Z.T], [Z.T, R1]])
-    reduced = R @ L @ E
-    matrix = E @ reduced @ R  # parity projection composed on both sides
-    return GeneratorMatrix(grid, V, matrix, reduced, E, R)
+    # odd sector: fold the rows of each component, then difference its
+    # columns; in this order each entry rounds as in the dense product
+    # restrict @ L @ extend
+    h = n // 2
+    F = odd_fold(L.reshape(2, n, 2 * n).swapaxes(1, 2)).swapaxes(1, 2)
+    F = F.reshape(n, 2, n)
+    reduced = (F[..., h:] - F[..., h - 1::-1]).reshape(n, n)
+    # unfold: rows extended per component, columns extended and halved
+    M = odd_extension(reduced.reshape(2, h, n).swapaxes(1, 2)).swapaxes(1, 2)
+    matrix = odd_extension(0.5 * M.reshape(2 * n, 2, h)).reshape(2 * n, 2 * n)
+    return GeneratorMatrix(grid, V, matrix, reduced)
 
 
 def propagator(gen, h):

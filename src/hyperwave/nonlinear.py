@@ -30,6 +30,7 @@ from .core_types import (
     _barycentric_matrix,
     _mixed_from_samples,
     energy_norm,
+    positive_half,
     slice_norms,
 )
 from .errors import (
@@ -133,7 +134,7 @@ def duhamel_step(prop, f, g, source):
 
     # odd-sector reduction of the cubes: values at the positive nodes
     Y = np.zeros((M + 1, 2 * half), dtype=source.U.dtype)
-    Y[:, half:] = source.U[:, half:] ** 3
+    Y[:, half:] = positive_half(source.U) ** 3
 
     x_lin = gen.reduce_state(EnergyState(f, g))
     out = np.empty((M + 1, 2 * half), dtype=np.result_type(Y, x_lin))
@@ -181,8 +182,8 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
             f" threshold {data_threshold}")
     prop = make_propagators(grid, ds, s_max)
     times = prop.times()
-    zeros = np.zeros((times.size, grid.n))
-    iterates = [Trajectory.from_arrays(grid, times, zeros, zeros, step=ds)]
+    zeros = np.zeros((times.size, grid.n // 2))
+    iterates = [Trajectory.from_halves(grid, times, zeros, zeros, step=ds)]
     x_norms = [0.0]
     deltas = []
     ratios = []

@@ -24,6 +24,8 @@ from .core_types import (
     OddField,
     _barycentric_matrix,
     make_grid,
+    odd_extension,
+    positive_half,
 )
 from .errors import (
     ContourAccuracyError,
@@ -92,7 +94,7 @@ class FrobeniusSolution:
         self._dense = dense
         self.u1_at_zero = complex(dense.sol(1.0)[0])
         self.sample_u1 = None if grid is None else self.u1(
-            grid.nodes[grid.nodes > 0])
+            positive_half(grid.nodes))
 
     def _split(self, y):
         y = np.asarray(y, dtype=float)
@@ -511,6 +513,9 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     straddled.
     """
     a, b = window
+    if not (a > 0 and b > 0):
+        raise InvalidArgumentError(
+            f"window half-widths must be positive, got {window}")
     if grid is None:
         grid = make_grid(64)
     roots = []
@@ -555,9 +560,9 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
         sol = build_u1(V, r, m=m, grid=grid, check_resonance=False)
         upos = sol.sample_u1
         sup = max(float(np.max(np.abs(upos))), abs(sol.u1_at_zero))
-        vals = np.concatenate([-upos[::-1], upos])
-        scale = vals[np.argmax(np.abs(vals))]
-        ef = OddField(grid, vals / scale)
+        # normalized by the first largest sample of the full odd vector
+        vals = odd_extension(upos)
+        ef = OddField.from_half(grid, upos / vals[np.argmax(np.abs(vals))])
         out.append(SpectralPoint(lam=r, eigenfunction=ef,
                                  residual=abs(sol.u1_at_zero) / sup))
     return out
@@ -611,7 +616,7 @@ class GreenFunction:
         positive nodes), computed once per grid size."""
         key = grid.n
         if key not in self._kernels:
-            pos = grid.nodes[grid.nodes > 0]
+            pos = positive_half(grid.nodes)
             xs = np.unique(np.concatenate([graded_mesh(6000), pos]))
             u1x = self.u1_branch.u1(xs)
             wfac = np.exp(self.lam * np.log1p(-xs * xs))  # (1-x^2)^lam
@@ -648,9 +653,9 @@ class GreenFunction:
         I_low = _cum_from_bottom(idx, Wp, low_kernel * Fx)
         w_pos = -(u0_pos * I_up[sel] + u1_pos * I_low[sel]) \
             / self.wronskian_factor
-        w_full = np.concatenate([-w_pos[::-1], w_pos])
-        return EnergyState(OddField(grid, w_full),
-                           OddField(grid, self.lam * w_full - f1))
+        return EnergyState(
+            OddField.from_half(grid, w_pos),
+            OddField.from_half(grid, self.lam * w_pos - positive_half(f1)))
 
 
 def resolvent_apply(V, lam, state):

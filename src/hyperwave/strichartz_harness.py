@@ -22,6 +22,7 @@ from .core_types import (
     _mixed_from_samples,
     energy_norm,
     make_grid,
+    odd_extension,
     slice_norms,
 )
 from .errors import InvalidArgumentError
@@ -213,7 +214,7 @@ def _batch_slice_norms(gen, X0, s_max, num_slices, qs):
     norms = {q: np.zeros((num_slices + 1, X0.shape[1])) for q in qs}
 
     def observer(i, s, X):
-        U = gen.expand_rows(X.T)[0]  # (members, n)
+        U = odd_extension(X[:grid.n // 2].T)  # (members, n)
         for q in qs:
             norms[q][i] = slice_norms(U, grid, q)
 

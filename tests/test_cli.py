@@ -175,6 +175,27 @@ def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text,literal", [
+    ("evolve", '{"grid_n": 32, "data": {"kind": "linear"},'
+               ' "s_max": Infinity}', "Infinity"),
+    ("evolve", '{"grid_n": 32, "data": {"kind": "linear"},'
+               ' "s_max": -Infinity}', "-Infinity"),
+    ("evolve", '{"grid_n": 32, "data": {"kind": "linear"},'
+               ' "s_max": 1e400}', "1e400"),
+    ("spectrum", '{"grid_n": 32, "potential": {"kind": "even_poly",'
+                 ' "coeffs": [NaN]}}', "NaN")],
+    ids=["inf", "minus-inf", "overflow", "nan"])
+def test_non_finite_config_number_is_a_config_error(tmp_path, capsys,
+                                                    command, text, literal):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    code = cli.main([command, "--config", str(p),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and literal in err
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def boom(cfg, out_dir, seed):
         raise RuntimeError("synthetic failure")

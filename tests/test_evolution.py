@@ -64,6 +64,43 @@ def test_generator_annihilates_even_sector():
     assert np.max(np.abs(gen.matrix @ even)) < 1e-10
 
 
+def _odd_sector_maps(n):
+    """Dense extension / restriction between odd fields on n nodes and
+    their values at the n/2 positive nodes: the reference for the folded
+    odd-sector layout."""
+    half = n // 2
+    E1 = np.zeros((n, half))
+    for k in range(half):
+        E1[half + k, k] = 1.0
+        E1[half - 1 - k, k] = -1.0
+    Z = np.zeros_like(E1)
+    return (np.block([[E1, Z], [Z, E1]]),
+            np.block([[0.5 * E1.T, Z.T], [Z.T, 0.5 * E1.T]]))
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+@pytest.mark.parametrize("V", [
+    hw.Potential.constant(-1.0), hw.Potential.constant(-6.0),
+    hw.Potential.from_callable(lambda y: -6.0 + 2.0 * y ** 2)])
+def test_odd_sector_folds_match_dense_maps(n, V):
+    g = hw.make_grid(n)
+    gen = hw.assemble_generator(g, V)
+    E, R = _odd_sector_maps(n)
+    y, D, Iden = g.nodes, g.diff_matrix, np.eye(n)
+    A = (1.0 - y ** 2)[:, None] * (D @ D) - 2.0 * y[:, None] * D \
+        - np.diag(np.asarray(V(y), dtype=float))
+    B = -2.0 * y[:, None] * D - Iden
+    L = np.block([[np.zeros((n, n)), Iden], [A, B]])
+    assert np.array_equal(gen.reduced, R @ L @ E)
+    assert np.array_equal(gen.matrix, E @ gen.reduced @ R)
+    rng = np.random.default_rng(n)
+    st = _band_limited_state(g, rng)
+    for state in (st, hw.EnergyState(st.u, 1j * st.v)):
+        assert np.array_equal(gen.reduce_state(state), R @ state.stacked())
+    X = rng.standard_normal((3, n))
+    assert np.array_equal(np.hstack(gen.expand_rows(X)), X @ E.T)
+
+
 def test_free_eigenfamily_residual():
     # For V=0 every lam with Re(lam)<0 admits the eigenfunction
     # f1 = (1+y)^(-lam) - (1-y)^(-lam), f2 = lam*f1. Integer lam give

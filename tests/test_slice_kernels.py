@@ -10,7 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 import hyperwave as hw
 from hyperwave import cli
-from hyperwave.core_types import slice_energies, slice_norms
+from hyperwave.core_types import (
+    odd_extension,
+    odd_fold,
+    positive_half,
+    slice_energies,
+    slice_norms,
+)
 
 QS = (2.0, 4.0, 6.0, 8.0, np.inf)
 
@@ -72,6 +78,51 @@ def test_trajectory_states_view_matches_rows(data):
     again = hw.Trajectory(traj.times, list(traj.states), step=traj.step)
     assert np.array_equal(again.U, traj.U)
     assert np.array_equal(again.V, traj.V)
+
+
+@settings(max_examples=50, deadline=None)
+@given(odd_stacks(count=2), st.booleans())
+def test_positive_half_constructors_match_checked_ones(data, cplx):
+    grid, (U, V) = data
+    H, K = positive_half(U), positive_half(V)
+    if cplx:
+        H = H + 1j * K
+    U, V = odd_extension(H), odd_extension(K)
+    assert odd_fold(U).tobytes() == H.tobytes()
+    times = np.arange(U.shape[0]) * 0.5
+    got = hw.Trajectory.from_halves(grid, times, H, K)
+    want = hw.Trajectory.from_arrays(grid, times, U, V)
+    # equal up to the sign of zero, which the complex projection's
+    # multiplication by 0.5 + 0j does not keep
+    for a, b in ((got.U, want.U), (got.V, want.V)):
+        assert not a.flags.writeable
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    f = hw.OddField.from_half(grid, H[0])
+    assert not f.values.flags.writeable
+    assert np.array_equal(f.values, hw.OddField(grid, U[0]).values)
+
+
+def test_positive_half_constructors_keep_the_data_checks():
+    grid = hw.make_grid(16)
+    H = np.outer(np.arange(1.0, 4.0), positive_half(grid.nodes))
+    times = np.arange(3.0)
+    for bad_value in (np.nan, np.inf):
+        bad = H.copy()
+        bad[1, 2] = bad_value
+        with pytest.raises(hw.InvalidDataError, match="non-finite"):
+            hw.Trajectory.from_halves(grid, times, bad, H)
+        with pytest.raises(hw.InvalidDataError, match="non-finite"):
+            hw.Trajectory.from_halves(grid, times, H, bad)
+        with pytest.raises(hw.InvalidDataError, match="non-finite"):
+            hw.OddField.from_half(grid, bad[1])
+    with pytest.raises(hw.InvalidDataError, match="shape"):
+        hw.Trajectory.from_halves(grid, times, odd_extension(H), H)
+    with pytest.raises(hw.InvalidDataError, match="shape"):
+        hw.OddField.from_half(grid, grid.nodes)
+    with pytest.raises(hw.InvalidDataError, match="increasing"):
+        hw.Trajectory.from_halves(grid, times[::-1], H, H)
+    with pytest.raises(hw.InvalidDataError, match="length"):
+        hw.Trajectory.from_halves(grid, times[:2], H, H)
 
 
 def test_cli_even_poly_is_complex_safe():

@@ -312,6 +312,13 @@ def test_sigma_v_depth_exhausted_raises():
                      max_depth=0)
 
 
+@pytest.mark.parametrize("window", [(2.0, -10.0), (-1.0, 10.0), (0.0, 1.0),
+                                    (1.0, 0.0), (float("nan"), 1.0)])
+def test_sigma_v_rejects_non_positive_window(window):
+    with pytest.raises(hw.InvalidArgumentError, match="half-widths"):
+        find_sigma_v(hw.Potential.constant(-6.0), window=window)
+
+
 def test_green_function_reused_across_states_and_grids():
     V = hw.Potential.constant(-1.0)
     lam = 0.05 + 2.0j
