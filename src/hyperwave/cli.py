@@ -522,8 +522,17 @@ def _finite(literal):
     """A JSON number literal as a finite float (NaN, +-Infinity and
     overflowing literals are refused)."""
     if not math.isfinite(val := float(literal)):
+        if len(literal) > 24:
+            literal = f"{literal[:12]}... ({len(literal)} characters)"
         raise ConfigError(f"non-finite number {literal} in config")
     return val
+
+
+def _integer(literal):
+    """A JSON integer literal as an int, refused like _finite when it
+    overflows a float (the library takes numbers as floats)."""
+    _finite(literal)
+    return int(literal)
 
 
 def _load_config(path):
@@ -532,7 +541,7 @@ def _load_config(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         cfg = json.loads(p.read_text(), parse_float=_finite,
-                         parse_constant=_finite)
+                         parse_int=_integer, parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config parse error at line {e.lineno},"
                           f" column {e.colno}: {e.msg}") from e

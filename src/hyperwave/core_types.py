@@ -430,10 +430,13 @@ def lq_norm(field, q):
 
 
 def _mixed_from_samples(times, lq_values, p):
-    """L^p in s of per-slice norms sampled at `times` (an array)."""
+    """L^p in s of per-slice norms sampled at `times` (an array) along
+    axis 0: a float for one series, one value per column of a stack."""
     if np.isinf(p):
-        return float(np.max(lq_values))
-    return float(np.trapezoid(lq_values ** p, times) ** (1.0 / p))
+        out = np.max(lq_values, axis=0)
+    else:
+        out = np.trapezoid(lq_values ** p, times, axis=0) ** (1.0 / p)
+    return float(out) if out.ndim == 0 else out
 
 
 def mixed_norm(traj, p, q):

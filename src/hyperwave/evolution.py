@@ -28,6 +28,7 @@ from .core_types import (
     energy_norm,
     odd_extension,
     odd_fold,
+    positive_half,
     slice_energies,
 )
 from .errors import (
@@ -63,10 +64,9 @@ class GeneratorMatrix:
 
     def apply(self, state):
         self._check_grid(state)
-        n = self.grid.n
         w = self.matrix @ state.stacked()
-        return EnergyState(OddField(self.grid, w[:n]),
-                           OddField(self.grid, w[n:]))
+        return EnergyState(*(OddField.from_half(self.grid, positive_half(h))
+                             for h in np.split(w, 2)))
 
     def reduced_eigenvalues(self):
         if self._eigs is None:
@@ -421,14 +421,14 @@ class DecomposedEvolution:
         uv = np.zeros((2, grid.n), dtype=complex)
         for mode in self.unstable_modes:
             uv += mode.state_at(s)
-        return EnergyState(OddField(grid, uv[0]), OddField(grid, uv[1]))
+        return EnergyState(*(OddField.from_half(grid, h)
+                             for h in positive_half(uv)))
 
     def total_state(self, index):
         """Unstable + stable at the index-th stored time."""
-        traj = self.stable_trajectory
-        un = self.unstable_state(traj.times[index])
-        return EnergyState(OddField(traj.grid, traj.U[index] + un.u.values),
-                           OddField(traj.grid, traj.V[index] + un.v.values))
+        st = self.stable_trajectory[index]
+        un = self.unstable_state(self.stable_trajectory.times[index])
+        return EnergyState(st.u + un.u, st.v + un.v)
 
 
 def _growing_modes(V, window, grid, consequence):

@@ -117,6 +117,36 @@ def evaluate(sol, s, y):
     return _complex_result(np.reshape(out, a.shape))
 
 
+def antiderivative_columns(cf, cg):
+    """Chebyshev coefficients of H = integral of (1+x) f'(x) + g(x), one
+    column per datum, for (d, M) coefficient matrices cf, cg (d >= 2) of
+    odd data; the batch form of the antiderivative ClosedFormSolution
+    keeps for one datum."""
+    dcf = C.chebder(cf, axis=0)
+    # x f' by x T_0 = T_1, x T_k = (T_{k+1} + T_{k-1})/2 (chebmulx is
+    # 1-D and trims trailing zeros, so the columns would not stack)
+    F = np.zeros((len(dcf) + 1, dcf.shape[1]))
+    half = dcf[1:] / 2
+    F[1] = dcf[0]
+    F[2:] = half
+    F[:-2] += half
+    F[:-1] += dcf
+    F += cg
+    return C.chebint(F, axis=0)
+
+
+def evaluate_columns(H, s, y):
+    """u(s, y) = (T(b) - T(a)) H / 2 for every column of H (from
+    antiderivative_columns) at the times s (k,) and points y (n,), with
+    T the Chebyshev-Vandermonde matrix of the characteristic endpoints;
+    shape (k, M, n)."""
+    a, b = _region_endpoints(_as_times(s)[:, None], np.asarray(y, float))
+    deg = len(H) - 1
+    T = C.chebvander(b, deg) - C.chebvander(a, deg)  # (k, n, deg+1)
+    U = 0.5 * (T.reshape(-1, deg + 1) @ H)
+    return U.reshape(len(s), len(y), -1).transpose(0, 2, 1)
+
+
 def ds_evaluate(sol, s, y):
     """Exact s-derivative of the odd-data solution (boundary terms); s
     and y broadcast as in evaluate."""

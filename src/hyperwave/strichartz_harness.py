@@ -15,17 +15,22 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
 from . import free_wave
 from .core_types import (
     EnergyState,
+    OddField,
     _mixed_from_samples,
-    energy_norm,
+    _odd_part,
     make_grid,
     odd_extension,
+    odd_fold,
+    positive_half,
+    slice_energies,
     slice_norms,
 )
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, InvalidDataError
 from .evolution import (
     _growing_modes,
     _propagate,
@@ -35,6 +40,9 @@ from .evolution import (
 )
 
 DEFAULT_EXPONENTS = ((2, 4), (3, 6), (4, 8), (np.inf, 2))
+# slices of the free solution evaluated per Vandermonde product: enough
+# to amortise the call overhead, few enough to keep the block small
+_SLICE_BLOCK = 16
 
 
 @dataclass
@@ -60,30 +68,41 @@ class EnsembleSpec:
     g_only: bool = False
 
     def coefficient_arrays(self):
+        """[(cf, cg)] per member; the draws run member by member, f
+        before g, so a larger count keeps the earlier members."""
         if self.count < 1 or self.band_limit < 0:
             raise InvalidArgumentError("count >= 1 and band_limit >= 0")
         rng = np.random.default_rng(self.seed)
         K = self.band_limit
-        out = []
-        for i in range(self.count):
-            cf = np.zeros(2 * K + 2)
-            cg = np.zeros(2 * K + 2)
-            for k in range(K + 1):
-                cf[2 * k + 1] = rng.standard_normal() * (k + 1.0) ** -self.decay
-            for k in range(K + 1):
-                cg[2 * k + 1] = rng.standard_normal() * (k + 1.0) ** -self.decay
-            if self.g_only:
-                cf = np.zeros_like(cf)
-            out.append((cf, cg))
-        return out
+        c = np.zeros((self.count, 2, 2 * K + 2))
+        c[..., 1::2] = rng.standard_normal((self.count, 2, K + 1)) \
+            * np.array([(k + 1.0) ** -self.decay for k in range(K + 1)])
+        if self.g_only:
+            c[:, 0] = 0.0
+        return [(cf, cg) for cf, cg in c]
 
     def fields(self, grid):
-        members = []
-        for i, (cf, cg) in enumerate(self.coefficient_arrays()):
-            sol = free_wave.from_chebyshev(grid, cf, cg)
-            members.append(EnsembleMember(
-                index=i, state=EnergyState(sol.f_field, sol.g_field)))
-        return members
+        F, G = _node_fields(grid, *_coefficient_matrices(self))
+        return [EnsembleMember(index=i, state=EnergyState(
+                    OddField.from_half(grid, positive_half(f)),
+                    OddField.from_half(grid, positive_half(g))))
+                for i, (f, g) in enumerate(zip(F, G))]
+
+
+def _coefficient_matrices(spec):
+    """(d, M) matrices of the members' f and g coefficients, one column
+    per member; even-order coefficients are refused."""
+    c = np.asarray(spec.coefficient_arrays(), dtype=float)  # (M, 2, d)
+    if np.max(np.abs(c[..., 0::2])) > 0:
+        raise InvalidDataError("even-order Chebyshev coefficients present")
+    return c[:, 0].T, c[:, 1].T
+
+
+def _node_fields(grid, cf, cg):
+    """(M, n) samples at the nodes of the data with coefficient columns
+    cf, cg, held to the OddField parity tolerance and projected."""
+    return (_odd_part(grid, C.chebval(grid.nodes, cf), 2),
+            _odd_part(grid, C.chebval(grid.nodes, cg), 2))
 
 
 @dataclass
@@ -130,58 +149,75 @@ def _tail_share(times, lq, p, s_max):
     return float(np.trapezoid(lq[sel] ** p, times[sel]) / total)
 
 
+def _ratios(pairs, times, norms, energies):
+    """{(p, q): ratio per member}: the L^p-in-s norm of the L^q norms
+    (columns of norms[q]) over the energy; NaN where the energy is 0."""
+    live = energies > 0
+    out = {}
+    for p, q in pairs:
+        r = np.full(energies.shape, np.nan)
+        r[live] = _mixed_from_samples(times, norms[q][:, live], p) \
+            / energies[live]
+        out[(p, q)] = r
+    return out
+
+
 def _run_scan(potential_id, spec, pairs, s_max, grid, num_slices, refine,
               norms_of):
     """Ratios, tail shares and refinement deltas shared by both scans.
 
-    norms_of(sols, grid, times, qs) returns {q: (len(times), len(sols))}
-    L^q norms of u on the slices for the members' closed-form data
-    `sols`. Refinement reruns the argmax members with the grid doubled
-    and with the horizon (and slice count) doubled.
+    norms_of(cf, cg, F, G, grid, times, qs) returns {q: (len(times), M)}
+    L^q norms of u on the slices for M data, given as (d, M) coefficient
+    columns cf, cg and as (M, n) node samples F, G. Refinement reruns
+    the argmax members with the grid doubled and with the horizon (and
+    slice count) doubled.
     """
     qs = sorted({q for _, q in pairs})
-    coeffs = spec.coefficient_arrays()
+    CF, CG = _coefficient_matrices(spec)
 
-    def sample(idx, grid, s_max, num_slices):
-        sols = [free_wave.from_chebyshev(grid, *coeffs[i]) for i in idx]
-        energies = np.array([energy_norm(EnergyState(s.f_field, s.g_field))
-                             for s in sols])
+    def sample(cols, grid, s_max, num_slices):
+        cf, cg = CF[:, cols], CG[:, cols]
+        F, G = _node_fields(grid, cf, cg)
         times = np.linspace(0.0, s_max, num_slices + 1)
-        return times, norms_of(sols, grid, times, qs), energies
+        norms = norms_of(cf, cg, F, G, grid, times, qs)
+        return times, norms, _ratios(pairs, times, norms,
+                                     slice_energies(F, G, grid))
 
-    times, norms, energies = sample(range(len(coeffs)), grid, s_max,
-                                    num_slices)
-    ratios = {}
-    tail = {}
-    for p, q in pairs:
-        r = np.full(len(coeffs), np.nan)
-        for i in np.flatnonzero(energies > 0):
-            r[i] = _mixed_from_samples(times, norms[q][:, i], p) / energies[i]
-        ratios[(p, q)] = r
-        best = int(np.nanargmax(r))
-        tail[(p, q)] = _tail_share(times, norms[q][:, best], p, s_max)
-    max_ratio = {pq: float(np.nanmax(r)) for pq, r in ratios.items()}
+    times, norms, ratios = sample(slice(None), grid, s_max, num_slices)
+    best = {pq: int(np.nanargmax(r)) for pq, r in ratios.items()}
+    max_ratio = {pq: float(ratios[pq][i]) for pq, i in best.items()}
+    tail = {(p, q): _tail_share(times, norms[q][:, best[(p, q)]], p, s_max)
+            for p, q in pairs}
 
     refinement = {}
     if refine:
-        best_set = sorted({int(np.nanargmax(r)) for r in ratios.values()})
-        t_n, n_n, e_n = sample(best_set, make_grid(2 * grid.n), s_max,
-                               num_slices)
-        t_h, n_h, _ = sample(best_set, grid, 2.0 * s_max, 2 * num_slices)
-        for p, q in pairs:
-            best = int(np.nanargmax(ratios[(p, q)]))
-            j = best_set.index(best)
-            base = ratios[(p, q)][best]
-            r_n = _mixed_from_samples(t_n, n_n[q][:, j], p) / e_n[j]
-            r_h = _mixed_from_samples(t_h, n_h[q][:, j], p) / energies[best]
-            refinement[(p, q)] = {
-                "grid_doubled": abs(r_n - base) / base,
-                "horizon_doubled": abs(r_h - base) / base,
+        best_set = sorted(set(best.values()))
+        r_n = sample(best_set, make_grid(2 * grid.n), s_max, num_slices)[2]
+        r_h = sample(best_set, grid, 2.0 * s_max, 2 * num_slices)[2]
+        for pq, i in best.items():
+            j = best_set.index(i)
+            base = ratios[pq][i]
+            refinement[pq] = {
+                "grid_doubled": abs(r_n[pq][j] - base) / base,
+                "horizon_doubled": abs(r_h[pq][j] - base) / base,
             }
     return StrichartzReport(
         potential_id=potential_id, exponents=pairs, ratios=ratios,
         max_ratio=max_ratio, refinement=refinement, tail_share=tail,
         s_max=float(s_max), grid_n=grid.n)
+
+
+def _free_norms(cf, cg, grid, times, qs):
+    """{q: (len(times), M)} L^q norms of the free solutions with the
+    coefficient columns cf, cg, _SLICE_BLOCK slices per product."""
+    H = free_wave.antiderivative_columns(cf, cg)
+    norms = {q: np.empty((len(times), H.shape[1])) for q in qs}
+    for lo in range(0, len(times), _SLICE_BLOCK):
+        U = free_wave.evaluate_columns(H, times[lo:lo + _SLICE_BLOCK],
+                                       grid.nodes)
+        for q in qs:
+            norms[q][lo:lo + _SLICE_BLOCK] = slice_norms(U, grid, q)
+    return norms
 
 
 def run_free_scan(spec, exponents=DEFAULT_EXPONENTS, s_max=20.0, grid=None,
@@ -193,13 +229,8 @@ def run_free_scan(spec, exponents=DEFAULT_EXPONENTS, s_max=20.0, grid=None,
     if s_max <= 0 or num_slices < 8:
         raise InvalidArgumentError("need s_max > 0 and num_slices >= 8")
 
-    def norms_of(sols, grid, times, qs):
-        cols = {q: [] for q in qs}
-        for sol in sols:
-            U = free_wave.evaluate(sol, times[:, None], grid.nodes)
-            for q in qs:
-                cols[q].append(slice_norms(U, grid, q))
-        return {q: np.stack(c, axis=1) for q, c in cols.items()}
+    def norms_of(cf, cg, F, G, grid, times, qs):
+        return _free_norms(cf, cg, grid, times, qs)
 
     return _run_scan("free", spec, pairs, s_max, grid, num_slices, refine,
                      norms_of)
@@ -240,13 +271,14 @@ def run_potential_scan(V, spec, exponents=DEFAULT_EXPONENTS, s_max=20.0,
                           "the projected-evolution bound does not apply")
     flows = {}  # grid size -> (generator, growing-mode projection)
 
-    def norms_of(sols, grid, times, qs):
+    def norms_of(cf, cg, F, G, grid, times, qs):
         if grid.n not in flows:
             gen = assemble_generator(grid, V)
             flows[grid.n] = gen, growing_mode_projection(gen, lams)
         gen, proj = flows[grid.n]
-        X0 = np.stack([gen.reduce_state(EnergyState(s.f_field, s.g_field))
-                       for s in sols], axis=1)
+        # reduced columns [f; g] at the positive nodes, one per member
+        X0 = odd_fold(np.stack([F, G])).transpose(0, 2, 1) \
+            .reshape(grid.n, -1)
         if proj is not None:
             X0 = X0 - proj.reduced @ X0
         return _batch_slice_norms(gen, X0, times[-1], len(times) - 1, qs)[1]

@@ -183,8 +183,15 @@ def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys,
     ("evolve", '{"grid_n": 32, "data": {"kind": "linear"},'
                ' "s_max": 1e400}', "1e400"),
     ("spectrum", '{"grid_n": 32, "potential": {"kind": "even_poly",'
-                 ' "coeffs": [NaN]}}', "NaN")],
-    ids=["inf", "minus-inf", "overflow", "nan"])
+                 ' "coeffs": [NaN]}}', "NaN"),
+    # integers too large for a float; at 5001 digits int() itself
+    # refuses the literal (Python's digit limit)
+    ("evolve", '{"grid_n": 32, "data": {"kind": "linear"}, "s_max": 1'
+               + "0" * 400 + "}", "(401 characters)"),
+    ("evolve", '{"grid_n": 32, "data": {"kind": "linear"}, "s_max": 1'
+               + "0" * 5000 + "}", "(5001 characters)")],
+    ids=["inf", "minus-inf", "overflow", "nan", "overflow-int",
+         "overflow-int-digit-limit"])
 def test_non_finite_config_number_is_a_config_error(tmp_path, capsys,
                                                     command, text, literal):
     p = tmp_path / "cfg.json"

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import hyperwave as hw
-from hyperwave.strichartz_harness import EnsembleSpec, run_free_scan, \
-    run_potential_scan
+from hyperwave import free_wave
+from hyperwave.core_types import _mixed_from_samples, slice_energies, \
+    slice_norms
+from hyperwave.strichartz_harness import EnsembleSpec, _coefficient_matrices, \
+    _free_norms, _node_fields, run_free_scan, run_potential_scan
 
 
 def test_ensemble_reproducible_and_odd():
@@ -150,3 +155,62 @@ def test_tail_share_fields():
     assert 0.0 <= share <= 1.0
     assert rep.s_max == 8.0
     assert rep.grid_n == 64
+
+
+@settings(max_examples=25, deadline=None)
+@given(count=hst.integers(1, 12), band_limit=hst.integers(0, 8),
+       decay=hst.floats(0.0, 3.0), g_only=hst.booleans(),
+       n=hst.sampled_from([16, 32, 64]), s_max=hst.floats(0.5, 20.0),
+       num_slices=hst.integers(8, 60), seed=hst.integers(0, 2 ** 32 - 1))
+def test_batch_scan_matches_per_member_route(count, band_limit, decay,
+                                             g_only, n, s_max, num_slices,
+                                             seed):
+    # oracle: free_wave.evaluate (Clenshaw per datum) + slice_norms +
+    # energy_norm, one member at a time
+    spec = EnsembleSpec(count, band_limit, seed, decay=decay, g_only=g_only)
+    pairs = [(2.0, 4.0), (3.0, 6.0), (np.inf, 2.0)]
+    qs = [2.0, 4.0, 6.0]
+    grid = hw.make_grid(n)
+    times = np.linspace(0.0, s_max, num_slices + 1)
+    cf, cg = _coefficient_matrices(spec)
+    norms = _free_norms(cf, cg, grid, times, qs)
+    energies = slice_energies(*_node_fields(grid, cf, cg), grid)
+    ratios = run_free_scan(spec, pairs, s_max, grid=grid,
+                           num_slices=num_slices, refine=False).ratios
+    for i, (f, g) in enumerate(spec.coefficient_arrays()):
+        sol = free_wave.from_chebyshev(grid, f, g)
+        U = free_wave.evaluate(sol, times[:, None], grid.nodes)
+        want = {q: slice_norms(U, grid, q) for q in qs}
+        energy = hw.energy_norm(hw.EnergyState(sol.f_field, sol.g_field))
+        assert abs(energies[i] - energy) <= 1e-13 * energy
+        for q in qs:
+            # late slices hold ~e^{-s} of the data: compare on the
+            # scale of the member's largest slice norm
+            err = np.max(np.abs(norms[q][:, i] - want[q]))
+            assert err <= 1e-13 * np.max(want[q])
+        for p, q in pairs:
+            r = _mixed_from_samples(times, want[q], p) / energy
+            assert abs(ratios[(p, q)][i] - r) <= 1e-13 * r
+
+
+@pytest.mark.parametrize("slot,value", [(0, 0.5), (2, np.nan), (3, np.nan)],
+                         ids=["even-order", "nan-even", "nan-odd"])
+@pytest.mark.parametrize("mode", ["free", "potential"])
+def test_scan_refuses_bad_coefficients(mode, slot, value):
+    class Corrupted(EnsembleSpec):
+        def coefficient_arrays(self):
+            arrs = super().coefficient_arrays()
+            cf = arrs[1][0].copy()
+            cf[slot] = value
+            return [arrs[0], (cf, arrs[1][1])] + arrs[2:]
+
+    spec = Corrupted(count=3, band_limit=4, seed=3)
+    with pytest.raises(hw.InvalidDataError):
+        if mode == "free":
+            run_free_scan(spec, [(3.0, 6.0)], 4.0, num_slices=40,
+                          refine=False)
+        else:
+            run_potential_scan(hw.Potential.constant(-1.0), spec,
+                               [(3.0, 6.0)], 4.0, grid=hw.make_grid(32),
+                               window=(1.0, 2.0), num_slices=40,
+                               refine=False)
