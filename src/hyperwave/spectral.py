@@ -13,6 +13,7 @@ function whose zeros in the closed right half-plane form the point set
 the evolution code must project out.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -397,7 +398,13 @@ class SpectralPoint:
 
 
 def _rect_path(re_lo, re_hi, im_lo, im_hi, pts):
-    """Counterclockwise rectangle boundary, pts points per edge."""
+    """Counterclockwise rectangle boundary, pts points per edge, closed
+    and starting at the corner re_lo + i im_lo.
+
+    On a cell symmetric in Im lam (im_lo == -im_hi) each node below the
+    real axis is the exact conjugate of a node above it (node k mirrors
+    node 3 pts - k, mod 4 pts), so `_u1_zero_path` evaluates only the
+    Im >= 0 half."""
     bottom = re_lo + np.linspace(0, 1, pts, endpoint=False) * (re_hi - re_lo) \
         + 1j * im_lo
     right = re_hi + 1j * (im_lo + np.linspace(0, 1, pts, endpoint=False)
@@ -407,7 +414,28 @@ def _rect_path(re_lo, re_hi, im_lo, im_hi, pts):
     left = re_lo + 1j * (im_hi + np.linspace(0, 1, pts, endpoint=False)
                          * (im_lo - im_hi))
     path = np.concatenate([bottom, right, top, left])
-    return np.append(path, path[0])
+    path = np.append(path, path[0])
+    if im_lo == -im_hi:
+        k = np.flatnonzero(path.imag < 0)
+        path[k] = path[(3 * pts - k) % (4 * pts)].conj()
+    return path
+
+
+def _u1_zero_path(V, path, m=DEFAULT_SERIES_ORDER):
+    """u1(0, .) at the nodes of a path, each conjugate pair evaluated once.
+
+    A Potential is real, so u1(0, conj lam) = conj u1(0, lam) holds bit
+    for bit in `_u1_zero_batch`. Nodes below the real axis are folded
+    onto their conjugates and the batch runs on the distinct folded
+    nodes: the Im >= 0 half of a symmetric cell's path (see `_rect_path`),
+    every node but the closing one of any other path. The fold keeps
+    max |lam|, so the z-mesh and the values are those of the whole path.
+    """
+    below = path.imag < 0
+    nodes, where = np.unique(np.where(below, path.conj(), path),
+                             return_inverse=True)
+    vals = _u1_zero_batch(V, nodes, m=m)[where]
+    return np.where(below, vals.conj(), vals)
 
 
 def _winding(path, vals):
@@ -447,17 +475,20 @@ def _stable_winding(V, rect, pts, m):
     only on the corners, so those samples are the pts evaluation."""
     for attempt in range(6):
         path = _rect_path(*rect, 2 * pts)
-        vals = _u1_zero_batch(V, path, m=m)
+        vals = _u1_zero_path(V, path, m=m)
         c1 = _winding(path[::2], vals[::2])
         if c1 is not None:
             c2 = _winding(path, vals)
             if c2 is not None and c2[0] == c1[0]:
                 return c2[0], c2[1], rect
         # deterministic jitter: expand the rectangle slightly, with
-        # different factors per side so symmetric zeros are not re-hit
+        # different factors per side so symmetric zeros are not re-hit;
+        # a cell symmetric in Im lam moves both Im sides alike and stays
+        # symmetric (its zeros are conjugate pairs anyway)
         re_lo, re_hi, im_lo, im_hi = rect
         d = 1e-3 * (attempt + 1)
-        rect = (re_lo - d, re_hi + 1.3 * d, im_lo - 1.7 * d, im_hi + 2.1 * d)
+        im_lo = -(im_hi + 2.1 * d) if im_lo == -im_hi else im_lo - 1.7 * d
+        rect = (re_lo - d, re_hi + 1.3 * d, im_lo, im_hi + 2.1 * d)
     raise ContourAccuracyError(
         f"winding number did not stabilize on rectangle {rect}")
 
@@ -474,9 +505,6 @@ def _newton_polish(V, lam0, m, rect):
     for _ in range(60):
         try:
             f0 = _u1_zero_scalar(V, lam, m)
-        except ResonanceError:
-            lam += 1e-9 + 1e-9j
-            continue
         except InvalidArgumentError:
             return None  # outside the strip: caller subdivides further
         h = 1e-6 * (1.0 + abs(lam))
@@ -511,11 +539,24 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     of u1(., root) sampled on the grid. The left edge sits slightly left
     of the axis so purely imaginary zeros are caught rather than
     straddled.
+
+    V is real, so the zeros are symmetric under conjugation. A cell
+    symmetric in Im lam is evaluated on its Im >= 0 half only (see
+    `_u1_zero_path`) and is split at its Re midpoint, so both halves stay
+    symmetric and real zeros do not sit on the cut. Only a symmetric
+    cell narrower than 0.2 is cut at Im = 0: its upper half is searched
+    and the zeros found there are conjugated.
     """
     a, b = window
-    if not (a > 0 and b > 0):
+    if not (0 < a < np.inf and 0 < b < np.inf):
         raise InvalidArgumentError(
-            f"window half-widths must be positive, got {window}")
+            f"window half-widths must be finite and positive, got {window}")
+    if not (isinstance(points_per_edge, numbers.Integral)
+            and points_per_edge >= 1):
+        raise InvalidArgumentError(
+            f"points_per_edge must be an integer >= 1, got {points_per_edge!r}")
+    if not (max_depth >= 0):
+        raise InvalidArgumentError(f"max_depth must be >= 0, got {max_depth!r}")
     if grid is None:
         grid = make_grid(64)
     roots = []
@@ -525,7 +566,8 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
         if w == 0:
             return
         re_lo, re_hi, im_lo, im_hi = rect
-        small = max(re_hi - re_lo, im_hi - im_lo) < 0.2
+        narrow = re_hi - re_lo < 0.2
+        small = narrow and im_hi - im_lo < 0.2
         if w == 1:
             root = _newton_polish(V, mu, m, rect)
             if root is not None and re_lo <= root.real <= re_hi \
@@ -537,7 +579,12 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
                     f"failed to polish the root inside {rect}")
         if depth >= max_depth:
             raise ContourAccuracyError("cell subdivision depth exhausted")
-        if re_hi - re_lo >= im_hi - im_lo:
+        symmetric = im_lo == -im_hi
+        if symmetric and narrow:
+            found = len(roots)
+            recurse((re_lo, re_hi, 0.0, im_hi), depth + 1)
+            roots.extend([r.conjugate() for r in roots[found:]])
+        elif symmetric or re_hi - re_lo >= im_hi - im_lo:
             mid = 0.5 * (re_lo + re_hi)
             recurse((re_lo, mid, im_lo, im_hi), depth + 1)
             recurse((mid, re_hi, im_lo, im_hi), depth + 1)

@@ -12,6 +12,7 @@ from hyperwave.spectral import (
     GreenFunction,
     _rect_path,
     _u1_zero_batch,
+    _u1_zero_path,
     build_u1,
     build_v1_volterra,
     find_sigma_v,
@@ -207,6 +208,9 @@ def _contour_potential(name):
     if name == "even_poly":  # the CLI's complex-safe Horner closure
         return cli._build_potential(
             {"kind": "even_poly", "coeffs": [0, -6, 2]}, "potential")
+    if name == "cos":  # not a polynomial, and real input only
+        return hw.Potential.from_callable(
+            lambda y: -4.0 * np.cos(np.real(y)), name="-4cos")
     return hw.Potential.constant(float(name))
 
 
@@ -254,7 +258,8 @@ def test_contour_half_path_is_the_coarse_evaluation(vname, window, pts):
     (-6.0, (2.0, 10.0)), (-2.0, (1.0, 1.0)), (-1.0, (3.0, 20.0))])
 def test_winding_check_evaluates_the_contour_once(vval, window, monkeypatch):
     # each of these windows is settled by one winding check, which must
-    # evaluate u1(0, .) once, on the 2*256 points per edge path
+    # evaluate u1(0, .) once, on the Im >= 0 half of the 2*256 points per
+    # edge path (the other half is its conjugate)
     sizes = []
     batch = spectral._u1_zero_batch
 
@@ -264,7 +269,48 @@ def test_winding_check_evaluates_the_contour_once(vval, window, monkeypatch):
 
     monkeypatch.setattr(spectral, "_u1_zero_batch", counting)
     find_sigma_v(hw.Potential.constant(vval), window=window)
-    assert sizes == [8 * 256 + 1]
+    assert sizes == [4 * 256 + 1]
+
+
+@pytest.mark.parametrize("rect,pts", [
+    ((-0.015, 3.0, -20.0, 20.0), 512), ((0.3, 0.7, -1.1, 1.1), 7)])
+def test_symmetric_path_mirrors_its_upper_half(rect, pts):
+    # every node below the real axis is the exact conjugate of a node
+    # above it, so the Im >= 0 nodes are all that must be evaluated
+    path = _rect_path(*rect, pts)
+    upper = path[path.imag >= 0]
+    assert np.all(np.isin(path[path.imag < 0].conj(), upper))
+    assert len(np.unique(upper)) == 2 * pts + (pts % 2 == 0)
+
+
+@pytest.mark.parametrize("vname,window",
+                         _CONTOUR_WINDOWS + [("cos", (3.0, 20.0))])
+def test_mirrored_contour_values_are_the_batch_values(vname, window):
+    # the Im >= 0 evaluation, mirrored, is the whole path's evaluation
+    V = _contour_potential(vname)
+    a, b = window
+    path = _rect_path(-0.015, a, -b, b, 512)
+    assert np.array_equal(_u1_zero_path(V, path), _u1_zero_batch(V, path))
+
+
+def test_jittered_symmetric_cell_stays_symmetric(monkeypatch):
+    # an unreliable first count jitters the cell outward; both Im sides
+    # move alike, so the jittered path still mirrors bit for bit
+    calls = []
+    winding = spectral._winding
+
+    def flaky(path, vals):
+        calls.append(len(path))
+        return None if len(calls) == 1 else winding(path, vals)
+
+    monkeypatch.setattr(spectral, "_winding", flaky)
+    V = hw.Potential.constant(-6.0)
+    w, _, rect = spectral._stable_winding(
+        V, (-0.015, 2.0, -10.0, 10.0), 256, spectral.DEFAULT_SERIES_ORDER)
+    re_lo, re_hi, im_lo, im_hi = rect
+    assert w == 1 and im_hi > 10.0 and im_lo == -im_hi
+    path = _rect_path(*rect, 512)
+    assert np.array_equal(_u1_zero_path(V, path), _u1_zero_batch(V, path))
 
 
 @settings(max_examples=10, deadline=None)
@@ -303,6 +349,61 @@ def test_sigma_v_finds_every_generator_root(vval, window, want):
         eigs = _generator_roots(V, window, n)
         assert len(eigs) == len(want)
         assert max(abs(g - e) for g, e in zip(got, eigs)) < 1e-8
+
+
+@pytest.mark.parametrize("vval,window,most", [
+    (-12.0, (3.0, 20.0), 3), (-30.0, (3.0, 40.0), 3),
+    (-20.0, (3.0, 20.0), 5)])
+def test_winding_two_windows_are_split_off_the_axis(vval, window, most,
+                                                     monkeypatch):
+    # a symmetric window is split at its Re midpoint, away from the real
+    # roots: one check for the window, one per half (V = -20 has its root
+    # 3 on the window's right edge, which costs up to two jitters)
+    calls = []
+    batch = spectral._u1_zero_batch
+
+    def counting(V, lams, m=spectral.DEFAULT_SERIES_ORDER):
+        calls.append(len(lams))
+        return batch(V, lams, m=m)
+
+    monkeypatch.setattr(spectral, "_u1_zero_batch", counting)
+    assert len(find_sigma_v(hw.Potential.constant(vval), window=window)) == 2
+    assert len(calls) <= most
+
+
+def test_sigma_v_conjugate_pair_from_the_upper_half(monkeypatch):
+    # a real-coefficient stand-in for u1(0, .) with zeros 0.5 and 1 +- 2i:
+    # the pair shares its real part, so Re splits leave a cell narrower
+    # than 0.2 with winding 2, which is cut at Im = 0; only its upper half
+    # is searched and the zero found there is conjugated (a short window
+    # keeps the cubic's range on narrow cells above the near-zero guard)
+    def p(lam):
+        lam = np.asarray(lam, dtype=complex)
+        return (lam - 0.5) * ((lam - 1.0) ** 2 + 4.0)
+
+    cells = []
+
+    def batch(V, lams, m=spectral.DEFAULT_SERIES_ORDER):
+        cells.append((np.ptp(lams.real), np.min(lams.imag)))
+        return p(lams)
+
+    monkeypatch.setattr(spectral, "_u1_zero_batch", batch)
+    monkeypatch.setattr(spectral, "_u1_zero_scalar",
+                        lambda V, lam, m: complex(p(lam)))
+    roots = find_sigma_v(hw.Potential.constant(-1.0), window=(3.0, 3.0))
+    got = sorted((r.lam for r in roots), key=lambda z: (z.real, z.imag))
+    want = [0.5, 1.0 - 2.0j, 1.0 + 2.0j]
+    assert len(got) == 3
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
+    assert any(width < 0.2 and im_min >= 0.0 for width, im_min in cells)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"window": (float("inf"), 1.0)}, {"window": (1.0, float("inf"))},
+    {"points_per_edge": 0}, {"points_per_edge": -3}, {"max_depth": -1}])
+def test_sigma_v_rejects_bad_search_arguments(kwargs):
+    with pytest.raises(hw.InvalidArgumentError):
+        find_sigma_v(hw.Potential.constant(-6.0), **kwargs)
 
 
 def test_sigma_v_depth_exhausted_raises():
