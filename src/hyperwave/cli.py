@@ -106,19 +106,10 @@ def _build_potential(spec, path):
         return Potential.constant(_cfg_number(spec, "value", path + "."))
     _no_unknown(spec, {"kind", "coeffs"}, path + ".")
     coeffs = _cfg_get(spec, "coeffs", path + ".", list)
-    if not coeffs or not all(isinstance(c, (int, float)) for c in coeffs):
+    if not coeffs or not all(isinstance(c, (int, float))
+                             and not isinstance(c, bool) for c in coeffs):
         raise ConfigError(f"{path}.coeffs: need a nonempty number list")
-    coeffs = [float(c) for c in coeffs]
-
-    def V(y):  # complex-safe: taylor_at_one samples a circle around 1
-        y2 = np.asarray(y) ** 2
-        out = np.zeros_like(y2)
-        for c in reversed(coeffs):
-            out = out * y2 + c
-        return out
-
-    name = "even_poly(" + ",".join(f"{c:g}" for c in coeffs) + ")"
-    return Potential.from_callable(V, name=name)
+    return Potential.even_poly(coeffs)
 
 
 def _build_data(grid, spec, path):

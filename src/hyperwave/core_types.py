@@ -215,30 +215,62 @@ class EnergyState:
         return np.concatenate([self.u.values, self.v.values])
 
 
+def _horner(coeffs, y2):
+    """sum_j coeffs[j] y2^j by Horner's rule, from the last coefficient."""
+    v = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        v = v * y2 + c
+    return v
+
+
+def _taylor_shift(p, x0):
+    """Coefficients in powers of t of sum_i p[i] (x0 + t)^i (repeated
+    synthetic division)."""
+    q = list(p)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += x0 * q[j + 1]
+    return q
+
+
 class Potential:
     """An even function V on [-1,1] with Taylor access at y = 1.
 
-    Use Potential.constant(c) or Potential.from_callable(fn). Evenness is
-    checked on a fixed probe set at construction; taylor_at_one(m) returns
-    the first m coefficients of V at y = 1 in powers of (y - 1).
+    Potential.even_poly(coeffs) is the polynomial
+    V(y) = sum_j coeffs[j] y^(2j), held by its exact coefficients
+    (`even_coeffs`); Potential.constant(c) is its degree-0 case. Its values
+    are Horner sums in y*y, and its Taylor data come from the
+    coefficients. Potential.from_callable(fn) wraps an opaque function
+    (`even_coeffs` is None); its evenness is checked on a fixed probe set
+    at construction and its Taylor data are computed numerically.
+    taylor_at_one(m) returns the first m coefficients of V at y = 1 in
+    powers of (y - 1); `at(y)` is V at one point as a float.
     """
 
-    __slots__ = ("kind", "_const", "_fn", "name")
+    __slots__ = ("even_coeffs", "_fn", "name")
 
-    def __init__(self, kind, const=None, fn=None, name=None):
-        self.kind = kind
-        self._const = const
+    def __init__(self, even_coeffs=None, fn=None, name=None):
+        self.even_coeffs = even_coeffs
         self._fn = fn
         self.name = name
 
     @classmethod
     def constant(cls, c):
         c = float(c)
-        return cls("constant", const=c, name=f"constant({c:g})")
+        return cls((c,), name=f"constant({c:g})")
+
+    @classmethod
+    def even_poly(cls, coeffs):
+        coeffs = tuple(float(c) for c in coeffs)
+        if not coeffs or not all(np.isfinite(coeffs)):
+            raise InvalidArgumentError(
+                "even_poly needs a nonempty list of finite coefficients")
+        return cls(coeffs, name="even_poly("
+                   + ",".join(f"{c:g}" for c in coeffs) + ")")
 
     @classmethod
     def from_callable(cls, fn, name=None):
-        p = cls("callable", fn=fn, name=name or "callable")
+        p = cls(fn=fn, name=name or "callable")
         yy = np.linspace(0.0, 0.997, 61)
         v_plus = np.asarray(fn(yy), dtype=float)
         v_minus = np.asarray(fn(-yy), dtype=float)
@@ -252,9 +284,18 @@ class Potential:
         return p
 
     def __call__(self, y):
-        if self.kind == "constant":
-            return self._const * np.ones_like(np.asarray(y, dtype=float))
-        return np.asarray(self._fn(np.asarray(y)), dtype=float)
+        if self.even_coeffs is None:
+            return np.asarray(self._fn(np.asarray(y)), dtype=float)
+        y = np.asarray(y, dtype=float)
+        return np.ones_like(y) * _horner(self.even_coeffs, y * y)
+
+    def at(self, y):
+        """V(y) at one point, as a float: the value of self(y), without
+        building arrays for a polynomial."""
+        if self.even_coeffs is None:
+            return float(self(y))
+        y = float(y)
+        return _horner(self.even_coeffs, y * y)
 
     def max_abs(self):
         yy = np.linspace(-0.999, 0.999, 201)
@@ -268,14 +309,17 @@ class Potential:
         around 1 (trapezoid = FFT, spectrally accurate); otherwise a
         Chebyshev fit on [0.5, 1] is
         differentiated, which is adequate for the low orders but loses
-        accuracy beyond the first few.
+        accuracy beyond the first few. A polynomial's coefficients are
+        its monomial coefficients shifted to y = 1, exact up to round-off.
         """
         if m < 1:
             raise InvalidArgumentError("need at least one coefficient")
-        if self.kind == "constant":
-            out = np.zeros(m)
-            out[0] = self._const
-            return out
+        if self.even_coeffs is not None:
+            mono = np.zeros(2 * len(self.even_coeffs) - 1)
+            mono[::2] = self.even_coeffs
+            out = np.zeros(max(m, len(mono)))
+            out[:len(mono)] = _taylor_shift(mono, 1.0)
+            return out[:m]
         rho = 0.2
         N = 256
         w = rho * np.exp(2j * np.pi * np.arange(N) / N)

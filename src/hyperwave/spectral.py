@@ -8,11 +8,21 @@ In the variable z = 1 - y the homogeneous spectral ODE reads
 with a regular singular point at z = 0 and indicial roots {0, -lam}.
 The analytic branch is seeded by a Taylor series at z = 0 normalized so
 that w(0) = 2^(-lam) (which makes u1(0, lam) = 1 for vanishing V), then
-carried to y = 0 by high-order ODE integration. u1(0, lam) is the mode
-function whose zeros in the closed right half-plane form the point set
-the evolution code must project out.
+carried to y = 0 by high-order ODE integration (`build_u1`, which also
+samples eigenfunctions and feeds the Green function). u1(0, lam) is the
+mode function whose zeros in the closed right half-plane form the point
+set the evolution code must project out.
+
+The mode finder evaluates u1(0, lam) many times. For a polynomial V
+(`Potential.constant`, `Potential.even_poly`) the ODE has polynomial
+coefficients, and `_u1_taylor` continues its Taylor series analytically
+from the Frobenius series to z = 1, for a whole contour at once or for
+one lambda with its exact lambda-derivative (Newton); its error is about
+1e-13 of |u1|. A callable V takes fixed-step RK4 on contours and a
+central difference of adaptive solves in Newton.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,6 +34,7 @@ from .core_types import (
     EnergyState,
     OddField,
     _barycentric_matrix,
+    _taylor_shift,
     make_grid,
     odd_extension,
     positive_half,
@@ -59,26 +70,36 @@ def _v_z_coefficients(V, m):
     return t * (-1.0) ** np.arange(len(t))
 
 
-def _frobenius_coefficients(bz, lam, m, check=True):
+def _frobenius_coefficients(bz, lam, m, check=True, c0=None, slope=False):
     """Taylor recurrence of the z-form ODE at z = 0, branch exponent 0.
 
     2 (k+1)(k+1+lam) c_{k+1} = (k+lam)(k+lam+1) c_k + sum_j bz_j c_{k-j},
-    seeded with c_0 = 2^(-lam). `lam` may be an array of N values; the
-    coefficients are then an (m+1, N) array. The denominators only vanish
-    at negative integer lambda; `check=False` skips the resonance test
-    for contour paths that are known to stay right of Re lambda = -1/2.
+    seeded with c_0 = 2^(-lam), or with a given c0 that does not depend
+    on lam. Returns the list c_0, ..., c_m; `lam` is a complex number or
+    an array of N values (each c_k is then an array). With `slope`, also
+    returns the list of the lam-derivatives of the c_k, from the same
+    recurrence differentiated. The denominators only vanish at negative
+    integer lambda; `check=False` skips the resonance test for paths that
+    are known to stay right of Re lambda = -1/2.
     """
     if check:
         _resonance_check(lam)
-    lam = np.asarray(lam, dtype=complex)
-    c = np.zeros((m + 1,) + lam.shape, dtype=complex)
-    c[0] = np.exp(-lam * np.log(2.0))
+    c = [np.exp(-lam * np.log(2.0)) if c0 is None else c0]
+    d = [-np.log(2.0) * c[0] if c0 is None else 0.0] if slope else None
     for k in range(m):
         s = (k + lam) * (k + lam + 1.0) * c[k]
         for j in range(min(k, len(bz) - 1) + 1):
             s += bz[j] * c[k - j]
-        c[k + 1] = s / (2.0 * (k + 1) * (k + 1 + lam))
-    return c
+        den = 2.0 * (k + 1) * (k + 1 + lam)
+        c.append(s / den)
+        if slope:
+            t = ((2.0 * k + 1.0 + 2.0 * lam) * c[k]
+                 + (k + lam) * (k + lam + 1.0) * d[k]
+                 - 2.0 * (k + 1) * c[k + 1])
+            for j in range(min(k, len(bz) - 1) + 1):
+                t += bz[j] * d[k - j]
+            d.append(t / den)
+    return (c, d) if slope else c
 
 
 class FrobeniusSolution:
@@ -148,15 +169,21 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, grid=None, check_resonance=True):
     if lam.real < -0.25 - 1e-12:
         raise InvalidArgumentError(
             f"Re lambda >= -1/4 required, got {lam.real}")
+    if abs(lam) < 1e-150:
+        # DOP853's error norm underflows to 0/0 on the O(lam) slope such a
+        # lam gives for V ~ 0; u1 is analytic in lam, so lam = 0 differs
+        # from it far below round-off
+        lam = 0j
     bz = _v_z_coefficients(V, m)
-    c = _frobenius_coefficients(bz, lam, m, check=check_resonance)
+    c = np.array(_frobenius_coefficients(bz, np.asarray(lam), m,
+                                         check=check_resonance))
     k = np.arange(m + 1)
     w0 = complex(np.sum(c * _SEED_OFFSET ** k))
     dw0 = complex(np.sum(c[1:] * k[1:] * _SEED_OFFSET ** (k[1:] - 1.0)))
 
     def rhs(z, st):
         w, dw = st
-        vy = float(V(1.0 - z))
+        vy = V.at(1.0 - z)
         dd = (-2.0 * (lam + 1.0) * (1.0 - z) * dw
               + (lam * (lam + 1.0) + vy) * w) / (z * (2.0 - z))
         return [dw, dd]
@@ -199,27 +226,153 @@ def _z_mesh(kappa):
         [zs, np.linspace(0.1, 1.0, int(np.ceil(0.9 / h)) + 1)[1:]])
 
 
+def _kappa(V, lam_abs):
+    """The rate bound of `_z_mesh` and `_taylor_mesh` for |lam| <= lam_abs
+    (z(2-z) = 0.19 at z = 0.1, where the rate of the potential peaks)."""
+    return max(1.0, lam_abs, np.sqrt(V.max_abs() / 0.19))
+
+
 def _u1_zero_batch(V, lams, m=DEFAULT_SERIES_ORDER):
+    """u1(0, lam) for an array of lambdas, on one z-mesh sized by the
+    largest |lam|.
+
+    A polynomial V goes to the Taylor kernel `_u1_taylor` (error ~1e-13
+    relative to the median |u1|, `m` unused), a callable to the
+    vectorized fixed-step RK4 `_u1_rk4` (error _CONTOUR_REL_ERROR). Either
+    is enough for winding counts, where thousands of evaluations are
+    needed; roots are always re-polished by `_newton_polish`.
+    """
+    lams = np.asarray(lams, dtype=complex).ravel()
+    if np.any(lams.real < -0.49):
+        raise InvalidArgumentError("batch evaluation requires Re lambda > -1/2")
+    kappa = _kappa(V, float(np.max(np.abs(lams))))
+    if V.even_coeffs is not None:
+        return _u1_taylor(V, lams, kappa)
+    return _u1_rk4(V, lams, kappa, m)
+
+
+# Taylor kernel (`_u1_taylor`). A step h <= z0 min(1/2, _TAYLOR_REACH /
+# kappa) from an expansion point z0 holds the terms of both solution
+# branches below _TAYLOR_REACH^k / k!: the analytic one (rate <= kappa)
+# and the one ~ z^(-lam) that round-off excites (rate |lam| / z0). With
+# _TAYLOR_TERMS terms the truncation is below 8^48 / 48! ~ 2e-18, and
+# round-off in the largest term, 8^8 / 8! ~ 4e2, keeps the error near
+# 1e-13 of |u1| (about 5e-14 against the closed form for constant V).
+_TAYLOR_TERMS = 48
+_TAYLOR_REACH = 8.0
+# where the Frobenius series at z = 0 (radius 2) is summed, at most
+_TAYLOR_SEED = 0.2
+
+
+def _taylor_mesh(kappa):
+    """Expansion points of `_u1_taylor`: the seed min(_TAYLOR_SEED,
+    2 _TAYLOR_REACH / kappa), where the Frobenius terms obey the same
+    bound, then a geometric mesh to z = 1 whose ratio is at most
+    1 + min(1/2, _TAYLOR_REACH / kappa)."""
+    q = min(0.5, _TAYLOR_REACH / kappa)
+    z = min(_TAYLOR_SEED, 2.0 * _TAYLOR_REACH / kappa)
+    n = math.ceil(math.log(1.0 / z) / math.log1p(q))
+    return [z ** (1.0 - i / n) for i in range(n)] + [1.0]
+
+
+def _series_at(c, z):
+    """The value and z-derivative of sum_k c_k z^k."""
+    zk = [z ** k for k in range(len(c))]
+    return (sum(ck * p for ck, p in zip(c, zk)),
+            sum(k * ck * p for k, (ck, p) in enumerate(zip(c[1:], zk), 1)))
+
+
+def _u1_taylor(V, lam, kappa, slope=False):
+    """u1(0, lam) for a polynomial V by analytic continuation of its
+    Taylor series (Corliss & Chang 1982; van der Hoeven 1999).
+
+    `lam` is a complex number (Newton) or an array (contours): the
+    recurrences are written once for both. The Frobenius series, seeded
+    with c_0 = 1, is summed at the first point of `_taylor_mesh(kappa)`;
+    at each next point z0 the solution is re-expanded in t = z - z0 up to
+    the step h to the next point. With p0 = z0(2 - z0), p1 = 2(1 - z0)
+    and r_j the coefficients of lam(lam+1) + V(1 - z0 - t), its Taylor
+    coefficients a_k satisfy
+
+      p0 (k+1)(k+2) a_{k+2} = -p1 (k+1)(k+lam+1) a_{k+1}
+                              + k(k+2 lam+1) a_k + sum_j r_j a_{k-j},
+
+    the ODE's three-term part plus the convolution with V; the loop
+    carries the terms a_k h^k. With `slope`, returns
+    (u1, d u1 / d lam): the lam-derivatives are carried along the same
+    recurrences in forward mode. The normalization 2^(-lam) is applied
+    at the end.
+    """
+    bz = [float(b) for b in
+          _v_z_coefficients(V, 2 * len(V.even_coeffs) - 2)]
+    zs = _taylor_mesh(kappa)
+    seed = _frobenius_coefficients(bz, lam, _TAYLOR_TERMS, check=False,
+                                   c0=1.0, slope=slope)
+    if slope:
+        w, dw = _series_at(seed[0], zs[0])
+        lw, ldw = _series_at(seed[1], zs[0])
+    else:
+        w, dw = _series_at(seed, zs[0])
+    twolam1 = 2.0 * lam + 1.0
+    lamlam = lam * (lam + 1.0)
+    for z0, z1 in zip(zs[:-1], zs[1:]):
+        h = z1 - z0
+        p0 = z0 * (2.0 - z0)
+        alpha = -2.0 * (1.0 - z0) * h / p0
+        beta = h * h / p0
+        rho = [r * h ** (j + 2) / p0
+               for j, r in enumerate(_taylor_shift(bz, z0))]
+        r0 = beta * lamlam + rho[0]
+        deg = len(rho) - 1
+        a = [w, h * dw]
+        w, dw = a[0] + a[1], a[1]
+        if slope:
+            b = [lw, h * ldw]
+            lw, ldw = b[0] + b[1], b[1]
+        for k in range(_TAYLOR_TERMS - 1):
+            u = alpha * (k + 1) * (lam + (k + 1))
+            x = beta * k * (twolam1 + k) + r0
+            conv = range(1, min(k, deg) + 1)
+            inv = 1.0 / ((k + 1) * (k + 2))
+            s = u * a[k + 1] + x * a[k]
+            for j in conv:
+                s += rho[j] * a[k - j]
+            s = s * inv
+            a.append(s)
+            w = w + s
+            dw = dw + (k + 2) * s
+            if slope:
+                t = (u * b[k + 1] + alpha * (k + 1) * a[k + 1] + x * b[k]
+                     + beta * (twolam1 + 2 * k) * a[k])
+                for j in conv:
+                    t += rho[j] * b[k - j]
+                t = t * inv
+                b.append(t)
+                lw = lw + t
+                ldw = ldw + (k + 2) * t
+        dw = dw / h
+        if slope:
+            ldw = ldw / h
+    norm = np.exp(-lam * np.log(2.0))
+    if slope:
+        return norm * w, norm * (lw - np.log(2.0) * w)
+    return norm * w
+
+
+def _u1_rk4(V, lams, kappa, m):
     """u1(0, lam) for an array of lambdas by vectorized fixed-step RK4.
 
     The Frobenius seeds of all lambdas come from one array recurrence and
     the state (w, w') is carried as two arrays over one z-mesh (V sampled
     once per node and midpoint). The error relative to the median |u1|
-    is _CONTOUR_REL_ERROR (see `_z_mesh`): enough for winding counts,
-    where thousands of evaluations are needed. Roots are always
-    re-polished by the scalar adaptive route.
+    is _CONTOUR_REL_ERROR (see `_z_mesh`).
     """
-    lams = np.asarray(lams, dtype=complex).ravel()
-    if np.any(lams.real < -0.49):
-        raise InvalidArgumentError("batch evaluation requires Re lambda > -1/2")
-    c = _frobenius_coefficients(_v_z_coefficients(V, m), lams, m, check=False)
+    c = np.array(_frobenius_coefficients(_v_z_coefficients(V, m), lams, m,
+                                         check=False))
     k = np.arange(m + 1)
     w = _SEED_OFFSET ** k @ c
     dw = (k[1:] * _SEED_OFFSET ** (k[1:] - 1.0)) @ c[1:]
 
-    # z(2-z) = 0.19 at z = 0.1, where the rate of the potential peaks
-    kappa = max(1.0, float(np.max(np.abs(lams))),
-                np.sqrt(V.max_abs() / 0.19))
     zs = _z_mesh(kappa)
     hs = np.diff(zs)
     zm = zs[:-1] + 0.5 * hs
@@ -497,22 +650,30 @@ def _u1_zero_scalar(V, lam, m):
     return build_u1(V, lam, m=m, check_resonance=False).u1_at_zero
 
 
+def _u1_zero_slope(V, lam, m):
+    """u1(0, lam) and d u1(0, lam) / d lam at one lambda: exact, from one
+    Taylor kernel call, for a polynomial V; a central difference of three
+    adaptive solves for a callable."""
+    if V.even_coeffs is not None:
+        return _u1_taylor(V, lam, _kappa(V, abs(lam)), slope=True)
+    h = 1e-6 * (1.0 + abs(lam))
+    return (_u1_zero_scalar(V, lam, m),
+            (_u1_zero_scalar(V, lam + h, m)
+             - _u1_zero_scalar(V, lam - h, m)) / (2.0 * h))
+
+
 def _newton_polish(V, lam0, m, rect):
     re_lo, re_hi, im_lo, im_hi = rect
     # keep iterates near the cell and inside the validity strip of u1
     margin = min(0.5 * max(re_hi - re_lo, im_hi - im_lo), 0.5) + 0.05
     lam = complex(lam0)
     for _ in range(60):
-        try:
-            f0 = _u1_zero_scalar(V, lam, m)
-        except InvalidArgumentError:
+        if lam.real < -0.25 - 1e-12:
             return None  # outside the strip: caller subdivides further
-        h = 1e-6 * (1.0 + abs(lam))
-        fp = (_u1_zero_scalar(V, lam + h, m)
-              - _u1_zero_scalar(V, lam - h, m)) / (2.0 * h)
+        f0, fp = _u1_zero_slope(V, lam, m)
         if fp == 0:
             return None
-        step = f0 / fp
+        step = complex(f0 / fp)
         lam = lam - step
         if lam.real < -0.2 or not (
                 re_lo - margin <= lam.real <= re_hi + margin
@@ -532,11 +693,14 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     at points_per_edge and twice that, and every node clears the
     near-zero guard (_CONTOUR_GUARD times the median |u1|); otherwise the
     cell is jittered outward. In a cell of winding 1, Newton polishing
-    (finite-difference derivative) starts from the cell's first
+    (the exact derivative from the Taylor kernel for a polynomial V, a
+    finite difference for a callable) starts from the cell's first
     log-derivative moment, which is the zero up to quadrature error; the
     polished zero is kept only if it lies inside the (jittered) cell,
-    otherwise the cell is subdivided. Eigenfunctions are odd extensions
-    of u1(., root) sampled on the grid. The left edge sits slightly left
+    otherwise the cell is subdivided. Eigenfunctions (odd extensions of
+    u1(., root) on the grid) and residuals come from one adaptive
+    `build_u1` per root, which checks the root independently of the
+    route that found it. The left edge sits slightly left
     of the axis so purely imaginary zeros are caught rather than
     straddled.
 

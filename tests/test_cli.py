@@ -175,6 +175,19 @@ def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("potential", [
+    {"kind": "even_poly", "coeffs": [True, -6]},
+    {"kind": "even_poly", "coeffs": [-6, False]},
+    {"kind": "constant", "value": True}])
+def test_boolean_potential_number_is_a_config_error(tmp_path, capsys,
+                                                    potential):
+    # bool is an int subclass in Python; a JSON true is not a number
+    code, _ = _run(tmp_path, "spectrum", {"grid_n": 32,
+                                          "potential": potential})
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,text,literal", [
     ("evolve", '{"grid_n": 32, "data": {"kind": "linear"},'
                ' "s_max": Infinity}', "Infinity"),

@@ -249,6 +249,59 @@ def test_potential_taylor_at_one():
     assert np.allclose(cc, [-6.0, 0.0, 0.0], atol=1e-12)
 
 
+def _horner_closure(coeffs):
+    # the complex-safe callable the CLI built for even_poly before the
+    # polynomial kind existed: the reference for bit-identical values
+    def V(y):
+        y2 = np.asarray(y) ** 2
+        out = np.zeros_like(y2)
+        for c in reversed(coeffs):
+            out = out * y2 + c
+        return out
+    return V
+
+
+@pytest.mark.parametrize("coeffs", [[-6.0], [0.0, -6.0, 2.0], [-1.0, 0.5],
+                                    [0.3, -2.5, 1.25, -0.75]])
+def test_even_poly_values_are_the_horner_closure(coeffs):
+    V = hw.Potential.even_poly(coeffs)
+    ref = hw.Potential.from_callable(_horner_closure(coeffs))
+    y = np.linspace(-1.0, 1.0, 1001)
+    assert np.array_equal(V(y), ref(y))
+    # the scalar route of the adaptive solver gives the same floats
+    assert all(V.at(v) == float(ref(v)) for v in y[::50])
+    assert V.name == "even_poly(" + ",".join(f"{c:g}" for c in coeffs) + ")"
+    # the Taylor data at y = 1 come from the coefficients, and agree with
+    # the numerical (Cauchy integral) route of a callable to its accuracy
+    m = 2 * len(coeffs) + 2
+    assert np.allclose(V.taylor_at_one(m), ref.taylor_at_one(m),
+                       rtol=0.0, atol=1e-9)
+    assert np.all(V.taylor_at_one(m)[2 * len(coeffs) - 1:] == 0.0)
+
+
+def test_even_poly_taylor_at_one_is_exact():
+    # -6 y^2 + 2 y^4 = -4 - 4(y-1) + 6(y-1)^2 + 8(y-1)^3 + 2(y-1)^4
+    V = hw.Potential.even_poly([0, -6, 2])
+    assert np.array_equal(V.taylor_at_one(7), [-4, -4, 6, 8, 2, 0, 0])
+    assert np.array_equal(V.taylor_at_one(2), [-4, -4])
+
+
+def test_constant_is_the_degree_zero_even_poly():
+    V = hw.Potential.constant(-6.0)
+    assert V.even_coeffs == (-6.0,) and V.name == "constant(-6)"
+    y = np.linspace(-1.0, 1.0, 11)
+    assert np.array_equal(V(y), -6.0 * np.ones_like(y))
+    assert V.at(0.3) == -6.0
+    assert np.array_equal(V.taylor_at_one(3), [-6.0, 0.0, 0.0])
+    assert hw.Potential.from_callable(lambda y: -y * y).even_coeffs is None
+
+
+@pytest.mark.parametrize("coeffs", [[], [float("nan")], [1.0, float("inf")]])
+def test_even_poly_rejects_empty_or_non_finite_coefficients(coeffs):
+    with pytest.raises(hw.InvalidArgumentError):
+        hw.Potential.even_poly(coeffs)
+
+
 def test_sobolev_embedding_ratio():
     g = hw.make_grid(32)
     f = hw.OddField(g, g.nodes)

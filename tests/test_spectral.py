@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import loggamma, psi
 
 import hyperwave as hw
 from hyperwave import cli, spectral
@@ -381,6 +382,9 @@ def test_sigma_v_conjugate_pair_from_the_upper_half(monkeypatch):
         lam = np.asarray(lam, dtype=complex)
         return (lam - 0.5) * ((lam - 1.0) ** 2 + 4.0)
 
+    def dp(lam):
+        return (lam - 1.0) ** 2 + 4.0 + 2.0 * (lam - 0.5) * (lam - 1.0)
+
     cells = []
 
     def batch(V, lams, m=spectral.DEFAULT_SERIES_ORDER):
@@ -388,8 +392,8 @@ def test_sigma_v_conjugate_pair_from_the_upper_half(monkeypatch):
         return p(lams)
 
     monkeypatch.setattr(spectral, "_u1_zero_batch", batch)
-    monkeypatch.setattr(spectral, "_u1_zero_scalar",
-                        lambda V, lam, m: complex(p(lam)))
+    monkeypatch.setattr(spectral, "_u1_zero_slope",
+                        lambda V, lam, m: (complex(p(lam)), dp(lam)))
     roots = find_sigma_v(hw.Potential.constant(-1.0), window=(3.0, 3.0))
     got = sorted((r.lam for r in roots), key=lambda z: (z.real, z.imag))
     want = [0.5, 1.0 - 2.0j, 1.0 + 2.0j]
@@ -438,3 +442,146 @@ def test_green_function_reused_across_states_and_grids():
     want = green.apply(state).stacked() + 1j * green.apply(other).stacked()
     got = green.apply(both).stacked()
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# Taylor kernel for polynomial potentials
+
+def _u1_zero_closed_form(c, lam):
+    """u1(0, lam) and its lam-derivative for V = c: the mode ODE is
+    hypergeometric in z/2 with gamma = lam + 1 = (alpha + beta + 1)/2, so
+    Gauss's second summation theorem gives
+    u1(0, lam) = 2^-lam sqrt(pi) Gamma(lam+1)
+                 / (Gamma((lam+3/2+nu)/2) Gamma((lam+3/2-nu)/2)),
+    nu = sqrt(1/4 - c), with zeros lam = nu - 3/2 - 2k."""
+    nu = np.sqrt(complex(0.25 - c))
+    lam = np.asarray(lam, dtype=complex)
+    a, b = (lam + 1.5 + nu) / 2.0, (lam + 1.5 - nu) / 2.0
+    u = np.exp(-lam * np.log(2.0) + 0.5 * np.log(np.pi) + loggamma(lam + 1.0)
+               - loggamma(a) - loggamma(b))
+    du = u * (psi(lam + 1.0) - np.log(2.0) - 0.5 * psi(a) - 0.5 * psi(b))
+    return u, du
+
+
+def _taylor(V, lams, slope=False):
+    lam_abs = float(np.max(np.abs(lams)))
+    return spectral._u1_taylor(V, lams, spectral._kappa(V, lam_abs),
+                               slope=slope)
+
+
+_CONSTANT_WINDOWS = [w for w in _CONTOUR_WINDOWS if w[0] != "even_poly"]
+
+
+@pytest.mark.parametrize("vname,window", _CONSTANT_WINDOWS)
+def test_taylor_kernel_matches_closed_form(vname, window):
+    # values to 1e-11 of the median |u1| on the path; the lam-derivative
+    # to 1e-9 of the median |d u1 / d lam|, or of the median |u1| for
+    # V = 0, where u1 = 1 and the derivative vanishes
+    a, b = window
+    path = _rect_path(-0.015, a, -b, b, 256)
+    V = _contour_potential(vname)
+    u, du = _taylor(V, path, slope=True)
+    uc, duc = _u1_zero_closed_form(float(vname), path)
+    med = np.median(np.abs(uc))
+    assert np.max(np.abs(u - uc)) <= 1e-11 * med
+    dmed = med if vname == "0" else np.median(np.abs(duc))
+    assert np.max(np.abs(du - duc)) <= 1e-9 * dmed
+    # the contour route is the same kernel, without the derivative
+    assert np.array_equal(_u1_zero_batch(V, path), u)
+    # and one lambda at a time (plain complex arithmetic) agrees with it
+    picks = path[::128]
+    one = [_taylor(V, complex(lam), slope=True) for lam in picks]
+    assert np.max(np.abs([f for f, _ in one] - uc[::128])) <= 1e-11 * med
+    assert np.max(np.abs([d for _, d in one] - duc[::128])) <= 1e-9 * dmed
+
+
+@pytest.mark.parametrize("c", [-1.0, -6.0, -30.0])
+def test_adaptive_route_matches_closed_form(c):
+    V = hw.Potential.constant(c)
+    for lam in (0.3 + 2.0j, 1.7 - 5.0j, 2.5 + 10.0j):
+        want, _ = _u1_zero_closed_form(c, lam)
+        assert abs(_u1_zero_adaptive(V, lam) - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("vname,lams", [
+    ("-6", [0.3 + 2.0j, 1.2 - 0.4j]), ("-30", [2.5 + 7.0j, 0.1 + 0.5j]),
+    ("even_poly", [0.7 + 3.0j, 2.0 - 11.0j]),
+    ("cos", [0.4 + 1.0j, 1.5 - 6.0j])])
+def test_newton_slope_matches_adaptive_central_difference(vname, lams):
+    # exact (polynomial) or finite-difference (callable) slope against a
+    # central difference of the adaptive solver, whose error is ~1e-11
+    V = _contour_potential(vname)
+    h = 1e-4
+    for lam in lams:
+        f, fp = spectral._u1_zero_slope(V, lam, spectral.DEFAULT_SERIES_ORDER)
+        fd = (_u1_zero_adaptive(V, lam + h)
+              - _u1_zero_adaptive(V, lam - h)) / (2.0 * h)
+        assert abs(f - _u1_zero_adaptive(V, lam)) <= 1e-9 * abs(f)
+        assert abs(fp - fd) <= 1e-6 * abs(fd)
+
+
+def test_taylor_kernel_matches_adaptive_route_on_even_poly():
+    # no closed form: the adaptive solver is the reference, on the window
+    # path and near the roots of the search
+    V = _contour_potential("even_poly")
+    path = _rect_path(-0.015, 3.0, -20.0, 20.0, 256)
+    vals = _taylor(V, path)
+    med = np.median(np.abs(vals))
+    picks = np.arange(0, len(path) - 1, 64)
+    ref = np.array([_u1_zero_adaptive(V, lam) for lam in path[picks]])
+    assert np.max(np.abs(vals[picks] - ref)) <= 1e-9 * med
+    roots = [r.lam for r in find_sigma_v(V, window=(3.0, 20.0))]
+    assert roots
+    for lam in roots:
+        assert abs(_taylor(V, lam) - _u1_zero_adaptive(V, lam)) <= 1e-9 * med
+
+
+@pytest.mark.parametrize("vval,window,want", [
+    (-6.0, (2.0, 10.0), [1.0]), (-2.0, (1.0, 1.0), [0.0]),
+    (-12.0, (3.0, 20.0), [0.0, 2.0]), (-20.0, (3.0, 20.0), [1.0, 3.0]),
+    (-30.0, (3.0, 40.0), [0.0, 2.0])])
+def test_sigma_v_returns_the_closed_form_roots(vval, window, want):
+    # the zeros nu - 3/2 - 2k of the closed form that lie in the window;
+    # at each, the kernel and the adaptive solver agree to 1e-9 of
+    # sup |u1(., root)|, the normalization of the reported residual
+    V = hw.Potential.constant(vval)
+    roots = sorted(find_sigma_v(V, window=window), key=lambda r: r.lam.real)
+    assert len(roots) == len(want)
+    for r, w in zip(roots, want):
+        assert abs(r.lam - w) <= 1e-12
+        sup = np.max(np.abs(build_u1(V, r.lam, check_resonance=False).u1(
+            np.linspace(0.0, 1.0, 201))))
+        assert abs(_taylor(V, r.lam) - _u1_zero_adaptive(V, r.lam)) \
+            <= 1e-9 * sup
+
+
+@pytest.mark.parametrize("vval,window", [
+    (-6.0, (2.0, 10.0)), (-2.0, (1.0, 1.0)), (-1.0, (3.0, 20.0))])
+def test_sigma_v_builds_u1_once_per_root(vval, window, monkeypatch):
+    # Newton polishing takes value and slope from the Taylor kernel, so
+    # the adaptive solver runs only for each root's eigenfunction and
+    # residual
+    calls = []
+    build = spectral.build_u1
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "build_u1", counting)
+    roots = find_sigma_v(hw.Potential.constant(vval), window=window)
+    assert len(calls) <= len(roots)
+
+
+@pytest.mark.parametrize("vname,window", _CONTOUR_WINDOWS)
+def test_rk4_route_matches_taylor_kernel(vname, window):
+    # the fixed-step RK4 route, kept for callables, against the kernel on
+    # polynomial potentials: within its own error budget
+    V = _contour_potential(vname)
+    a, b = window
+    path = _rect_path(-0.015, a, -b, b, 256)
+    kappa = spectral._kappa(V, float(np.max(np.abs(path))))
+    ref = spectral._u1_taylor(V, path, kappa)
+    rk4 = spectral._u1_rk4(V, path, kappa, spectral.DEFAULT_SERIES_ORDER)
+    err = np.max(np.abs(rk4 - ref)) / np.median(np.abs(ref))
+    assert 10.0 * err <= _CONTOUR_GUARD
