@@ -144,7 +144,10 @@ def _step_count(s_max, ds, n):
         raise InvalidArgumentError("ds must be positive")
     if s_max < 0:
         raise InvalidArgumentError("s_max must be nonnegative")
-    return ds, int(np.floor(s_max / ds + 1e-12))
+    # the quotient may round just below a whole count; the allowance is
+    # relative because that rounding grows with the count
+    r = s_max / ds
+    return ds, int(np.floor(r + 1e-12 * max(1.0, r)))
 
 
 def _stored_steps(num_steps, store_every):

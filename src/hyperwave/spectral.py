@@ -710,6 +710,14 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     symmetric and real zeros do not sit on the cut. Only a symmetric
     cell narrower than 0.2 is cut at Im = 0: its upper half is searched
     and the zeros found there are conjugated.
+
+    `m`, the order of the Frobenius series that seeds the adaptive solver
+    and the RK4 route, does not reach the search for a polynomial V: the
+    Taylor kernel behind its winding checks and Newton steps has its own
+    fixed number of terms. There `m` reaches only the final `build_u1` of
+    each root. For a callable V it also reaches the RK4 contour
+    evaluations and the finite-difference Newton, whose three `build_u1`
+    solves per step use it.
     """
     a, b = window
     if not (0 < a < np.inf and 0 < b < np.inf):

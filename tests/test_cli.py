@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from hyperwave import cli
+import hyperwave as hw
+from hyperwave import cli, nonlinear
 
 
 def _write_cfg(tmp_path, name, obj):
@@ -287,3 +288,90 @@ def test_yangmills_command(tmp_path):
     res = json.loads((out / "results.json").read_text())
     assert res["converged"] is True
     assert res["picard_vs_direct_linf_l6"] < 1e-4
+
+
+def _count_direct_solves(monkeypatch):
+    """Patch both bindings of nonlinear_evolve_direct (the CLI's and the
+    one asymptotic_stability_report calls) to record each call's step
+    size and trajectory."""
+    calls = []
+    solve = nonlinear.nonlinear_evolve_direct
+
+    def counted(*args, **kwargs):
+        traj = solve(*args, **kwargs)
+        calls.append((kwargs.get("ds"), traj))
+        return traj
+
+    monkeypatch.setattr(cli, "nonlinear_evolve_direct", counted)
+    monkeypatch.setattr(nonlinear, "nonlinear_evolve_direct", counted)
+    return calls
+
+
+def _yangmills_cfg(n, s_max, ds):
+    return {"grid_n": n, "data": dict(_BUMP, energy=0.01), "s_max": s_max,
+            "ds": ds}
+
+
+# (grid_n, s_max, ds, substeps): sub = ceil(ds / max(4/n^2, s_max/4000))
+_ONE_SOLVE_CASES = [
+    (64, 10.0, 0.05, 20),    # README and benchmark config: 4,000 steps
+    (16, 10.0, 0.001, 1),    # 10,000 steps, read at stride 2 by the report
+    (64, 1.0, 0.03, 31),     # s_max / ds is not a whole number
+    (64, 0.3, 0.1, 103),     # s_max / ds rounds to 2.9999999999999996
+    # s_max / h rounds to 4001.9999999999986: an absolute 1e-12 allowance
+    # in the step count would lose the last Picard node
+    (32, 16.269, 0.561, 138),
+]
+
+
+@pytest.mark.parametrize("n, s_max, ds, sub", _ONE_SOLVE_CASES)
+def test_yangmills_one_direct_solve_serves_both_checks(tmp_path, monkeypatch,
+                                                       n, s_max, ds, sub):
+    calls = _count_direct_solves(monkeypatch)
+    code, out = _run(tmp_path, "yangmills", _yangmills_cfg(n, s_max, ds))
+    assert code == 0
+    assert len(calls) == 1
+    h, traj = calls[0]
+    assert h == ds / sub
+    # every sub-th row lands on a Picard node
+    grid = hw.make_grid(n)
+    nodes = hw.make_propagators(grid, ds, s_max).times()
+    on_nodes = traj.times[::sub][:nodes.size]
+    assert on_nodes.size == nodes.size
+    assert np.max(np.abs(on_nodes - nodes)) <= 1e-12
+    # the stability block is the report of a solve at that step
+    res = json.loads((out / "results.json").read_text())
+    f, g = cli._build_data(grid, _yangmills_cfg(n, s_max, ds)["data"], "data")
+    want = hw.asymptotic_stability_report(f, g, s_max, ds=h)
+    assert res["stability"].keys() == want.keys()
+    for key in want:
+        assert res["stability"][key] == want[key], key
+
+
+def test_yangmills_warmup_takes_no_more_steps(tmp_path, monkeypatch):
+    # the benchmark warm-up config: 10 Picard steps of 4 substeps, fewer
+    # than the 10 + 32 of separate solves at ds and at 4/n^2
+    calls = _count_direct_solves(monkeypatch)
+    code, _ = _run(tmp_path, "yangmills",
+                   {"grid_n": 16, "data": dict(_BUMP, energy=0.01),
+                    "s_max": 0.5})
+    assert code == 0
+    steps = [round(traj.times[-1] / traj.step) for _, traj in calls]
+    assert steps == [40]
+
+
+def test_csv_float_rows_match_per_cell_format(tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.choice([-1.0, 1.0], size=(300, 4)) \
+        * 10.0 ** rng.uniform(-21.0, 5.0, size=(300, 4))
+    rows = values.tolist() + [
+        [-0.0, np.inf, -np.inf, np.nan],
+        [1e16, 3.0, 0.1, 123456789012345.6],
+        [7, True, "x", 0.5],                      # mixed: per cell
+        list(np.array([2.5, -1e-21, 1e5, 0.0])),  # NumPy scalars: per cell
+    ]
+    header = ["a", "b", "c", "d"]
+    cli._write_csv(tmp_path / "series.csv", header, rows)
+    want = "\n".join([",".join(header)] + [
+        ",".join(cli._fmt_cell(v) for v in row) for row in rows]) + "\n"
+    assert (tmp_path / "series.csv").read_text() == want

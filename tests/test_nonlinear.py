@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 import hyperwave as hw
-from hyperwave.core_types import slice_norms
+from hyperwave import nonlinear
+from hyperwave.coords import logcosh
+from hyperwave.core_types import _barycentric_matrix, slice_norms
 
 
 def _small_data(grid, energy=0.01, width=0.6):
@@ -294,6 +297,26 @@ def test_cross_check_small_data():
     d = hw.cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9,
                               r_max=20.0, dr=1.0 / 32)
     assert d < 1e-3
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_level_line_seed_equals_full_column_fit(n):
+    # the seed fits splines to the positive-node half only; odd symmetry
+    # makes that the fit of every column, bit for bit
+    grid = hw.make_grid(n)
+    f, g = _small_data(grid, energy=0.05)
+    traj = hw.nonlinear_evolve_direct(f, g, 5.0, ds=5.0 / 2500)
+    r = -20.0 + np.arange(1281) / 32.0
+    s_line, y_line = 4.0 - logcosh(r), np.tanh(r)
+    seeded = nonlinear._level_line_seed(traj, s_line, y_line)
+    ok = s_line >= 0.0
+    weights = _barycentric_matrix(grid, y_line[ok])
+    for got, stack in zip(seeded, (traj.U, traj.V)):
+        fit = CubicSpline(traj.times, stack.real, axis=0)
+        want = np.zeros(r.size)
+        want[ok] = np.einsum("kj,kj->k", weights, fit(s_line[ok]))
+        assert np.any(got != 0.0)
+        assert np.array_equal(got, want)
 
 
 def test_cross_check_preconditions():
