@@ -384,6 +384,9 @@ def _cmd_strichartz(cfg, out_dir, seed):
     grid = _grid_from(cfg, "")
     mode = _cfg_get(cfg, "mode", "", str, default="free",
                     choices={"free", "potential"})
+    for key in ("potential", "window"):
+        if mode == "free" and key in cfg:
+            raise ConfigError(f"{key}: not read in free mode")
     ens = _cfg_get(cfg, "ensemble", "", dict)
     _no_unknown(ens, {"count", "band_limit", "seed", "decay"}, "ensemble.")
     eff_seed = seed if seed is not None else \

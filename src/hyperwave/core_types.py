@@ -448,7 +448,10 @@ def slice_norms(U, grid, q):
     a = np.abs(U)
     if np.isinf(q):
         return np.max(a, axis=-1)
-    return (a ** q @ grid.quad_weights) ** (1.0 / q)
+    # in place: a second stack-sized temporary makes large stacks (the
+    # scans' 16-slice blocks) page-fault on every call
+    a **= q
+    return (a @ grid.quad_weights) ** (1.0 / q)
 
 
 def slice_energies(U, V, grid):

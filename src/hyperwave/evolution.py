@@ -159,23 +159,6 @@ def _stored_steps(num_steps, store_every):
                                num_steps))
 
 
-def _propagate(E, X, ds, num_steps, observer=None, observe_every=1,
-               guard=None, guard_every=50):
-    """Apply the one-step propagator E = e^{ds L} num_steps times to X, a
-    vector or a column batch.
-
-    observer(i, s, X) is called after selected steps; guard(i, s, X) may
-    raise. The final X is returned.
-    """
-    for i in range(1, num_steps + 1):
-        X = E @ X
-        if observer is not None and (i % observe_every == 0 or i == num_steps):
-            observer(i, i * ds, X)
-        if guard is not None and (i % guard_every == 0 or i == num_steps):
-            guard(i, i * ds, X)
-    return X
-
-
 def evolve(gen, init, s_max, ds=None, store_every=1):
     """Semigroup trajectory on the odd-sector system, stepped by the exact
     propagator e^{ds L}.
@@ -194,19 +177,17 @@ def evolve(gen, init, s_max, ds=None, store_every=1):
     steps = _stored_steps(M, store_every)
     rows = np.empty((steps.size, x.size), dtype=x.dtype)
     rows[0] = x
-
-    def observer(i, s, X):
-        rows[-(-i // store_every)] = X  # the last step may be off-stride
-
-    def guard(i, s, X):
-        if norm0 > 0 and gen.reduced_energy(X) \
-                > 10.0 * np.exp(rate * s) * norm0:
+    E = propagator(gen, ds)
+    for i in range(1, M + 1):
+        x = E @ x
+        s = i * ds
+        if i % store_every == 0 or i == M:
+            rows[-(-i // store_every)] = x  # the last step may be off-stride
+        if (i % 50 == 0 or i == M) and norm0 > 0 \
+                and gen.reduced_energy(x) > 10.0 * np.exp(rate * s) * norm0:
             raise DivergenceError(
                 f"norm at s = {s:.3f} exceeds 10 e^{{(max|V|+1)s}} times"
                 " the initial norm")
-
-    _propagate(propagator(gen, ds), x, ds, M, observer=observer,
-               observe_every=store_every, guard=guard)
     return gen.trajectory(steps * ds, rows, ds)
 
 
@@ -527,14 +508,14 @@ def stable_growth_probe(gen, ensemble, epsilon, s_max, ds=None,
     norm0 = gen.reduced_energy(X0)
     nz = norm0 > 0
     best = np.zeros(X0.shape[1])
-
-    def observer(i, s, X):
-        norms = gen.reduced_energy(X)
-        r = np.zeros_like(best)
-        r[nz] = np.exp(-epsilon * s) * norms[nz] / norm0[nz]
-        np.maximum(best, r, out=best)
-
-    observer(0, 0.0, X0)
-    _propagate(propagator(gen, ds), X0, ds, M, observer=observer,
-               observe_every=10)
+    E = propagator(gen, ds)
+    X = X0
+    for i in range(M + 1):
+        if i:
+            X = E @ X
+        if i % 10 == 0 or i == M:
+            r = np.zeros_like(best)
+            r[nz] = np.exp(-epsilon * (i * ds)) * gen.reduced_energy(X)[nz] \
+                / norm0[nz]
+            np.maximum(best, r, out=best)
     return float(np.max(best)) if np.any(nz) else 0.0

@@ -22,6 +22,7 @@ from .core_types import (
     slice_energies,
 )
 from .errors import InvalidArgumentError, InvalidDataError
+from .evolution import _step_count
 
 
 class ClosedFormSolution:
@@ -182,7 +183,7 @@ def free_trajectory(f, g, grid, s_max, ds, fp=None):
     if ds <= 0 or s_max < ds:
         raise InvalidArgumentError("need ds > 0 and s_max >= ds")
     sol = _as_solution(f, g, grid, fp)
-    num = int(np.floor(s_max / ds + 1e-12))
+    num = _step_count(s_max, ds, grid.n)[1]
     times = np.arange(num + 1) * ds
     U = evaluate(sol, times[:, None], grid.nodes)
     V = ds_evaluate(sol, times[:, None], grid.nodes)

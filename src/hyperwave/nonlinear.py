@@ -42,7 +42,6 @@ from .errors import (
     InvalidDataError,
 )
 from .evolution import (
-    _propagate,
     _step_count,
     _stored_steps,
     assemble_generator,
@@ -88,7 +87,8 @@ class PropagatorSet:
 
     def propagate(self, state, s):
         x = self.gen.reduce_state(state)
-        x = _propagate(self.expm_step, x, self.ds, self._index(s))
+        for _ in range(self._index(s)):
+            x = self.expm_step @ x
         return self.gen.expand_state(x)
 
     def cosine(self, f, s):

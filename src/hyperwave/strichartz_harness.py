@@ -33,15 +33,15 @@ from .core_types import (
 from .errors import InvalidArgumentError, InvalidDataError
 from .evolution import (
     _growing_modes,
-    _propagate,
     assemble_generator,
     growing_mode_projection,
     propagator,
 )
 
 DEFAULT_EXPONENTS = ((2, 4), (3, 6), (4, 8), (np.inf, 2))
-# slices of the free solution evaluated per Vandermonde product: enough
-# to amortise the call overhead, few enough to keep the block small
+# slices per norm block in both scans (one Vandermonde product of the
+# free solution, or that many buffered propagator steps): enough to
+# amortise the call overhead, few enough to keep the block small
 _SLICE_BLOCK = 16
 
 
@@ -207,16 +207,21 @@ def _run_scan(potential_id, spec, pairs, s_max, grid, num_slices, refine,
         s_max=float(s_max), grid_n=grid.n)
 
 
+def _store_norms(norms, lo, U, grid):
+    """Write the L^q norms of the (k, M, n) slice block U into rows
+    lo, ..., lo + k - 1 of each norms[q]."""
+    for q, out in norms.items():
+        out[lo:lo + len(U)] = slice_norms(U, grid, q)
+
+
 def _free_norms(cf, cg, grid, times, qs):
     """{q: (len(times), M)} L^q norms of the free solutions with the
     coefficient columns cf, cg, _SLICE_BLOCK slices per product."""
     H = free_wave.antiderivative_columns(cf, cg)
     norms = {q: np.empty((len(times), H.shape[1])) for q in qs}
     for lo in range(0, len(times), _SLICE_BLOCK):
-        U = free_wave.evaluate_columns(H, times[lo:lo + _SLICE_BLOCK],
-                                       grid.nodes)
-        for q in qs:
-            norms[q][lo:lo + _SLICE_BLOCK] = slice_norms(U, grid, q)
+        _store_norms(norms, lo, free_wave.evaluate_columns(
+            H, times[lo:lo + _SLICE_BLOCK], grid.nodes), grid)
     return norms
 
 
@@ -239,18 +244,20 @@ def run_free_scan(spec, exponents=DEFAULT_EXPONENTS, s_max=20.0, grid=None,
 def _batch_slice_norms(gen, X0, s_max, num_slices, qs):
     """Evolve a reduced column batch, recording L^q norms of the first
     component at num_slices+1 equispaced times, one propagator step
-    apart."""
-    grid = gen.grid
-    ds = s_max / num_slices
-    norms = {q: np.zeros((num_slices + 1, X0.shape[1])) for q in qs}
-
-    def observer(i, s, X):
-        U = odd_extension(X[:grid.n // 2].T)  # (members, n)
-        for q in qs:
-            norms[q][i] = slice_norms(U, grid, q)
-
-    observer(0, 0.0, X0)
-    _propagate(propagator(gen, ds), X0, ds, num_slices, observer=observer)
+    apart; the u-rows of _SLICE_BLOCK steps are taken together."""
+    h = gen.grid.n // 2
+    E = propagator(gen, s_max / num_slices)
+    norms = {q: np.empty((num_slices + 1, X0.shape[1])) for q in qs}
+    block = np.empty((_SLICE_BLOCK,) + X0[:h].shape, dtype=X0.dtype)
+    X = X0
+    for lo in range(0, num_slices + 1, _SLICE_BLOCK):
+        k = min(_SLICE_BLOCK, num_slices + 1 - lo)
+        for j in range(k):
+            if lo + j:
+                X = E @ X
+            block[j] = X[:h]
+        U = odd_extension(block[:k].transpose(0, 2, 1))  # (k, members, n)
+        _store_norms(norms, lo, U, gen.grid)
     times = np.linspace(0.0, s_max, num_slices + 1)
     return times, norms
 

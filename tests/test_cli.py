@@ -176,6 +176,19 @@ def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("potential", {"kind": "constant", "value": -1.0}),
+    ("window", {"re_max": 1.0, "im_max": 2.0})])
+def test_free_scan_refuses_potential_keys(tmp_path, capsys, key, value):
+    # a free scan never reads them, so accepting them would be a no-op
+    cfg = {"grid_n": 16, "mode": "free", "ensemble": _ENSEMBLE,
+           "s_max": 0.5, "num_slices": 8, key: value}
+    code, _ = _run(tmp_path, "strichartz", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "free mode" in err
+
+
 @pytest.mark.parametrize("potential", [
     {"kind": "even_poly", "coeffs": [True, -6]},
     {"kind": "even_poly", "coeffs": [-6, False]},

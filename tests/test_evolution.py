@@ -185,6 +185,19 @@ def test_evolve_large_step_matches_closed_form():
         assert np.max(np.abs(u - want)) < 1e-10
 
 
+def test_evolve_divergence_guard_checks_every_50th_step():
+    # a generator shifted by 50 I grows like e^{50 s}; the guard compares
+    # against 10 e^{2 s} every 50th step, so the first check, at s = 0.05,
+    # already fails (e^{2.4} > 10)
+    g = hw.make_grid(16)
+    gen = hw.assemble_generator(g, hw.Potential.constant(-1.0))
+    bad = hw.GeneratorMatrix(g, gen.potential, gen.matrix,
+                             gen.reduced + 50.0 * np.eye(g.n))
+    init = hw.EnergyState.from_callables(g, lambda y: y, lambda y: 0 * y)
+    with pytest.raises(hw.DivergenceError, match="norm at s = 0.050"):
+        hw.evolve(bad, init, 1.0, ds=0.001)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=hst.sampled_from([16, 32]),
        v=hst.floats(min_value=-6.0, max_value=1.0),

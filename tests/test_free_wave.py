@@ -84,6 +84,21 @@ def test_rejects_negative_time():
         free_wave.evaluate(sol, -0.1, 0.5)
 
 
+def test_free_trajectory_keeps_last_slice_when_quotient_rounds_low():
+    # s_max / ds rounds to 4001.9999999999986 here; the slice count must
+    # match evolve's, which ends at s_max
+    g = hw.make_grid(16)
+    s_max, ds = 16.269, 0.561 / 138
+    traj = free_wave.free_trajectory(np.array([0.0, 1.0]), np.array([0.0]),
+                                     g, s_max, ds)
+    gen = hw.assemble_generator(g, hw.Potential.constant(0.0))
+    init = hw.EnergyState.from_callables(g, lambda y: y, lambda y: 0 * y)
+    ev = hw.evolve(gen, init, s_max, ds=ds, store_every=1000)
+    assert len(traj) == 4003
+    assert traj.times[-1] == ev.times[-1]
+    assert abs(traj.times[-1] - s_max) < 1e-9
+
+
 def test_evaluate_broadcasts_times():
     # one call over a (T, 1) time column equals the per-slice calls
     # exactly; scalar arguments keep their scalar results

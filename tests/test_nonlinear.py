@@ -10,6 +10,7 @@ import hyperwave as hw
 from hyperwave import nonlinear
 from hyperwave.coords import logcosh
 from hyperwave.core_types import _barycentric_matrix, slice_norms
+from hyperwave.evolution import _step_count
 
 
 def _small_data(grid, energy=0.01, width=0.6):
@@ -188,7 +189,7 @@ def _lawson_reference(f, g, s_max, ds):
 
     x = gen.reduce_state(hw.EnergyState(f, g))
     rows = [x]
-    for _ in range(int(np.floor(s_max / ds + 1e-12))):
+    for _ in range(_step_count(s_max, ds, f.grid.n)[1]):
         Ex = E @ x
         Ehx = Eh @ x
         k1 = cubic(x)

@@ -7,10 +7,11 @@ from hypothesis import strategies as hst
 
 import hyperwave as hw
 from hyperwave import free_wave
-from hyperwave.core_types import _mixed_from_samples, slice_energies, \
-    slice_norms
-from hyperwave.strichartz_harness import EnsembleSpec, _coefficient_matrices, \
-    _free_norms, _node_fields, run_free_scan, run_potential_scan
+from hyperwave.core_types import _mixed_from_samples, odd_extension, \
+    slice_energies, slice_norms
+from hyperwave.strichartz_harness import EnsembleSpec, _batch_slice_norms, \
+    _coefficient_matrices, _free_norms, _node_fields, run_free_scan, \
+    run_potential_scan
 
 
 def test_ensemble_reproducible_and_odd():
@@ -191,6 +192,46 @@ def test_batch_scan_matches_per_member_route(count, band_limit, decay,
         for p, q in pairs:
             r = _mixed_from_samples(times, want[q], p) / energy
             assert abs(ratios[(p, q)][i] - r) <= 1e-13 * r
+
+
+def _per_step_norms(gen, X0, s_max, num_slices, qs):
+    """Reference for _batch_slice_norms: one step of E, one odd extension
+    of the u-rows and one slice_norms call per q at a time."""
+    E = hw.propagator(gen, s_max / num_slices)
+    h = gen.grid.n // 2
+    norms = {q: [] for q in qs}
+    X = X0
+    for i in range(num_slices + 1):
+        if i:
+            X = E @ X
+        U = odd_extension(X[:h].T)
+        for q in qs:
+            norms[q].append(slice_norms(U, gen.grid, q))
+    return {q: np.array(v) for q, v in norms.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(num_slices=hst.sampled_from([1, 15, 16, 17, 37]),
+       qs=hst.lists(hst.sampled_from([2.0, 6.0, np.inf]), min_size=1,
+                    max_size=3, unique=True),
+       members=hst.integers(1, 5), is_complex=hst.booleans(),
+       v=hst.sampled_from([0.0, -1.0, -6.0]), s_max=hst.floats(0.1, 5.0),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_blocked_scan_norms_equal_per_step_norms(num_slices, qs, members,
+                                                 is_complex, v, s_max,
+                                                 seed):
+    gen = hw.assemble_generator(hw.make_grid(16), hw.Potential.constant(v))
+    rng = np.random.default_rng(seed)
+    X0 = rng.standard_normal((16, members))
+    if is_complex:
+        X0 = X0 + 1j * rng.standard_normal((16, members))
+    times, norms = _batch_slice_norms(gen, X0, s_max, num_slices, qs)
+    want = _per_step_norms(gen, X0, s_max, num_slices, qs)
+    assert np.array_equal(times, np.linspace(0.0, s_max, num_slices + 1))
+    assert sorted(norms) == sorted(qs)
+    for q in qs:
+        assert norms[q].shape == (num_slices + 1, members)
+        assert np.array_equal(norms[q], want[q])
 
 
 @pytest.mark.parametrize("slot,value", [(0, 0.5), (2, np.nan), (3, np.nan)],
