@@ -45,6 +45,7 @@ from .evolution import (
     resolvent_matrix,
 )
 from .nonlinear import (
+    DEFAULT_DATA_THRESHOLD,
     _lawson_substeps,
     _report_stride,
     _stability_summary,
@@ -56,6 +57,7 @@ from .nonlinear import (
 )
 from .spectral import GreenFunction, find_sigma_v
 from .strichartz_harness import (
+    DEFAULT_EXPONENTS,
     EnsembleSpec,
     run_free_scan,
     run_potential_scan,
@@ -175,7 +177,7 @@ def _parse_exponent(v, path):
 
 def _build_exponents(spec, path):
     if spec is None:
-        return [(2.0, 4.0), (3.0, 6.0), (4.0, 8.0), (np.inf, 2.0)]
+        return DEFAULT_EXPONENTS
     if not isinstance(spec, list) or not spec:
         raise ConfigError(f"{path}: expected a nonempty list of [p, q] pairs")
     out = []
@@ -441,8 +443,8 @@ def _cmd_yangmills(cfg, out_dir, seed):
     ds = _cfg_number(cfg, "ds", "", default=0.05, positive=True)
     max_iter = _cfg_get(cfg, "max_iter", "", int, default=25)
     tol = _cfg_number(cfg, "tol", "", default=1e-10, positive=True)
-    threshold = _cfg_number(cfg, "data_threshold", "", default=0.05,
-                            positive=True)
+    threshold = _cfg_number(cfg, "data_threshold", "",
+                            default=DEFAULT_DATA_THRESHOLD, positive=True)
 
     run = picard_solve(f, g, s_max, ds, max_iter=max_iter, tol=tol,
                        data_threshold=threshold)
@@ -467,7 +469,7 @@ def _cmd_yangmills(cfg, out_dir, seed):
                                 slice_norms(Ud, grid, 6)]).tolist())
     results = {
         "converged": run.converged,
-        "num_iterates": len(run.iterates),
+        "num_iterates": len(run.x_norms),
         "x_norms": run.x_norms,
         "deltas": run.deltas,
         "ratios": run.ratios,

@@ -430,15 +430,6 @@ class Trajectory(Sequence):
         """(num_slices, n) array of the u components."""
         return self.U
 
-    def restricted(self, s_lo, s_hi):
-        sel = (self.times >= s_lo - 1e-12) & (self.times <= s_hi + 1e-12)
-        if not np.any(sel):
-            raise InvalidDataError("no slices in the requested window")
-        return Trajectory.from_halves(self.grid, self.times[sel],
-                                      positive_half(self.U[sel]),
-                                      positive_half(self.V[sel]),
-                                      step=self.step)
-
 
 def slice_norms(U, grid, q):
     """L^q(-1,1) norms of the rows of a (T, n) sample stack (one row: a
@@ -502,6 +493,17 @@ def sobolev_embedding_ratio(f, q):
     return lq_norm(f, q) / float(den)
 
 
+def _lagrange_weights(stencils, x):
+    """Lagrange weights (N, p) at the points x (N,) on the rows of the
+    stencil nodes (N, p)."""
+    w = np.ones(stencils.shape)
+    for j, xj in enumerate(stencils.T):
+        for k, xk in enumerate(stencils.T):
+            if k != j:
+                w[:, j] *= (x - xk) / (xj - xk)
+    return w
+
+
 def extrapolate_to(values, grid, y_target, num_points=4):
     """Polynomial extrapolation of node samples to a point off the grid.
 
@@ -512,12 +514,7 @@ def extrapolate_to(values, grid, y_target, num_points=4):
     """
     nodes = grid.nodes
     order = np.argsort(np.abs(nodes - y_target))[:num_points]
-    xs = nodes[order]
-    w = np.ones(num_points)
-    for i in range(num_points):
-        for k in range(num_points):
-            if k != i:
-                w[i] *= (y_target - xs[k]) / (xs[i] - xs[k])
+    w = _lagrange_weights(nodes[order][None], np.atleast_1d(y_target))[0]
     out = w @ np.asarray(values)[order]
     return complex(out) if out.ndim == 0 else out
 

@@ -197,24 +197,21 @@ def evolve(gen, init, s_max, ds=None, store_every=1):
 class ResolventHandle:
     """LU-backed solve handle for (lambda I - L) on the odd sector."""
 
-    __slots__ = ("gen", "lam", "_lu", "_reduced_inv")
+    __slots__ = ("gen", "lam", "_lu")
 
     def __init__(self, gen, lam):
         self.gen = gen
         self.lam = lam
         half2 = gen.reduced.shape[0]
         self._lu = lu_factor(lam * np.eye(half2) - gen.reduced)
-        self._reduced_inv = None
 
     def apply(self, state):
         x = self.gen.reduce_state(state).astype(complex)
         return self.gen.expand_state(lu_solve(self._lu, x))
 
     def reduced_matrix(self):
-        if self._reduced_inv is None:
-            half2 = self.gen.reduced.shape[0]
-            self._reduced_inv = lu_solve(self._lu, np.eye(half2, dtype=complex))
-        return self._reduced_inv
+        half2 = self.gen.reduced.shape[0]
+        return lu_solve(self._lu, np.eye(half2, dtype=complex))
 
 
 def resolvent_matrix(gen, lam):

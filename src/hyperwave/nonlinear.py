@@ -28,6 +28,7 @@ from .core_types import (
     Potential,
     Trajectory,
     _barycentric_matrix,
+    _lagrange_weights,
     _mixed_from_samples,
     energy_norm,
     odd_extension,
@@ -153,17 +154,13 @@ def duhamel_step(prop, f, g, source):
 
 @dataclass
 class PicardRun:
-    """Record of the fixed-point iteration u_{n+1} = K(u_n), u_0 = 0."""
-    iterates: List[Trajectory]
+    """Record of the fixed-point iteration u_{n+1} = K(u_n), u_0 = 0:
+    the last iterate and the X-norms of all of them (u_0 included)."""
+    final: Trajectory
     x_norms: List[float]
     deltas: List[float]          # ||u_{n+1} - u_n||_X
     ratios: List[float]          # deltas[n] / deltas[n-1]
     converged: bool
-    data_threshold: float = DEFAULT_DATA_THRESHOLD
-
-    @property
-    def final(self):
-        return self.iterates[-1]
 
 
 def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
@@ -185,17 +182,17 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
     prop = make_propagators(grid, ds, s_max)
     times = prop.times()
     zeros = np.zeros((times.size, grid.n // 2))
-    iterates = [Trajectory.from_halves(grid, times, zeros, zeros, step=ds)]
+    cur = Trajectory.from_halves(grid, times, zeros, zeros, step=ds)
     x_norms = [0.0]
     deltas = []
     ratios = []
     bad_streak = 0
     converged = False
     for _ in range(max_iter):
-        nxt = duhamel_step(prop, f, g, iterates[-1])
-        d = _x_norm(times, nxt.U - iterates[-1].U, grid)
-        iterates.append(nxt)
-        x_norms.append(_x_norm(times, nxt.U, grid))
+        nxt = duhamel_step(prop, f, g, cur)
+        d = _x_norm(times, nxt.U - cur.U, grid)
+        cur = nxt
+        x_norms.append(_x_norm(times, cur.U, grid))
         if deltas:
             r = d / deltas[-1] if deltas[-1] > 0 else 0.0
             ratios.append(r)
@@ -208,9 +205,8 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
         if d <= tol:
             converged = True
             break
-    return PicardRun(iterates=iterates, x_norms=x_norms, deltas=deltas,
-                     ratios=ratios, converged=converged,
-                     data_threshold=data_threshold)
+    return PicardRun(final=cur, x_norms=x_norms, deltas=deltas,
+                     ratios=ratios, converged=converged)
 
 
 def fixed_point_residual(prop, f, g, traj):
@@ -256,7 +252,7 @@ def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1):
     x, x_lin, c13, c24 = X[0], X[1], cubes[:n], cubes[n:]
     y13, y24, Ex, Ex_lin = Y[0, :n], Y[0, half:n + half], Y[0, n:], Y[1, n:]
 
-    bound = slice_norms(gen.expand_rows(x)[0], grid, 6)
+    bound = slice_norms(odd_extension(x[:half]), grid, 6)
     steps = _stored_steps(M, store_every)
     rows = np.empty((steps.size, n), dtype=X.dtype)
     rows[0] = x
@@ -273,7 +269,7 @@ def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1):
         x += Ex
         x_lin[:] = Ex_lin
         if i % 25 == 0 or i == M:
-            l6, l6_lin = slice_norms(gen.expand_rows(X)[0], grid, 6)
+            l6, l6_lin = slice_norms(odd_extension(X[:, :half]), grid, 6)
             bound = max(bound, l6_lin)
             if not l6 <= 10.0 * bound:
                 raise BlowUpError(
@@ -289,16 +285,7 @@ def _lagrange_rows(xs, grid_pts, h, lo):
     grid (grid_pts = lo + k*h) for each x in xs."""
     idx0 = np.floor((xs - lo) / h).astype(int) - 1
     idx0 = np.clip(idx0, 0, len(grid_pts) - 4)
-    wts = np.empty((len(xs), 4))
-    for j in range(4):
-        w = np.ones(len(xs))
-        xj = grid_pts[idx0 + j]
-        for k in range(4):
-            if k != j:
-                xk = grid_pts[idx0 + k]
-                w *= (xs - xk) / (xj - xk)
-        wts[:, j] = w
-    return idx0, wts
+    return idx0, _lagrange_weights(grid_pts[idx0[:, None] + np.arange(4)], xs)
 
 
 def _level_line_seed(traj, s_line, y_line):

@@ -118,42 +118,30 @@ class FrobeniusSolution:
         self.sample_u1 = None if grid is None else self.u1(
             positive_half(grid.nodes))
 
-    def _split(self, y):
+    def _eval(self, y, d):
+        """w (d = 0) or dw/dz (d = 1) at the points y: the dense ODE
+        solution where z = 1 - y >= _SEED_OFFSET, the series below."""
         y = np.asarray(y, dtype=float)
         if np.any(y < -1e-14) or np.any(y > 1.0 + 1e-14):
             raise InvalidArgumentError("u1 samples live on [0, 1]")
-        z = np.clip(1.0 - y, 0.0, 1.0)
-        return z, z >= _SEED_OFFSET
-
-    def u1(self, y):
-        scalar = np.ndim(y) == 0
-        z, on_dense = self._split(y)
-        z = np.atleast_1d(z)
-        on_dense = np.atleast_1d(on_dense)
+        z = np.atleast_1d(np.clip(1.0 - y, 0.0, 1.0))
+        on_dense = z >= _SEED_OFFSET
         out = np.empty(z.shape, dtype=complex)
         if np.any(on_dense):
-            out[on_dense] = self._dense.sol(z[on_dense])[0]
+            out[on_dense] = self._dense.sol(z[on_dense])[d]
         if np.any(~on_dense):
-            k = np.arange(len(self.taylor_coeffs))
-            zz = z[~on_dense][:, None]
-            out[~on_dense] = np.sum(self.taylor_coeffs[None, :] * zz ** k, axis=1)
-        return complex(out[0]) if scalar else out
+            c = self.taylor_coeffs[None, d:]
+            k = np.arange(d, self.taylor_coeffs.size)
+            zk = z[~on_dense][:, None] ** (k - d)
+            out[~on_dense] = np.sum((c * k if d else c) * zk, axis=1)
+        return complex(out[0]) if y.ndim == 0 else out
+
+    def u1(self, y):
+        return self._eval(y, 0)
 
     def du1(self, y):
         """d u1 / dy (the dense state carries dw/dz = -du1/dy)."""
-        scalar = np.ndim(y) == 0
-        z, on_dense = self._split(y)
-        z = np.atleast_1d(z)
-        on_dense = np.atleast_1d(on_dense)
-        out = np.empty(z.shape, dtype=complex)
-        if np.any(on_dense):
-            out[on_dense] = -self._dense.sol(z[on_dense])[1]
-        if np.any(~on_dense):
-            c = self.taylor_coeffs
-            k = np.arange(1, len(c))
-            zz = z[~on_dense][:, None]
-            out[~on_dense] = -np.sum(c[None, 1:] * k * zz ** (k - 1), axis=1)
-        return complex(out[0]) if scalar else out
+        return -self._eval(y, 1)
 
 
 def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, grid=None, check_resonance=True):
@@ -232,15 +220,17 @@ def _kappa(V, lam_abs):
     return max(1.0, lam_abs, np.sqrt(V.max_abs() / 0.19))
 
 
-def _u1_zero_batch(V, lams, m=DEFAULT_SERIES_ORDER):
+def _u1_zero_batch(V, lams):
     """u1(0, lam) for an array of lambdas, on one z-mesh sized by the
     largest |lam|.
 
     A polynomial V goes to the Taylor kernel `_u1_taylor` (error ~1e-13
-    relative to the median |u1|, `m` unused), a callable to the
-    vectorized fixed-step RK4 `_u1_rk4` (error _CONTOUR_REL_ERROR). Either
-    is enough for winding counts, where thousands of evaluations are
-    needed; roots are always re-polished by `_newton_polish`.
+    relative to the median |u1|), a callable to the vectorized fixed-step
+    RK4 `_u1_rk4` (error _CONTOUR_REL_ERROR), each with its own fixed
+    series order: the `m` of `find_sigma_v` reaches only each root's final
+    `build_u1`. Either is enough for winding counts, where thousands of
+    evaluations are needed; roots are always re-polished by
+    `_newton_polish`.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if np.any(lams.real < -0.49):
@@ -248,7 +238,7 @@ def _u1_zero_batch(V, lams, m=DEFAULT_SERIES_ORDER):
     kappa = _kappa(V, float(np.max(np.abs(lams))))
     if V.even_coeffs is not None:
         return _u1_taylor(V, lams, kappa)
-    return _u1_rk4(V, lams, kappa, m)
+    return _u1_rk4(V, lams, kappa)
 
 
 # Taylor kernel (`_u1_taylor`). A step h <= z0 min(1/2, _TAYLOR_REACH /
@@ -359,14 +349,16 @@ def _u1_taylor(V, lam, kappa, slope=False):
     return norm * w
 
 
-def _u1_rk4(V, lams, kappa, m):
+def _u1_rk4(V, lams, kappa):
     """u1(0, lam) for an array of lambdas by vectorized fixed-step RK4.
 
-    The Frobenius seeds of all lambdas come from one array recurrence and
-    the state (w, w') is carried as two arrays over one z-mesh (V sampled
-    once per node and midpoint). The error relative to the median |u1|
-    is _CONTOUR_REL_ERROR (see `_z_mesh`).
+    The Frobenius seeds of all lambdas come from one array recurrence (of
+    order DEFAULT_SERIES_ORDER) and the state (w, w') is carried as two
+    arrays over one z-mesh (V sampled once per node and midpoint). The
+    error relative to the median |u1| is _CONTOUR_REL_ERROR (see
+    `_z_mesh`).
     """
+    m = DEFAULT_SERIES_ORDER
     c = np.array(_frobenius_coefficients(_v_z_coefficients(V, m), lams, m,
                                          check=False))
     k = np.arange(m + 1)
@@ -574,7 +566,7 @@ def _rect_path(re_lo, re_hi, im_lo, im_hi, pts):
     return path
 
 
-def _u1_zero_path(V, path, m=DEFAULT_SERIES_ORDER):
+def _u1_zero_path(V, path):
     """u1(0, .) at the nodes of a path, each conjugate pair evaluated once.
 
     A Potential is real, so u1(0, conj lam) = conj u1(0, lam) holds bit
@@ -587,7 +579,7 @@ def _u1_zero_path(V, path, m=DEFAULT_SERIES_ORDER):
     below = path.imag < 0
     nodes, where = np.unique(np.where(below, path.conj(), path),
                              return_inverse=True)
-    vals = _u1_zero_batch(V, nodes, m=m)[where]
+    vals = _u1_zero_batch(V, nodes)[where]
     return np.where(below, vals.conj(), vals)
 
 
@@ -618,7 +610,7 @@ def _winding(path, vals):
     return wi, complex(mu)
 
 
-def _stable_winding(V, rect, pts, m):
+def _stable_winding(V, rect, pts):
     """(winding, moment, rect): the winding agreed at pts and 2*pts
     points per edge, the moment of the 2*pts count, and the rectangle,
     jittered outward when a count was unreliable.
@@ -628,7 +620,7 @@ def _stable_winding(V, rect, pts, m):
     only on the corners, so those samples are the pts evaluation."""
     for attempt in range(6):
         path = _rect_path(*rect, 2 * pts)
-        vals = _u1_zero_path(V, path, m=m)
+        vals = _u1_zero_path(V, path)
         c1 = _winding(path[::2], vals[::2])
         if c1 is not None:
             c2 = _winding(path, vals)
@@ -646,23 +638,23 @@ def _stable_winding(V, rect, pts, m):
         f"winding number did not stabilize on rectangle {rect}")
 
 
-def _u1_zero_scalar(V, lam, m):
-    return build_u1(V, lam, m=m, check_resonance=False).u1_at_zero
+def _u1_zero_scalar(V, lam):
+    return build_u1(V, lam, check_resonance=False).u1_at_zero
 
 
-def _u1_zero_slope(V, lam, m):
+def _u1_zero_slope(V, lam):
     """u1(0, lam) and d u1(0, lam) / d lam at one lambda: exact, from one
     Taylor kernel call, for a polynomial V; a central difference of three
     adaptive solves for a callable."""
     if V.even_coeffs is not None:
         return _u1_taylor(V, lam, _kappa(V, abs(lam)), slope=True)
     h = 1e-6 * (1.0 + abs(lam))
-    return (_u1_zero_scalar(V, lam, m),
-            (_u1_zero_scalar(V, lam + h, m)
-             - _u1_zero_scalar(V, lam - h, m)) / (2.0 * h))
+    return (_u1_zero_scalar(V, lam),
+            (_u1_zero_scalar(V, lam + h)
+             - _u1_zero_scalar(V, lam - h)) / (2.0 * h))
 
 
-def _newton_polish(V, lam0, m, rect):
+def _newton_polish(V, lam0, rect):
     re_lo, re_hi, im_lo, im_hi = rect
     # keep iterates near the cell and inside the validity strip of u1
     margin = min(0.5 * max(re_hi - re_lo, im_hi - im_lo), 0.5) + 0.05
@@ -670,7 +662,7 @@ def _newton_polish(V, lam0, m, rect):
     for _ in range(60):
         if lam.real < -0.25 - 1e-12:
             return None  # outside the strip: caller subdivides further
-        f0, fp = _u1_zero_slope(V, lam, m)
+        f0, fp = _u1_zero_slope(V, lam)
         if fp == 0:
             return None
         step = complex(f0 / fp)
@@ -711,13 +703,11 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     cell narrower than 0.2 is cut at Im = 0: its upper half is searched
     and the zeros found there are conjugated.
 
-    `m`, the order of the Frobenius series that seeds the adaptive solver
-    and the RK4 route, does not reach the search for a polynomial V: the
-    Taylor kernel behind its winding checks and Newton steps has its own
-    fixed number of terms. There `m` reaches only the final `build_u1` of
-    each root. For a callable V it also reaches the RK4 contour
-    evaluations and the finite-difference Newton, whose three `build_u1`
-    solves per step use it.
+    `m`, the order of the Frobenius series that seeds the adaptive
+    solver, reaches only the final `build_u1` of each root, whatever V:
+    the search itself (winding checks and Newton steps) uses the Taylor
+    kernel's fixed number of terms for a polynomial V and
+    DEFAULT_SERIES_ORDER for a callable.
     """
     a, b = window
     if not (0 < a < np.inf and 0 < b < np.inf):
@@ -734,14 +724,14 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     roots = []
 
     def recurse(rect, depth):
-        w, mu, rect = _stable_winding(V, rect, points_per_edge, m)
+        w, mu, rect = _stable_winding(V, rect, points_per_edge)
         if w == 0:
             return
         re_lo, re_hi, im_lo, im_hi = rect
         narrow = re_hi - re_lo < 0.2
         small = narrow and im_hi - im_lo < 0.2
         if w == 1:
-            root = _newton_polish(V, mu, m, rect)
+            root = _newton_polish(V, mu, rect)
             if root is not None and re_lo <= root.real <= re_hi \
                     and im_lo <= root.imag <= im_hi:
                 roots.append(root)

@@ -117,7 +117,9 @@ class StrichartzReport:
     grid_n: int = 0
 
 
-def _validate_exponents(exponents):
+def _validate_scan(exponents, s_max, num_slices, grid):
+    """The exponent pairs as floats and the grid (64 nodes by default) of
+    a scan, after checking the exponents and the time window."""
     pairs = []
     for p, q in exponents:
         p = float(p)
@@ -134,7 +136,9 @@ def _validate_exponents(exponents):
         pairs.append((p, q))
     if not pairs:
         raise InvalidArgumentError("empty exponent list")
-    return pairs
+    if not (s_max > 0 and num_slices >= 8):
+        raise InvalidArgumentError("need s_max > 0 and num_slices >= 8")
+    return pairs, make_grid(64) if grid is None else grid
 
 
 def _tail_share(times, lq, p, s_max):
@@ -228,11 +232,7 @@ def _free_norms(cf, cg, grid, times, qs):
 def run_free_scan(spec, exponents=DEFAULT_EXPONENTS, s_max=20.0, grid=None,
                   num_slices=400, refine=True):
     """Ratio scan for the closed-form free evolution."""
-    pairs = _validate_exponents(exponents)
-    if grid is None:
-        grid = make_grid(64)
-    if s_max <= 0 or num_slices < 8:
-        raise InvalidArgumentError("need s_max > 0 and num_slices >= 8")
+    pairs, grid = _validate_scan(exponents, s_max, num_slices, grid)
 
     def norms_of(cf, cg, F, G, grid, times, qs):
         return _free_norms(cf, cg, grid, times, qs)
@@ -271,9 +271,7 @@ def run_potential_scan(V, spec, exponents=DEFAULT_EXPONENTS, s_max=20.0,
     spectrum (the ratio bound is meaningless there). Ratios use the
     energy of the original (un-projected) data.
     """
-    pairs = _validate_exponents(exponents)
-    if grid is None:
-        grid = make_grid(64)
+    pairs, grid = _validate_scan(exponents, s_max, num_slices, grid)
     lams = _growing_modes(V, window, grid,
                           "the projected-evolution bound does not apply")
     flows = {}  # grid size -> (generator, growing-mode projection)

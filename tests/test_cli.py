@@ -189,6 +189,20 @@ def test_free_scan_refuses_potential_keys(tmp_path, capsys, key, value):
     assert "config error" in err and key in err and "free mode" in err
 
 
+@pytest.mark.parametrize("num_slices", [0, 4])
+def test_potential_scan_refuses_short_time_window(tmp_path, capsys,
+                                                  num_slices):
+    # the same refusal as a free scan, not a division by zero or a
+    # scan of fewer than 8 slices
+    cfg = {"grid_n": 16, "mode": "potential",
+           "potential": {"kind": "constant", "value": -1.0},
+           "ensemble": _ENSEMBLE, "s_max": 0.5, "num_slices": num_slices}
+    code, _ = _run(tmp_path, "strichartz", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "num_slices >= 8" in err
+
+
 @pytest.mark.parametrize("potential", [
     {"kind": "even_poly", "coeffs": [True, -6]},
     {"kind": "even_poly", "coeffs": [-6, False]},

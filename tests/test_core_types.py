@@ -212,12 +212,6 @@ def test_trajectory_guards_and_restriction():
     st0 = hw.EnergyState(f, hw.OddField.zero(g))
     with pytest.raises(hw.InvalidDataError):
         hw.Trajectory(np.array([0.0, 0.0]), [st0, st0])
-    traj = hw.Trajectory(np.linspace(0, 1, 5), [st0] * 5)
-    sub = traj.restricted(0.4, 1.0)
-    assert len(sub) == 3
-    assert sub.times[0] >= 0.4
-    with pytest.raises(hw.InvalidDataError):
-        traj.restricted(2.0, 3.0)
 
 
 def test_potential_evenness_guard():

@@ -9,7 +9,11 @@ from scipy.interpolate import CubicSpline
 import hyperwave as hw
 from hyperwave import nonlinear
 from hyperwave.coords import logcosh
-from hyperwave.core_types import _barycentric_matrix, slice_norms
+from hyperwave.core_types import (
+    _barycentric_matrix,
+    extrapolate_to,
+    slice_norms,
+)
 from hyperwave.evolution import _step_count
 
 
@@ -88,7 +92,7 @@ def test_picard_zero_data():
     run = hw.picard_solve(hw.OddField.zero(grid), hw.OddField.zero(grid),
                           2.0, 0.05)
     assert run.converged
-    assert len(run.iterates) <= 2
+    assert len(run.x_norms) <= 2
     assert max(hw.energy_norm(s) for s in run.final.states) == 0.0
 
 
@@ -318,6 +322,33 @@ def test_level_line_seed_equals_full_column_fit(n):
         want[ok] = np.einsum("kj,kj->k", weights, fit(s_line[ok]))
         assert np.any(got != 0.0)
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.floats(min_value=-5.0, max_value=5.0),
+       h=st.floats(min_value=1e-3, max_value=1.0),
+       size=st.integers(min_value=4, max_value=40),
+       where=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                      max_size=8),
+       coeffs=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=4,
+                       max_size=4),
+       n=st.sampled_from([8, 16, 32, 64, 128]))
+def test_lagrange_weights_reproduce_cubics(lo, h, size, where, coeffs, n):
+    # the leapfrog's 4-point interpolation on a uniform grid and the
+    # boundary extrapolation from the 4 nodes nearest y = +-1 share one
+    # Lagrange kernel; both are exact on cubics up to round-off
+    cubic = np.polynomial.Polynomial(coeffs)
+    pts = lo + h * np.arange(size)
+    xs = lo + h * (size - 1) * np.array(where)
+    idx, w = nonlinear._lagrange_rows(xs, pts, h, lo)
+    got = np.sum(w * cubic(pts[idx[:, None] + np.arange(4)]), axis=1)
+    scale = sum(abs(c) * (abs(lo) + h * size) ** k
+                for k, c in enumerate(coeffs))
+    assert np.max(np.abs(got - cubic(xs))) <= 1e-12 * max(scale, 1.0)
+    g = hw.make_grid(n)
+    for y in (1.0, -1.0):
+        assert abs(extrapolate_to(cubic(g.nodes), g, y) - cubic(y)) \
+            <= 1e-10 * max(sum(abs(c) for c in coeffs), 1.0)
 
 
 def test_cross_check_preconditions():

@@ -28,7 +28,8 @@ def test_u1_free_closed_form():
     V = hw.Potential.constant(0.0)
     for lam in (0.3 + 2.0j, -0.2 + 5.0j, 1.0 + 0.0j):
         sol = build_u1(V, lam)
-        ys = np.linspace(0.0, 0.999, 25)
+        # the last three lie within _SEED_OFFSET of 1, on the series branch
+        ys = np.append(np.linspace(0.0, 0.999, 25), [1 - 5e-7, 1 - 1e-9, 1])
         want = (1.0 + ys) ** (-lam)
         assert np.max(np.abs(sol.u1(ys) - want)) < 1e-10
         dwant = -lam * (1.0 + ys) ** (-lam - 1.0)
@@ -264,9 +265,9 @@ def test_winding_check_evaluates_the_contour_once(vval, window, monkeypatch):
     sizes = []
     batch = spectral._u1_zero_batch
 
-    def counting(V, lams, m=spectral.DEFAULT_SERIES_ORDER):
+    def counting(V, lams):
         sizes.append(len(lams))
-        return batch(V, lams, m=m)
+        return batch(V, lams)
 
     monkeypatch.setattr(spectral, "_u1_zero_batch", counting)
     find_sigma_v(hw.Potential.constant(vval), window=window)
@@ -306,8 +307,7 @@ def test_jittered_symmetric_cell_stays_symmetric(monkeypatch):
 
     monkeypatch.setattr(spectral, "_winding", flaky)
     V = hw.Potential.constant(-6.0)
-    w, _, rect = spectral._stable_winding(
-        V, (-0.015, 2.0, -10.0, 10.0), 256, spectral.DEFAULT_SERIES_ORDER)
+    w, _, rect = spectral._stable_winding(V, (-0.015, 2.0, -10.0, 10.0), 256)
     re_lo, re_hi, im_lo, im_hi = rect
     assert w == 1 and im_hi > 10.0 and im_lo == -im_hi
     path = _rect_path(*rect, 512)
@@ -363,9 +363,9 @@ def test_winding_two_windows_are_split_off_the_axis(vval, window, most,
     calls = []
     batch = spectral._u1_zero_batch
 
-    def counting(V, lams, m=spectral.DEFAULT_SERIES_ORDER):
+    def counting(V, lams):
         calls.append(len(lams))
-        return batch(V, lams, m=m)
+        return batch(V, lams)
 
     monkeypatch.setattr(spectral, "_u1_zero_batch", counting)
     assert len(find_sigma_v(hw.Potential.constant(vval), window=window)) == 2
@@ -387,13 +387,13 @@ def test_sigma_v_conjugate_pair_from_the_upper_half(monkeypatch):
 
     cells = []
 
-    def batch(V, lams, m=spectral.DEFAULT_SERIES_ORDER):
+    def batch(V, lams):
         cells.append((np.ptp(lams.real), np.min(lams.imag)))
         return p(lams)
 
     monkeypatch.setattr(spectral, "_u1_zero_batch", batch)
     monkeypatch.setattr(spectral, "_u1_zero_slope",
-                        lambda V, lam, m: (complex(p(lam)), dp(lam)))
+                        lambda V, lam: (complex(p(lam)), dp(lam)))
     roots = find_sigma_v(hw.Potential.constant(-1.0), window=(3.0, 3.0))
     got = sorted((r.lam for r in roots), key=lambda z: (z.real, z.imag))
     want = [0.5, 1.0 - 2.0j, 1.0 + 2.0j]
@@ -513,7 +513,7 @@ def test_newton_slope_matches_adaptive_central_difference(vname, lams):
     V = _contour_potential(vname)
     h = 1e-4
     for lam in lams:
-        f, fp = spectral._u1_zero_slope(V, lam, spectral.DEFAULT_SERIES_ORDER)
+        f, fp = spectral._u1_zero_slope(V, lam)
         fd = (_u1_zero_adaptive(V, lam + h)
               - _u1_zero_adaptive(V, lam - h)) / (2.0 * h)
         assert abs(f - _u1_zero_adaptive(V, lam)) <= 1e-9 * abs(f)
@@ -582,6 +582,6 @@ def test_rk4_route_matches_taylor_kernel(vname, window):
     path = _rect_path(-0.015, a, -b, b, 256)
     kappa = spectral._kappa(V, float(np.max(np.abs(path))))
     ref = spectral._u1_taylor(V, path, kappa)
-    rk4 = spectral._u1_rk4(V, path, kappa, spectral.DEFAULT_SERIES_ORDER)
+    rk4 = spectral._u1_rk4(V, path, kappa)
     err = np.max(np.abs(rk4 - ref)) / np.median(np.abs(ref))
     assert 10.0 * err <= _CONTOUR_GUARD

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import hyperwave as hw
-from hyperwave import free_wave
+from hyperwave import free_wave, strichartz_harness
 from hyperwave.core_types import _mixed_from_samples, odd_extension, \
     slice_energies, slice_norms
 from hyperwave.strichartz_harness import EnsembleSpec, _batch_slice_norms, \
@@ -138,6 +138,22 @@ def test_potential_scan_refuses_axis_spectrum():
     with pytest.raises(hw.SpectralAssumptionError):
         run_potential_scan(hw.Potential.constant(-2.0), spec,
                            [(3.0, 6.0)], 4.0, num_slices=80, refine=False)
+
+
+@pytest.mark.parametrize("s_max,num_slices", [
+    (0.5, 0), (0.5, 4), (float("nan"), 8)])
+def test_potential_scan_checks_the_time_window(s_max, num_slices,
+                                               monkeypatch):
+    # the free scan's check, made before the growing-mode search
+    def no_search(*args):
+        raise AssertionError("growing-mode search ran")
+
+    monkeypatch.setattr(strichartz_harness, "_growing_modes", no_search)
+    spec = EnsembleSpec(count=2, band_limit=2, seed=1)
+    with pytest.raises(hw.InvalidArgumentError, match="num_slices >= 8"):
+        run_potential_scan(hw.Potential.constant(-1.0), spec, [(3.0, 6.0)],
+                           s_max, grid=hw.make_grid(16),
+                           num_slices=num_slices)
 
 
 def test_potential_scan_refuses_axis_root_beside_growing_mode():
