@@ -20,7 +20,6 @@ from .core_types import (  # noqa: F401
     make_grid,
     mixed_norm,
     parity_defect,
-    sobolev_embedding_ratio,
 )
 from .coords import (  # noqa: F401
     CartesianPoint,
@@ -48,7 +47,6 @@ from .errors import (  # noqa: F401
     ResonanceError,
     SpectralAssumptionError,
     StiffFailureError,
-    UndefinedRatioError,
     VolterraDivergenceError,
 )
 from .evolution import (  # noqa: F401
@@ -64,7 +62,6 @@ from .evolution import (  # noqa: F401
     propagator,
     resolvent_matrix,
     riesz_projection,
-    stable_growth_probe,
 )
 from .nonlinear import (  # noqa: F401
     PicardRun,

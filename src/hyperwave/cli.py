@@ -101,6 +101,23 @@ def _cfg_number(cfg, key, path, default=KeyError, positive=False):
     return v
 
 
+def _cfg_numbers(cfg, key, path, default=KeyError):
+    """A nonempty list of numbers (booleans refused)."""
+    vals = _cfg_get(cfg, key, path, list, default=default)
+    if not vals or not all(isinstance(c, (int, float))
+                           and not isinstance(c, bool) for c in vals):
+        raise ConfigError(f"{path}{key}: need a nonempty number list")
+    return vals
+
+
+def _cfg_seed(cfg, path, override, default=KeyError):
+    """--seed if given, else the config's seed; the key is type-checked
+    whenever present and is required only without --seed."""
+    val = _cfg_get(cfg, "seed", path, int,
+                   default=default if override is None else None)
+    return val if override is None else override
+
+
 def _build_potential(spec, path):
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -110,11 +127,7 @@ def _build_potential(spec, path):
         _no_unknown(spec, {"kind", "value"}, path + ".")
         return Potential.constant(_cfg_number(spec, "value", path + "."))
     _no_unknown(spec, {"kind", "coeffs"}, path + ".")
-    coeffs = _cfg_get(spec, "coeffs", path + ".", list)
-    if not coeffs or not all(isinstance(c, (int, float))
-                             and not isinstance(c, bool) for c in coeffs):
-        raise ConfigError(f"{path}.coeffs: need a nonempty number list")
-    return Potential.even_poly(coeffs)
+    return Potential.even_poly(_cfg_numbers(spec, "coeffs", path + "."))
 
 
 def _build_data(grid, spec, path):
@@ -146,8 +159,8 @@ def _build_data(grid, spec, path):
         f = OddField(grid, vals)
         g = OddField.zero(grid)
     else:
-        cf = _cfg_get(spec, "f", path + ".", list, default=[0.0])
-        cg = _cfg_get(spec, "g", path + ".", list, default=[0.0])
+        cf = _cfg_numbers(spec, "f", path + ".", default=[0.0])
+        cg = _cfg_numbers(spec, "g", path + ".", default=[0.0])
         try:
             sol = free_wave.from_chebyshev(grid, np.asarray(cf, float),
                                            np.asarray(cg, float))
@@ -344,8 +357,7 @@ def _cmd_resolvent_check(cfg, out_dir, seed):
     num = _cfg_get(cfg, "num_states", "", int, default=10)
     band = _cfg_get(cfg, "band_limit", "", int, default=10)
     decay = _cfg_number(cfg, "decay", "", default=2.0)
-    eff_seed = seed if seed is not None else _cfg_get(cfg, "seed", "", int,
-                                                      default=7)
+    eff_seed = _cfg_seed(cfg, "", seed, default=7)
 
     spec = EnsembleSpec(count=num, band_limit=band, seed=eff_seed,
                         decay=decay)
@@ -391,8 +403,7 @@ def _cmd_strichartz(cfg, out_dir, seed):
             raise ConfigError(f"{key}: not read in free mode")
     ens = _cfg_get(cfg, "ensemble", "", dict)
     _no_unknown(ens, {"count", "band_limit", "seed", "decay"}, "ensemble.")
-    eff_seed = seed if seed is not None else \
-        _cfg_get(ens, "seed", "ensemble.", int)
+    eff_seed = _cfg_seed(ens, "ensemble.", seed)
     spec = EnsembleSpec(
         count=_cfg_get(ens, "count", "ensemble.", int),
         band_limit=_cfg_get(ens, "band_limit", "ensemble.", int),

@@ -30,18 +30,19 @@ def logcosh(x):
 
 
 def phi(p):
-    """Map a hyperboloidal point to Cartesian coordinates."""
+    """Map hyperboloidal coordinates (numbers or arrays) to Cartesian."""
     s, y = p
-    if not abs(y) < 1.0:
-        raise OutOfChartError(f"|y| must be < 1, got y={y}")
-    t = s - 0.5 * np.log1p(-y * y)
-    return CartesianPoint(float(t), float(np.arctanh(y)))
+    if not np.all(np.abs(y) < 1.0):
+        raise OutOfChartError(
+            f"|y| must be < 1, got max |y| = {np.max(np.abs(y)):g}")
+    return CartesianPoint(s - 0.5 * np.log1p(-y * y), np.arctanh(y))
 
 
 def phi_inv(p):
-    """Map a Cartesian point to hyperboloidal coordinates (total map)."""
+    """Map Cartesian coordinates (numbers or arrays) to hyperboloidal
+    ones (total map)."""
     t, x = p
-    return HyperboloidalPoint(float(t - logcosh(x)), float(np.tanh(x)))
+    return HyperboloidalPoint(t - logcosh(x), np.tanh(x))
 
 
 def pull_back_slice(W, s, grid):
@@ -51,9 +52,7 @@ def pull_back_slice(W, s, grid):
     interpolation-domain errors; the result is returned as an OddField
     (W odd in r makes the slice odd in y).
     """
-    y = grid.nodes
-    t = s - 0.5 * np.log1p(-y * y)
-    r = np.arctanh(y)
+    t, r = phi((s, grid.nodes))
     vals = np.empty(grid.n, dtype=complex)
     for i in range(grid.n):
         try:

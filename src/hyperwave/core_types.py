@@ -13,11 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    InvalidDataError,
-    UndefinedRatioError,
-)
+from .errors import InvalidArgumentError, InvalidDataError
 
 
 class Grid:
@@ -168,10 +164,6 @@ class OddField:
     @classmethod
     def zero(cls, grid):
         return cls.from_half(grid, np.zeros(grid.n // 2))
-
-    def deriv(self):
-        """Collocation derivative (an even function, returned as raw samples)."""
-        return self.grid.diff_matrix @ self.values
 
     def __add__(self, other):
         return OddField.from_half(self.grid,
@@ -361,25 +353,15 @@ class Trajectory(Sequence):
     """Time-stamped stack of odd energy states on one shared grid.
 
     `times` has shape (T,); `U` and `V` of shape (T, n) hold the samples
-    of u and ds_u on each slice. `Trajectory(times, states, step)` stacks
-    a list of energy states and `Trajectory.from_arrays` takes the stacks
-    directly; either way every slice is held to the OddField parity
-    tolerance and projected, in one vectorised pass.
+    of u and ds_u on each slice. `Trajectory.from_arrays` takes the
+    stacks and holds every slice to the OddField parity tolerance and
+    projects it, in one vectorised pass.
     `Trajectory.from_halves` takes (T, n/2) stacks of the samples at the
     positive nodes and is odd by construction. The trajectory is a
     read-only sequence of its slices: indexing builds an EnergyState.
     """
 
     __slots__ = ("grid", "times", "U", "V", "step")
-
-    def __init__(self, times, states, step=None):
-        if len(states) == 0:
-            raise InvalidDataError("empty trajectory")
-        grid = states[0].grid
-        if any(st.grid is not grid for st in states):
-            raise InvalidDataError("states live on different grids")
-        self._fill(grid, times, [st.u.values for st in states],
-                   [st.v.values for st in states], step, _odd_part)
 
     @classmethod
     def from_arrays(cls, grid, times, U, V, step=None):
@@ -483,14 +465,6 @@ def mixed_norm(traj, p, q):
         raise InvalidArgumentError(f"p must be >= 2, got {p}")
     return _mixed_from_samples(traj.times, slice_norms(traj.U, traj.grid, q),
                                p)
-
-
-def sobolev_embedding_ratio(f, q):
-    """||f||_{L^q} divided by the weighted derivative norm of f."""
-    den = slice_energies(f.values, np.zeros(f.grid.n), f.grid)
-    if den <= 1e-300:
-        raise UndefinedRatioError("weighted derivative norm vanishes")
-    return lq_norm(f, q) / float(den)
 
 
 def _lagrange_weights(stencils, x):

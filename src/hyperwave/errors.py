@@ -26,10 +26,6 @@ class InterpolationDomainError(HyperwaveError):
     """A sampled function was queried outside its stored domain."""
 
 
-class UndefinedRatioError(HyperwaveError):
-    pass
-
-
 class ResonanceError(HyperwaveError):
     """Indicial resonance: -lambda is a nonnegative integer."""
 

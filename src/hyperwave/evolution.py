@@ -15,7 +15,7 @@ itself lives in core_types (odd_fold, odd_extension, positive_half).
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 from scipy.linalg import expm, lu_factor, lu_solve, schur
@@ -280,10 +280,6 @@ class RieszProjection:
     multiplicity: Dict[complex, int] = field(default_factory=dict)
     nilpotency: Dict[complex, int] = field(default_factory=dict)
 
-    def apply(self, gen, state):
-        x = gen.reduce_state(state).astype(complex)
-        return gen.expand_state(self.reduced @ x)
-
 
 def _schur_split(T, Q, select):
     """Reorder the selected diagonal entries of the complex Schur form
@@ -395,7 +391,6 @@ class DecomposedEvolution:
     """
     unstable_modes: List[UnstableMode]
     stable_trajectory: Trajectory
-    projection: Optional[RieszProjection]
 
     def unstable_state(self, s):
         grid = self.stable_trajectory.grid
@@ -458,7 +453,7 @@ def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
                           "the decomposition does not apply")
     if not lams:
         traj = evolve(gen, init, s_max, ds=ds, store_every=store_every)
-        return DecomposedEvolution([], traj, None)
+        return DecomposedEvolution([], traj)
 
     proj = growing_mode_projection(gen, lams)
 
@@ -479,40 +474,4 @@ def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
     rem = x0 - proj.reduced @ x0
     stable_traj = evolve(gen, gen.expand_state(rem), s_max, ds=ds,
                          store_every=store_every)
-    return DecomposedEvolution(modes, stable_traj, proj)
-
-
-def stable_growth_probe(gen, ensemble, epsilon, s_max, ds=None,
-                        window=(3.0, 20.0)):
-    """max over members and s of e^{-eps s} ||u~(s)|| / ||init||.
-
-    The maximum is taken at s = 0 and every 10th step. Members with zero
-    initial norm contribute 0 by convention. All members evolve together
-    as one column batch.
-    """
-    if not ensemble:
-        return 0.0
-    lams = _growing_modes(gen.potential, window, gen.grid,
-                          "the growth probe is undefined")
-
-    X0 = np.stack([gen.reduce_state(st) for st in ensemble], axis=1)
-    proj = growing_mode_projection(gen, lams)
-    if proj is not None:
-        X0 = X0 - proj.reduced @ X0
-
-    ds, M = _step_count(s_max, ds, gen.grid.n)
-
-    norm0 = gen.reduced_energy(X0)
-    nz = norm0 > 0
-    best = np.zeros(X0.shape[1])
-    E = propagator(gen, ds)
-    X = X0
-    for i in range(M + 1):
-        if i:
-            X = E @ X
-        if i % 10 == 0 or i == M:
-            r = np.zeros_like(best)
-            r[nz] = np.exp(-epsilon * (i * ds)) * gen.reduced_energy(X)[nz] \
-                / norm0[nz]
-            np.maximum(best, r, out=best)
-    return float(np.max(best)) if np.any(nz) else 0.0
+    return DecomposedEvolution(modes, stable_traj)

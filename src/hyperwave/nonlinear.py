@@ -21,10 +21,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import block_diag
 
-from .coords import logcosh, pull_back_slice
+from .coords import logcosh, phi_inv, pull_back_slice
 from .core_types import (
     EnergyState,
-    OddField,
     Potential,
     Trajectory,
     _barycentric_matrix,
@@ -60,12 +59,10 @@ def _x_norm(times, U, grid):
 
 
 class PropagatorSet:
-    """Exact step propagators of the discretized V = -1 generator.
+    """Exact step propagator of the discretized V = -1 generator.
 
     The one-step matrix is e^{ds L} on the odd sector, so repeated
-    application is the discrete semigroup with no time-stepping error;
-    C(s) f is the first component of the evolution of (f, 0), S(s) g of
-    (0, g).
+    application is the discrete semigroup with no time-stepping error.
     """
 
     __slots__ = ("gen", "ds", "num_steps", "expm_step")
@@ -78,29 +75,6 @@ class PropagatorSet:
 
     def times(self):
         return np.arange(self.num_steps + 1) * self.ds
-
-    def _index(self, s):
-        i = int(round(s / self.ds))
-        if abs(i * self.ds - s) > 1e-9 or i < 0 or i > self.num_steps:
-            raise InvalidArgumentError(
-                f"s = {s} is not a propagator node (ds = {self.ds})")
-        return i
-
-    def propagate(self, state, s):
-        x = self.gen.reduce_state(state)
-        for _ in range(self._index(s)):
-            x = self.expm_step @ x
-        return self.gen.expand_state(x)
-
-    def cosine(self, f, s):
-        """C(s) f: first component of the evolution of (f, 0)."""
-        st = EnergyState(f, OddField.zero(f.grid))
-        return self.propagate(st, s).u
-
-    def sine(self, g, s):
-        """S(s) g: first component of the evolution of (0, g)."""
-        st = EnergyState(OddField.zero(g.grid), g)
-        return self.propagate(st, s).u
 
 
 def make_propagators(grid, ds, s_max):
@@ -117,9 +91,11 @@ def duhamel_step(prop, f, g, source):
 
         u(s_i) = C(s_i) f + S(s_i) g - int_0^{s_i} S(s_i - s') u(s')^3 ds'
 
-    with `source` supplying the u(s') slices and the integral evaluated
-    by trapezoid on the propagator nodes. The running sums reuse the
-    one-step matrix, so the whole sweep costs O(M) matrix applications.
+    (C(s) f and S(s) g are the first components of the evolutions of
+    (f, 0) and (0, g)), with `source` supplying the u(s') slices and the
+    integral evaluated by trapezoid on the propagator nodes. The running
+    sums reuse the one-step matrix, so the whole sweep costs O(M) matrix
+    applications.
     """
     gen = prop.gen
     grid = gen.grid
@@ -348,7 +324,7 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
     # seed the leapfrog on the level line t = s0
     nr = int(round(2.0 * r_max / dr)) + 1
     r = -r_max + dr * np.arange(nr)
-    W0, Wt0 = _level_line_seed(traj, s0 - logcosh(r), np.tanh(r))
+    W0, Wt0 = _level_line_seed(traj, *phi_inv((s0, r)))
 
     dt = 0.5 * dr
     nt = int(np.ceil((t_end - s0) / dt)) + 3

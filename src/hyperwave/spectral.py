@@ -450,13 +450,12 @@ def _cum_from_bottom(idx, W, f):
 class VolterraSolution:
     """Samples of h1 on a graded mesh; v1 = psi1 * h1."""
 
-    __slots__ = ("lam", "mesh", "h1", "iterations")
+    __slots__ = ("lam", "mesh", "h1")
 
-    def __init__(self, lam, mesh, h1, iterations):
+    def __init__(self, lam, mesh, h1):
         self.lam = lam
         self.mesh = mesh
         self.h1 = h1
-        self.iterations = iterations
 
     def u1_values(self):
         """Reconstruction of u1 on the mesh: (1+y)^(-lam) h1(y)."""
@@ -486,14 +485,14 @@ def build_v1_volterra(V, lam, mesh=None):
     qlam = np.exp(lam * logq)
     qlam_inv = np.exp(-lam * logq)
     h = np.ones_like(x, dtype=complex)
-    for it in range(200):
+    for _ in range(200):
         IV = _cum_from_top(idx, Wp, Vx * h)
         Iq = _cum_from_top(idx, Wp, qlam * Vx * h)
         hn = 1.0 + (IV - Iq * qlam_inv) / (2.0 * lam)
         d = float(np.max(np.abs(hn - h)))
         h = hn
         if d <= 1e-12:
-            return VolterraSolution(lam, x, h, it + 1)
+            return VolterraSolution(lam, x, h)
     raise VolterraDivergenceError(
         f"no convergence in 200 iterations (last delta {d:.3e});"
         " lambda outside the validity strip or mesh too coarse")

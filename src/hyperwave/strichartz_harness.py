@@ -58,14 +58,11 @@ class EnsembleSpec:
 
     Member fields are f = sum_{k<=K} c_k T_{2k+1} with independent
     standard-normal c_k damped by (k+1)^(-decay), and likewise for g.
-    With g_only the f coefficients are zeroed after drawing, so the g
-    data coincide with the ones a full ensemble of the same seed gets.
     """
     count: int
     band_limit: int
     seed: int
     decay: float = 2.0
-    g_only: bool = False
 
     def coefficient_arrays(self):
         """[(cf, cg)] per member; the draws run member by member, f
@@ -77,8 +74,6 @@ class EnsembleSpec:
         c = np.zeros((self.count, 2, 2 * K + 2))
         c[..., 1::2] = rng.standard_normal((self.count, 2, K + 1)) \
             * np.array([(k + 1.0) ** -self.decay for k in range(K + 1)])
-        if self.g_only:
-            c[:, 0] = 0.0
         return [(cf, cg) for cf, cg in c]
 
     def fields(self, grid):

@@ -216,6 +216,45 @@ def test_boolean_potential_number_is_a_config_error(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeffs", [["a"], [], [0, True]])
+def test_cheb_data_needs_a_number_list(tmp_path, capsys, coeffs):
+    # the same check as even_poly coefficients: a nonempty list of
+    # numbers, booleans refused
+    cfg = {"grid_n": 16, "data": {"kind": "cheb", "f": coeffs},
+           "s_max": 0.5}
+    code, _ = _run(tmp_path, "evolve", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "data.f" in err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("resolvent-check", {"grid_n": 16,
+                         "potential": {"kind": "constant", "value": -1.0},
+                         "lambda": {"re": 0.05, "im": 2.0},
+                         "num_states": 1, "seed": "abc"}),
+    ("strichartz", {"grid_n": 16, "mode": "free", "s_max": 0.5,
+                    "num_slices": 8,
+                    "ensemble": dict(_ENSEMBLE, seed="abc")})])
+def test_seed_override_still_checks_the_config_seed(tmp_path, capsys,
+                                                    command, cfg):
+    code, _ = _run(tmp_path, command, cfg, extra=("--seed", "3"))
+    assert code == 2
+    assert "seed: expected int" in capsys.readouterr().err
+
+
+def test_seed_override_stands_in_for_a_missing_ensemble_seed(tmp_path):
+    ens = {k: v for k, v in _ENSEMBLE.items() if k != "seed"}
+    cfg = {"grid_n": 16, "mode": "free", "s_max": 0.5, "num_slices": 8,
+           "ensemble": ens}
+    assert _run(tmp_path, "strichartz", cfg, out="o1")[0] == 2
+    code, out = _run(tmp_path, "strichartz", cfg, out="o2",
+                     extra=("--seed", "3"))
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())[
+        "resolved"]["seed"] == 3
+
+
 @pytest.mark.parametrize("command,text,literal", [
     ("evolve", '{"grid_n": 32, "data": {"kind": "linear"},'
                ' "s_max": Infinity}', "Infinity"),
@@ -289,6 +328,46 @@ def test_crosscheck_command(tmp_path):
     assert code == 0
     res = json.loads((out / "results.json").read_text())
     assert res["discrepancy"] < 1e-3
+
+
+def test_crosscheck_refined_run(tmp_path):
+    cfg = {"grid_n": 16, "r_max": 6.0, "dr": 0.25, "refine": True,
+           "data": dict(_BUMP, energy=0.01)}
+    code, out = _run(tmp_path, "crosscheck", cfg)
+    assert code == 0
+    res = json.loads((out / "results.json").read_text())
+    for key in ("discrepancy", "discrepancy_refined", "contraction_factor"):
+        assert np.isfinite(res[key])
+    rows = (out / "series.csv").read_text().strip().split("\n")
+    assert len(rows) == 3  # header, the run and its refinement
+
+
+def test_resolvent_check_command(tmp_path):
+    # the Green-function route against the LU solve of the generator
+    cfg = {"grid_n": 32, "potential": {"kind": "constant", "value": -1.0},
+           "lambda": {"re": 0.05, "im": 2.0}, "num_states": 3, "seed": 7}
+    code, out = _run(tmp_path, "resolvent-check", cfg)
+    assert code == 0
+    rows = (out / "series.csv").read_text().strip().split("\n")
+    assert rows[0] == "state,rel_diff,identity_defect"
+    assert len(rows) == 4
+    res = json.loads((out / "results.json").read_text())
+    assert res["num_states"] == 3
+    assert res["max_rel_diff"] <= 1e-6
+    assert res["max_identity_defect"] <= 1e-8
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "mode"}, {"kind": "zero"},
+    {"kind": "cheb", "f": [0, 1.0, 0, -0.5], "g": [0, 0.25]}])
+def test_evolve_data_kinds(tmp_path, data):
+    cfg = {"grid_n": 16, "data": data, "s_max": 0.5, "ds": 0.01,
+           "store_every": 10}
+    code, out = _run(tmp_path, "evolve", cfg)
+    assert code == 0
+    res = json.loads((out / "results.json").read_text())
+    assert res["num_slices"] == 6
+    assert np.isfinite(res["max_energy"])
 
 
 def test_crosscheck_leapfrog_overflow_is_a_numerical_guard(tmp_path):

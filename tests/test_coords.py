@@ -49,6 +49,18 @@ def test_phi_rejects_boundary():
         phi((0.0, -1.5))
 
 
+def test_chart_maps_take_arrays():
+    # the solver maps a whole node set, or a level line, in one call
+    y = np.linspace(-0.99, 0.99, 9)
+    t, x = phi((1.5, y))
+    assert t.shape == x.shape == y.shape
+    s2, y2 = phi_inv((t, x))
+    assert np.max(np.abs(s2 - 1.5)) < 1e-12
+    assert np.max(np.abs(y2 - y)) < 1e-12
+    with pytest.raises(hw.OutOfChartError):
+        phi((0.0, np.array([0.5, 1.0])))
+
+
 def test_logcosh_accuracy():
     xs = np.array([0.0, 1e-8, 0.5, 5.0, 50.0, 800.0, -800.0])
     want = np.array([0.0, 5e-17, np.log(np.cosh(0.5)), np.log(np.cosh(5.0)),

@@ -133,13 +133,6 @@ def test_odd_field_arithmetic():
     assert np.allclose(m.values, 2.5 * g.nodes)
 
 
-def test_odd_field_deriv():
-    g = hw.make_grid(24)
-    f = hw.OddField(g, g.nodes ** 3)
-    df = f.deriv()
-    assert np.max(np.abs(df - 3 * g.nodes ** 2)) < 1e-9
-
-
 def test_odd_field_preserves_real_dtype():
     g = hw.make_grid(16)
     f = hw.OddField(g, g.nodes)
@@ -189,9 +182,9 @@ def test_lq_norm_homogeneous(c, q):
 
 
 def _const_in_s_trajectory(g, n_slices=11, s_max=1.0):
-    f = hw.OddField(g, g.nodes)
-    states = [hw.EnergyState(f, hw.OddField.zero(g)) for _ in range(n_slices)]
-    return hw.Trajectory(np.linspace(0, s_max, n_slices), states)
+    U = np.tile(g.nodes, (n_slices, 1))
+    return hw.Trajectory.from_arrays(g, np.linspace(0, s_max, n_slices), U,
+                                     np.zeros_like(U))
 
 
 def test_mixed_norm_constant_in_time():
@@ -208,10 +201,10 @@ def test_mixed_norm_constant_in_time():
 
 def test_trajectory_guards_and_restriction():
     g = hw.make_grid(16)
-    f = hw.OddField(g, g.nodes)
-    st0 = hw.EnergyState(f, hw.OddField.zero(g))
+    U = np.tile(g.nodes, (2, 1))
     with pytest.raises(hw.InvalidDataError):
-        hw.Trajectory(np.array([0.0, 0.0]), [st0, st0])
+        hw.Trajectory.from_arrays(g, np.array([0.0, 0.0]), U,
+                                  np.zeros_like(U))
 
 
 def test_potential_evenness_guard():
@@ -294,17 +287,6 @@ def test_constant_is_the_degree_zero_even_poly():
 def test_even_poly_rejects_empty_or_non_finite_coefficients(coeffs):
     with pytest.raises(hw.InvalidArgumentError):
         hw.Potential.even_poly(coeffs)
-
-
-def test_sobolev_embedding_ratio():
-    g = hw.make_grid(32)
-    f = hw.OddField(g, g.nodes)
-    r1 = hw.sobolev_embedding_ratio(f, 6)
-    r2 = hw.sobolev_embedding_ratio(3.0 * f, 6)
-    assert r1 > 0
-    assert r2 == pytest.approx(r1, rel=1e-12)  # scale invariant
-    with pytest.raises(hw.UndefinedRatioError):
-        hw.sobolev_embedding_ratio(hw.OddField.zero(g), 6)
 
 
 def test_extrapolate_to_boundary():

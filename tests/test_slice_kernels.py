@@ -76,9 +76,6 @@ def test_trajectory_states_view_matches_rows(data):
         assert np.array_equal(st_.u.values, traj.U[i])
         assert np.array_equal(st_.v.values, traj.V[i])
         assert np.array_equal(traj.states[i].u.values, U[i])
-    again = hw.Trajectory(traj.times, list(traj.states), step=traj.step)
-    assert np.array_equal(again.U, traj.U)
-    assert np.array_equal(again.V, traj.V)
 
 
 @settings(max_examples=50, deadline=None)

@@ -402,6 +402,29 @@ def test_sigma_v_conjugate_pair_from_the_upper_half(monkeypatch):
     assert any(width < 0.2 and im_min >= 0.0 for width, im_min in cells)
 
 
+def test_sigma_v_splits_a_narrow_upper_cell_in_im(monkeypatch):
+    # stand-in zeros 0.5, 1 +- 1i and 1 +- 2i: the narrow cell cut at
+    # Im = 0 keeps the winding 2 of 1 + 1i and 1 + 2i, and since it is
+    # taller than wide it is split at its Im midpoint
+    zeros = [0.5, 1.0 - 2.0j, 1.0 - 1.0j, 1.0 + 1.0j, 1.0 + 2.0j]
+    coeffs = np.poly(zeros).real
+    dcoeffs = np.polyder(coeffs)
+    cells = []
+
+    def batch(V, lams):
+        cells.append(np.min(lams.imag))
+        return np.polyval(coeffs, lams)
+
+    monkeypatch.setattr(spectral, "_u1_zero_batch", batch)
+    monkeypatch.setattr(spectral, "_u1_zero_slope", lambda V, lam: (
+        complex(np.polyval(coeffs, lam)), complex(np.polyval(dcoeffs, lam))))
+    roots = find_sigma_v(hw.Potential.constant(-1.0), window=(3.0, 3.0))
+    assert len(roots) == len(zeros)
+    assert max(min(abs(r.lam - w) for r in roots) for w in zeros) <= 1e-12
+    # only an Im split yields a cell whose lowest Im lies above 0.5
+    assert any(im_min > 0.5 for im_min in cells)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"window": (float("inf"), 1.0)}, {"window": (1.0, float("inf"))},
     {"points_per_edge": 0}, {"points_per_edge": -3}, {"max_depth": -1}])

@@ -58,15 +58,6 @@ def test_free_scan_energy_pair_bounded():
     assert 0 < mx <= 2.0
 
 
-def test_free_scan_g_only_small():
-    spec = EnsembleSpec(count=6, band_limit=5, seed=9, g_only=True)
-    rep = run_free_scan(spec, [(2.0, 6.0)], 12.0, num_slices=240,
-                        refine=False)
-    mx = rep.max_ratio[(2.0, 6.0)]
-    assert np.isfinite(mx)
-    assert mx < 2.0
-
-
 def test_free_scan_zero_member_excluded():
     class WithZero(EnsembleSpec):
         def coefficient_arrays(self):
@@ -176,15 +167,14 @@ def test_tail_share_fields():
 
 @settings(max_examples=25, deadline=None)
 @given(count=hst.integers(1, 12), band_limit=hst.integers(0, 8),
-       decay=hst.floats(0.0, 3.0), g_only=hst.booleans(),
+       decay=hst.floats(0.0, 3.0),
        n=hst.sampled_from([16, 32, 64]), s_max=hst.floats(0.5, 20.0),
        num_slices=hst.integers(8, 60), seed=hst.integers(0, 2 ** 32 - 1))
 def test_batch_scan_matches_per_member_route(count, band_limit, decay,
-                                             g_only, n, s_max, num_slices,
-                                             seed):
+                                             n, s_max, num_slices, seed):
     # oracle: free_wave.evaluate (Clenshaw per datum) + slice_norms +
     # energy_norm, one member at a time
-    spec = EnsembleSpec(count, band_limit, seed, decay=decay, g_only=g_only)
+    spec = EnsembleSpec(count, band_limit, seed, decay=decay)
     pairs = [(2.0, 4.0), (3.0, 6.0), (np.inf, 2.0)]
     qs = [2.0, 4.0, 6.0]
     grid = hw.make_grid(n)
