@@ -395,11 +395,6 @@ class Trajectory(Sequence):
             step = float(times[1] - times[0]) if times.size > 1 else 0.0
         self.step = step
 
-    @property
-    def states(self):
-        """The slices as energy states (the trajectory itself)."""
-        return self
-
     def __len__(self):
         return self.times.size
 
@@ -407,10 +402,6 @@ class Trajectory(Sequence):
         return EnergyState(
             OddField.from_half(self.grid, positive_half(self.U[i])),
             OddField.from_half(self.grid, positive_half(self.V[i])))
-
-    def first_components(self):
-        """(num_slices, n) array of the u components."""
-        return self.U
 
 
 def slice_norms(U, grid, q):

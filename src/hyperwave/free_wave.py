@@ -7,15 +7,18 @@ For odd data (f, g) the solution is
 
 and its s-derivative consists of the Leibniz boundary terms only. This
 makes the module a machine-accuracy oracle for the evolution code. Data
-given as Chebyshev coefficient arrays use an exact antiderivative in
-coefficient space; callables fall back to adaptive quadrature.
+are Chebyshev coefficient arrays; the antiderivative is exact in
+coefficient space and is built by one routine for a single datum and for
+a batch of data alike.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from scipy.integrate import quad
 
 from .core_types import (
+    Grid,
     OddField,
     Trajectory,
     extrapolate_to,
@@ -25,36 +28,17 @@ from .errors import InvalidArgumentError, InvalidDataError
 from .evolution import _step_count
 
 
-class ClosedFormSolution:
+class ClosedFormSolution(NamedTuple):
     """Free solution defined by odd data; see module docstring.
 
-    Attributes f_field/g_field hold grid samples of the data. Exactly one
-    of (cheb coefficients, callables) backs the evaluation.
+    f_field/g_field hold grid samples of the data; F = (1+x) f' + g and
+    its antiderivative H are Chebyshev coefficient arrays.
     """
-
-    __slots__ = ("grid", "f_field", "g_field", "_cheb_H", "_cheb_F",
-                 "_callables")
-
-    def __init__(self, grid, f_field, g_field, cheb=None, callables=None):
-        self.grid = grid
-        self.f_field = f_field
-        self.g_field = g_field
-        self._cheb_H = None
-        self._cheb_F = None
-        self._callables = None
-        if cheb is not None:
-            cf, cg = cheb
-            dcf = C.chebder(cf)
-            if len(dcf) == 0:
-                dcf = np.zeros(1)
-            # F(x) = (1+x) f'(x) + g(x) in coefficient space
-            F = C.chebadd(C.chebadd(dcf, C.chebmulx(dcf)), cg)
-            self._cheb_F = F
-            self._cheb_H = C.chebint(F)
-        elif callables is not None:
-            self._callables = callables  # (f, fp, g)
-        else:
-            raise InvalidDataError("need Chebyshev data or callables")
+    grid: Grid
+    f_field: OddField
+    g_field: OddField
+    F: np.ndarray
+    H: np.ndarray
 
 
 def from_chebyshev(grid, cf, cg):
@@ -65,13 +49,11 @@ def from_chebyshev(grid, cf, cg):
         raise InvalidDataError("even-order Chebyshev coefficients present")
     f_field = OddField(grid, C.chebval(grid.nodes, cf))
     g_field = OddField(grid, C.chebval(grid.nodes, cg))
-    return ClosedFormSolution(grid, f_field, g_field, cheb=(cf, cg))
-
-
-def from_callables(grid, f, fp, g):
-    f_field = OddField.from_callable(grid, f)
-    g_field = OddField.from_callable(grid, g)
-    return ClosedFormSolution(grid, f_field, g_field, callables=(f, fp, g))
+    # one column of the batch routine, which needs equal lengths >= 2
+    d = max(len(cf), len(cg), 2)
+    F = _flux_columns(np.pad(cf, (0, d - len(cf)))[:, None],
+                      np.pad(cg, (0, d - len(cg)))[:, None])[:, 0]
+    return ClosedFormSolution(grid, f_field, g_field, F, C.chebint(F))
 
 
 def _region_endpoints(s, y):
@@ -83,11 +65,6 @@ def _region_endpoints(s, y):
     if max(np.max(np.abs(a)), np.max(np.abs(b))) > 1.0 + 1e-12:
         raise InvalidArgumentError("characteristic endpoint outside [-1, 1]")
     return np.clip(a, -1.0, 1.0), np.clip(b, -1.0, 1.0)
-
-
-def _quad_cc(fn, a, b):
-    val, _ = quad(fn, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
 
 
 def _as_times(s):
@@ -105,24 +82,13 @@ def _complex_result(out):
 def evaluate(sol, s, y):
     """u(s, y) for odd data; s and y may be scalars or arrays that
     broadcast against each other (e.g. times (T, 1) and nodes (n,))."""
-    s = _as_times(s)
-    y = np.asarray(y, dtype=float)
-    a, b = _region_endpoints(s, y)
-    if sol._cheb_H is not None:
-        H = sol._cheb_H
-        return _complex_result(0.5 * (C.chebval(b, H) - C.chebval(a, H)))
-    f, fp, g = sol._callables
-    integrand = lambda x: (1.0 + x) * fp(x) + g(x)
-    out = [0.5 * _quad_cc(integrand, float(ai), float(bi))
-           for ai, bi in zip(a.ravel(), b.ravel())]
-    return _complex_result(np.reshape(out, a.shape))
+    a, b = _region_endpoints(_as_times(s), np.asarray(y, dtype=float))
+    return _complex_result(0.5 * (C.chebval(b, sol.H) - C.chebval(a, sol.H)))
 
 
-def antiderivative_columns(cf, cg):
-    """Chebyshev coefficients of H = integral of (1+x) f'(x) + g(x), one
-    column per datum, for (d, M) coefficient matrices cf, cg (d >= 2) of
-    odd data; the batch form of the antiderivative ClosedFormSolution
-    keeps for one datum."""
+def _flux_columns(cf, cg):
+    """Chebyshev coefficients of F = (1+x) f'(x) + g(x), one column per
+    datum, for (d, M) coefficient matrices cf, cg (d >= 2) of odd data."""
     dcf = C.chebder(cf, axis=0)
     # x f' by x T_0 = T_1, x T_k = (T_{k+1} + T_{k-1})/2 (chebmulx is
     # 1-D and trims trailing zeros, so the columns would not stack)
@@ -133,7 +99,14 @@ def antiderivative_columns(cf, cg):
     F[:-2] += half
     F[:-1] += dcf
     F += cg
-    return C.chebint(F, axis=0)
+    return F
+
+
+def antiderivative_columns(cf, cg):
+    """Chebyshev coefficients of H = integral of (1+x) f'(x) + g(x), one
+    column per datum, for (d, M) coefficient matrices cf, cg (d >= 2) of
+    odd data."""
+    return C.chebint(_flux_columns(cf, cg), axis=0)
 
 
 def evaluate_columns(H, s, y):
@@ -155,34 +128,19 @@ def ds_evaluate(sol, s, y):
     y = np.asarray(y, dtype=float)
     a, b = _region_endpoints(s, y)
     es = np.exp(-s)
-    if sol._cheb_F is not None:
-        F = lambda x: C.chebval(x, sol._cheb_F)
-    else:
-        f, fp, g = sol._callables
-        F = lambda x: (1.0 + x) * fp(x) + g(x)
-    return _complex_result(
-        0.5 * (F(b) * es * (1.0 - y) - F(a) * es * (1.0 + y)))
+    return _complex_result(0.5 * (C.chebval(b, sol.F) * es * (1.0 - y)
+                                  - C.chebval(a, sol.F) * es * (1.0 + y)))
 
 
-def _as_solution(f, g, grid, fp):
-    if isinstance(f, ClosedFormSolution):
-        return f
-    if callable(f) or callable(g):
-        if fp is None:
-            raise InvalidArgumentError("callable data needs fp (f')")
-        return from_callables(grid, f, fp, g)
-    return from_chebyshev(grid, f, g)
-
-
-def free_trajectory(f, g, grid, s_max, ds, fp=None):
+def free_trajectory(f, g, grid, s_max, ds):
     """Sample the closed-form solution and its s-derivative on slices.
 
-    f, g are Chebyshev coefficient arrays of odd data, or callables (then
-    fp must be supplied). Slices run over 0, ds, ..., up to s_max.
+    f, g are Chebyshev coefficient arrays of odd data. Slices run over
+    0, ds, ..., up to s_max.
     """
     if ds <= 0 or s_max < ds:
         raise InvalidArgumentError("need ds > 0 and s_max >= ds")
-    sol = _as_solution(f, g, grid, fp)
+    sol = from_chebyshev(grid, f, g)
     num = _step_count(s_max, ds, grid.n)[1]
     times = np.arange(num + 1) * ds
     U = evaluate(sol, times[:, None], grid.nodes)

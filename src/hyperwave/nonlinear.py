@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import block_diag
 
 from .coords import logcosh, phi_inv, pull_back_slice
@@ -273,6 +272,9 @@ def _level_line_seed(traj, s_line, y_line):
     and odd data give odd slices, so the odd extension of the half fit is
     the full fit bit for bit at half the cost.
     """
+    # imported at its one call site: scipy.interpolate is slow to load
+    from scipy.interpolate import CubicSpline
+
     spline_u = CubicSpline(traj.times, positive_half(traj.U.real), axis=0)
     spline_v = CubicSpline(traj.times, positive_half(traj.V.real), axis=0)
     W = np.zeros(s_line.size)

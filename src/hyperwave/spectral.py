@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core_types import (
     EnergyState,
@@ -175,6 +174,9 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, grid=None, check_resonance=True):
         dd = (-2.0 * (lam + 1.0) * (1.0 - z) * dw
               + (lam * (lam + 1.0) + vy) * w) / (z * (2.0 - z))
         return [dw, dd]
+
+    # imported at its one call site: scipy.integrate is slow to load
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(rhs, (_SEED_OFFSET, 1.0), [w0, dw0], method="DOP853",
                     rtol=1e-12, atol=1e-14, dense_output=True)

@@ -67,8 +67,9 @@ class EnsembleSpec:
     def coefficient_arrays(self):
         """[(cf, cg)] per member; the draws run member by member, f
         before g, so a larger count keeps the earlier members."""
-        if self.count < 1 or self.band_limit < 0:
-            raise InvalidArgumentError("count >= 1 and band_limit >= 0")
+        if self.count < 1 or self.band_limit < 0 or self.seed < 0:
+            raise InvalidArgumentError(
+                "count >= 1, band_limit >= 0 and seed >= 0")
         rng = np.random.default_rng(self.seed)
         K = self.band_limit
         c = np.zeros((self.count, 2, 2 * K + 2))

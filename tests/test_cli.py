@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +245,26 @@ def test_seed_override_still_checks_the_config_seed(tmp_path, capsys,
     assert "seed: expected int" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,cfg,extra", [
+    ("resolvent-check", {"grid_n": 16,
+                         "potential": {"kind": "constant", "value": -1.0},
+                         "lambda": {"re": 0.05, "im": 2.0},
+                         "num_states": 1, "seed": -1}, ()),
+    ("resolvent-check", {"grid_n": 16,
+                         "potential": {"kind": "constant", "value": -1.0},
+                         "lambda": {"re": 0.05, "im": 2.0},
+                         "num_states": 1}, ("--seed", "-5")),
+    ("strichartz", {"grid_n": 16, "mode": "free", "s_max": 0.5,
+                    "num_slices": 8,
+                    "ensemble": dict(_ENSEMBLE, seed=-1)}, ())])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, cfg,
+                                         extra):
+    code, _ = _run(tmp_path, command, cfg, extra=extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed >= 0" in err
+
+
 def test_seed_override_stands_in_for_a_missing_ensemble_seed(tmp_path):
     ens = {k: v for k, v in _ENSEMBLE.items() if k != "seed"}
     cfg = {"grid_n": 16, "mode": "free", "s_max": 0.5, "num_slices": 8,
@@ -320,6 +342,34 @@ def test_console_module_invocation(tmp_path):
     assert "wrote" in proc.stdout
 
 
+def test_cli_import_leaves_integrate_and_interpolate_unloaded():
+    # each loads at its one call site (build_u1's solve_ivp, the Cauchy
+    # seeding's CubicSpline); at import they would cost every command
+    code = ("import sys, hyperwave.cli; print(sorted(m for m in"
+            " ('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_every_tracked_name():
+    # the benchmark's tracer wraps its tracked names by getattr, so a
+    # deleted or renamed one breaks its traced runs; read, not imported,
+    # so nothing is written under benchmarks/
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    before = {(m, name): getattr(sys.modules[f"hyperwave.{m}"], name)
+              for m, names in tracer.TRACKED.items() for name in names
+              if "." not in name}
+    with tracer.Tracer():
+        assert all(getattr(sys.modules[f"hyperwave.{m}"], name) is not fn
+                   for (m, name), fn in before.items())
+    assert all(getattr(sys.modules[f"hyperwave.{m}"], name) is fn
+               for (m, name), fn in before.items())
+
+
 def test_crosscheck_command(tmp_path):
     cfg = {"grid_n": 64, "dr": 0.03125,
            "data": {"kind": "bump", "amplitude": 0.05, "width": 0.6},
@@ -359,7 +409,9 @@ def test_resolvent_check_command(tmp_path):
 
 @pytest.mark.parametrize("data", [
     {"kind": "mode"}, {"kind": "zero"},
-    {"kind": "cheb", "f": [0, 1.0, 0, -0.5], "g": [0, 0.25]}])
+    {"kind": "cheb", "f": [0, 1.0, 0, -0.5], "g": [0, 0.25]},
+    # f and g defaulted to [0.0], and f, g of different lengths
+    {"kind": "cheb"}, {"kind": "cheb", "f": [0, 1]}])
 def test_evolve_data_kinds(tmp_path, data):
     cfg = {"grid_n": 16, "data": data, "s_max": 0.5, "ds": 0.01,
            "store_every": 10}

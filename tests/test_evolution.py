@@ -127,7 +127,7 @@ def test_evolve_free_oracle():
     gen = hw.assemble_generator(g, hw.Potential.constant(0.0))
     init = hw.EnergyState.from_callables(g, lambda y: y, lambda y: 0 * y)
     traj = hw.evolve(gen, init, 5.0, store_every=100)
-    for s, st in zip(traj.times, traj.states):
+    for s, st in zip(traj.times, traj):
         want = g.nodes * np.exp(-s) * (2 - np.exp(-s))
         assert np.max(np.abs(st.u.values - want)) < 1e-6
 
@@ -138,7 +138,7 @@ def test_evolve_growing_mode_oracle():
     init = hw.EnergyState.from_callables(g, lambda y: y, lambda y: y)
     traj = hw.evolve(gen, init, 3.0, store_every=100)
     want = g.nodes * np.exp(traj.times[-1])
-    got = traj.states[-1].u.values
+    got = traj[-1].u.values
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-6
 
 
@@ -146,7 +146,7 @@ def test_evolve_zero_data():
     g = hw.make_grid(32)
     gen = hw.assemble_generator(g, hw.Potential.constant(-1.0))
     traj = hw.evolve(gen, hw.EnergyState.zero(g), 1.0, store_every=50)
-    assert max(hw.energy_norm(st) for st in traj.states) == 0.0
+    assert max(hw.energy_norm(st) for st in traj) == 0.0
 
 
 def test_evolve_energy_non_increasing_free():
@@ -155,7 +155,7 @@ def test_evolve_energy_non_increasing_free():
     rng = np.random.default_rng(5)
     st = _band_limited_state(g, rng)
     traj = hw.evolve(gen, st, 4.0, store_every=20)
-    E = np.array([hw.energy_norm(x) for x in traj.states])
+    E = np.array([hw.energy_norm(x) for x in traj])
     assert np.max(np.diff(E)) <= 1e-6 * E[0]
 
 
@@ -167,9 +167,9 @@ def test_evolve_semigroup_property():
     ds = 1e-3
     whole = hw.evolve(gen, st, 2.0, ds=ds, store_every=2000)
     first = hw.evolve(gen, st, 1.0, ds=ds, store_every=1000)
-    second = hw.evolve(gen, first.states[-1], 1.0, ds=ds, store_every=1000)
-    a = whole.states[-1].stacked()
-    b = second.states[-1].stacked()
+    second = hw.evolve(gen, first[-1], 1.0, ds=ds, store_every=1000)
+    a = whole[-1].stacked()
+    b = second[-1].stacked()
     assert np.max(np.abs(a - b)) < 1e-7 * max(1.0, np.max(np.abs(a)))
 
 
@@ -338,7 +338,7 @@ def test_decompose_and_evolve_single_mode():
     got = dec.unstable_state(3.0).u.values
     want = g.nodes * np.exp(3.0)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
-    assert max(hw.energy_norm(x) for x in dec.stable_trajectory.states) < 1e-10
+    assert max(hw.energy_norm(x) for x in dec.stable_trajectory) < 1e-10
     tot = dec.total_state(0)
     assert np.max(np.abs(tot.stacked() - init.stacked())) < 1e-8
 

@@ -42,7 +42,7 @@ def test_duhamel_zero_source_is_linear():
     lin = hw.evolve(gen, hw.EnergyState(f, g), 2.0, ds=0.05 / sub,
                     store_every=sub)
     m = min(len(out), len(lin))
-    diff = out.first_components()[:m] - lin.first_components()[:m]
+    diff = out.U[:m] - lin.U[:m]
     assert np.max(np.abs(diff)) < 1e-6
 
 
@@ -52,7 +52,7 @@ def test_duhamel_zero_everything_is_zero():
     zero_traj = _zero_trajectory(grid, prop.times())
     out = hw.duhamel_step(prop, hw.OddField.zero(grid),
                           hw.OddField.zero(grid), zero_traj)
-    assert max(hw.energy_norm(s) for s in out.states) == 0.0
+    assert max(hw.energy_norm(s) for s in out) == 0.0
 
 
 def test_duhamel_grid_mismatch():
@@ -70,7 +70,7 @@ def test_picard_zero_data():
                           2.0, 0.05)
     assert run.converged
     assert len(run.x_norms) <= 2
-    assert max(hw.energy_norm(s) for s in run.final.states) == 0.0
+    assert max(hw.energy_norm(s) for s in run.final) == 0.0
 
 
 def test_picard_rejects_large_data():
@@ -118,7 +118,7 @@ def test_direct_solver_zero_data():
     grid = hw.make_grid(32)
     traj = hw.nonlinear_evolve_direct(hw.OddField.zero(grid),
                                       hw.OddField.zero(grid), 1.0)
-    assert max(hw.energy_norm(s) for s in traj.states) == 0.0
+    assert max(hw.energy_norm(s) for s in traj) == 0.0
 
 
 def test_direct_matches_picard():
@@ -129,8 +129,8 @@ def test_direct_matches_picard():
     direct = hw.nonlinear_evolve_direct(f, g, 8.0, ds=0.05 / sub,
                                         store_every=sub)
     m = min(len(run.final), len(direct))
-    Up = run.final.first_components()[:m]
-    Ud = direct.first_components()[:m]
+    Up = run.final.U[:m]
+    Ud = direct.U[:m]
     l6 = np.max((np.abs(Up - Ud) ** 6 @ grid.quad_weights) ** (1.0 / 6.0))
     assert l6 < 1e-4
     # Gronwall probe: the discrepancy stays at discretization size over
@@ -238,7 +238,7 @@ def test_direct_parity_preserved():
     grid = hw.make_grid(48)
     f, g = _small_data(grid, energy=0.02)
     traj = hw.nonlinear_evolve_direct(f, g, 2.0, store_every=100)
-    for st_ in traj.states:
+    for st_ in traj:
         assert hw.parity_defect(st_.u.values) < 1e-10
         assert hw.parity_defect(st_.v.values) < 1e-10
 
@@ -250,7 +250,7 @@ def test_scaling_trend():
     for energy in (0.02, 0.01):
         f, g = _small_data(grid, energy=energy)
         traj = hw.nonlinear_evolve_direct(f, g, 4.0, store_every=50)
-        sups.append(max(hw.lq_norm(s.u, np.inf) for s in traj.states))
+        sups.append(max(hw.lq_norm(s.u, np.inf) for s in traj))
     assert 1.5 <= sups[0] / sups[1] <= 2.5
 
 

@@ -71,11 +71,11 @@ def test_trajectory_states_view_matches_rows(data):
     grid, (U, V) = data
     traj = hw.Trajectory.from_arrays(grid, np.arange(U.shape[0]) * 0.5, U, V)
     assert not traj.U.flags.writeable and not traj.V.flags.writeable
-    assert len(traj.states) == len(traj) == U.shape[0]
-    for i, st_ in enumerate(traj.states):
+    assert len(traj) == U.shape[0]
+    for i, st_ in enumerate(traj):
         assert np.array_equal(st_.u.values, traj.U[i])
         assert np.array_equal(st_.v.values, traj.V[i])
-        assert np.array_equal(traj.states[i].u.values, U[i])
+        assert np.array_equal(traj[i].u.values, U[i])
 
 
 @settings(max_examples=50, deadline=None)
