@@ -424,10 +424,16 @@ def slice_energies(U, V, grid):
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise InvalidDataError("non-finite state")
     dU = (grid.diff_matrix @ np.transpose(U)).T
-    val = np.sum(grid.quad_weights * (1.0 - grid.nodes ** 2)
-                 * np.abs(dU) ** 2, axis=-1) \
-        + np.sum(grid.quad_weights * np.abs(V) ** 2, axis=-1)
-    return np.sqrt(np.maximum(np.real(val), 0.0))
+    # in place, as in `slice_norms`: each stack-sized temporary
+    # page-faults on a long trajectory
+    du2 = np.abs(dU, out=dU) if dU.dtype == float else np.abs(dU)
+    np.square(du2, out=du2)
+    du2 *= grid.quad_weights * (1.0 - grid.nodes ** 2)
+    v2 = np.abs(V, dtype=float)
+    np.square(v2, out=v2)
+    v2 *= grid.quad_weights
+    return np.sqrt(np.maximum(np.sum(du2, axis=-1) + np.sum(v2, axis=-1),
+                              0.0))
 
 
 def energy_norm(state):

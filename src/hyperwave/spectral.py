@@ -9,9 +9,9 @@ with a regular singular point at z = 0 and indicial roots {0, -lam}.
 The analytic branch is seeded by a Taylor series at z = 0 normalized so
 that w(0) = 2^(-lam) (which makes u1(0, lam) = 1 for vanishing V), then
 carried to y = 0 by high-order ODE integration (`build_u1`, which also
-samples eigenfunctions and feeds the Green function). u1(0, lam) is the
-mode function whose zeros in the closed right half-plane form the point
-set the evolution code must project out.
+samples each root's eigenfunction and residual). u1(0, lam) is the mode
+function whose zeros in the closed right half-plane form the point set
+the evolution code must project out.
 
 The mode finder evaluates u1(0, lam) many times. For a polynomial V
 (`Potential.constant`, `Potential.even_poly`) the ODE has polynomial
@@ -19,7 +19,10 @@ coefficients, and `_u1_taylor` continues its Taylor series analytically
 from the Frobenius series to z = 1, for a whole contour at once or for
 one lambda with its exact lambda-derivative (Newton); its error is about
 1e-13 of |u1|. A callable V takes fixed-step RK4 on contours and a
-central difference of adaptive solves in Newton.
+central difference of adaptive solves in Newton. The Green function
+keeps the Taylor terms of one continuation per branch as dense output
+(`_TaylorSolution`) for a polynomial V, and calls `build_u1` for a
+callable.
 """
 
 import math
@@ -101,6 +104,15 @@ def _frobenius_coefficients(bz, lam, m, check=True, c0=None, slope=False):
     return (c, d) if slope else c
 
 
+def _z_samples(y):
+    """The points y as an array, and z = 1 - y as a 1-D array; y must lie
+    in [0, 1]."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y < -1e-14) or np.any(y > 1.0 + 1e-14):
+        raise InvalidArgumentError("u1 samples live on [0, 1]")
+    return y, np.atleast_1d(np.clip(1.0 - y, 0.0, 1.0))
+
+
 class FrobeniusSolution:
     """u1(., lam): series near y=1 glued to an ODE solution on
     [0, 1 - _SEED_OFFSET]."""
@@ -120,10 +132,7 @@ class FrobeniusSolution:
     def _eval(self, y, d):
         """w (d = 0) or dw/dz (d = 1) at the points y: the dense ODE
         solution where z = 1 - y >= _SEED_OFFSET, the series below."""
-        y = np.asarray(y, dtype=float)
-        if np.any(y < -1e-14) or np.any(y > 1.0 + 1e-14):
-            raise InvalidArgumentError("u1 samples live on [0, 1]")
-        z = np.atleast_1d(np.clip(1.0 - y, 0.0, 1.0))
+        y, z = _z_samples(y)
         on_dense = z >= _SEED_OFFSET
         out = np.empty(z.shape, dtype=complex)
         if np.any(on_dense):
@@ -282,22 +291,37 @@ def _u1_taylor(V, lam, kappa, slope=False):
     recurrences are written once for both. The Frobenius series, seeded
     with c_0 = 1, is summed at the first point of `_taylor_mesh(kappa)`;
     at each next point z0 the solution is re-expanded in t = z - z0 up to
-    the step h to the next point. With p0 = z0(2 - z0), p1 = 2(1 - z0)
-    and r_j the coefficients of lam(lam+1) + V(1 - z0 - t), its Taylor
-    coefficients a_k satisfy
+    the step h to the next point (`_taylor_continuation`). With `slope`,
+    returns (u1, d u1 / d lam): the lam-derivatives are carried along the
+    same recurrences in forward mode. The normalization 2^(-lam) is
+    applied at the end.
+    """
+    _, w = _taylor_continuation(V, lam, _taylor_mesh(kappa), slope)
+    norm = np.exp(-lam * np.log(2.0))
+    if slope:
+        w, lw = w
+        return norm * w, norm * (lw - np.log(2.0) * w)
+    return norm * w
+
+
+def _taylor_continuation(V, lam, zs, slope=False, panels=None):
+    """The panel loop of `_u1_taylor` on the mesh `zs`.
+
+    Returns the Frobenius seed (c_0 = 1) and w(1), both without the
+    normalization 2^(-lam); with `slope`, each is the pair of it and its
+    lam-derivative. With p0 = z0(2 - z0), p1 = 2(1 - z0) and r_j the
+    coefficients of lam(lam+1) + V(1 - z0 - t), the Taylor coefficients
+    a_k of the solution at an expansion point z0 satisfy
 
       p0 (k+1)(k+2) a_{k+2} = -p1 (k+1)(k+lam+1) a_{k+1}
                               + k(k+2 lam+1) a_k + sum_j r_j a_{k-j},
 
     the ODE's three-term part plus the convolution with V; the loop
-    carries the terms a_k h^k. With `slope`, returns
-    (u1, d u1 / d lam): the lam-derivatives are carried along the same
-    recurrences in forward mode. The normalization 2^(-lam) is applied
-    at the end.
+    carries the terms a_k h^k, and appends each panel's list of them to
+    the list `panels` when one is given.
     """
     bz = [float(b) for b in
           _v_z_coefficients(V, 2 * len(V.even_coeffs) - 2)]
-    zs = _taylor_mesh(kappa)
     seed = _frobenius_coefficients(bz, lam, _TAYLOR_TERMS, check=False,
                                    c0=1.0, slope=slope)
     if slope:
@@ -345,10 +369,51 @@ def _u1_taylor(V, lam, kappa, slope=False):
         dw = dw / h
         if slope:
             ldw = ldw / h
-    norm = np.exp(-lam * np.log(2.0))
-    if slope:
-        return norm * w, norm * (lw - np.log(2.0) * w)
-    return norm * w
+        if panels is not None:
+            panels.append(a)
+    return seed, ((w, lw) if slope else w)
+
+
+class _TaylorSolution:
+    """u1(., lam) for a polynomial V: the dense form of one `_u1_taylor`
+    continuation, the same analytic branch `build_u1` integrates.
+
+    The terms a_k h^k of every panel [z0, z1] of `_taylor_mesh` are kept;
+    a point z = 1 - y on a panel is summed by Horner in
+    t = (z - z0) / h in [0, 1], a point below the first expansion point
+    by Horner on the Frobenius series, and 2^(-lam) is applied at the
+    end. `u1_at_zero` is the value `_u1_taylor` gives, bit for bit.
+    """
+
+    __slots__ = ("u1_at_zero", "_zs", "_z0", "_h", "_coeffs", "_norm")
+
+    def __init__(self, V, lam):
+        lam = complex(lam)
+        # as in build_u1: the series divides by k + 1 + lam, and at
+        # lam = 0 the Green function's branches +-lam coincide
+        _resonance_check(lam)
+        zs = _taylor_mesh(_kappa(V, abs(lam)))
+        panels = []
+        seed, w = _taylor_continuation(V, lam, zs, panels=panels)
+        self._norm = np.exp(-lam * np.log(2.0))
+        self.u1_at_zero = complex(self._norm * w)
+        # the series is the last column: points below zs[0] take panel
+        # index -1, with origin 0 and width 1 (so t = z)
+        self._zs = np.array(zs)
+        self._z0 = np.append(self._zs[:-1], 0.0)
+        self._h = np.append(np.diff(self._zs), 1.0)
+        self._coeffs = np.array(panels + [seed]).T
+
+    def u1(self, y):
+        y, z = _z_samples(y)
+        i = np.minimum(np.searchsorted(self._zs, z, side="right") - 1,
+                       self._zs.size - 2)
+        t = (z - self._z0[i]) / self._h[i]
+        acc = self._coeffs[-1, i]
+        for row in self._coeffs[-2::-1]:
+            acc = acc * t + row[i]
+        out = self._norm * acc
+        return complex(out[0]) if y.ndim == 0 else out
 
 
 def _u1_rk4(V, lams, kappa):
@@ -786,10 +851,12 @@ class GreenFunction:
 
     u0 is the odd solution vanishing at 0, assembled from the analytic
     branches at +-lambda; the Wronskian factor 2 lam u1(0,lam) is the
-    constant p W(u0, u1) with p = (1-y^2)^(1+lam). `apply` is the
-    resolvent at lambda, for Re lambda in (0, 1/4]; build one
-    GreenFunction per lambda and apply it to every state, since the
-    kernel samples are reused.
+    constant p W(u0, u1) with p = (1-y^2)^(1+lam). Each branch is built
+    once: for a polynomial V as the dense Taylor continuation
+    (`_TaylorSolution`), for a callable by the adaptive solver
+    (`build_u1`). `apply` is the resolvent at lambda, for Re lambda in
+    (0, 1/4]; build one GreenFunction per lambda and apply it to every
+    state, since the kernel samples are reused.
     """
 
     __slots__ = ("lam", "u1_branch", "u1_minus", "wronskian_factor",
@@ -801,8 +868,9 @@ class GreenFunction:
             raise InvalidArgumentError(
                 f"Re lambda must lie in (0, 0.25], got {lam.real}")
         self.lam = lam
-        self.u1_branch = build_u1(V, lam)
-        self.u1_minus = build_u1(V, -lam)
+        branch = _TaylorSolution if V.even_coeffs is not None else build_u1
+        self.u1_branch = branch(V, lam)
+        self.u1_minus = branch(V, -lam)
         u10 = self.u1_branch.u1_at_zero
         if abs(u10) < 1e-10:
             raise NearEigenvalueError(
@@ -815,10 +883,12 @@ class GreenFunction:
         return self.u1_branch.u1(y)
 
     def u0(self, y):
+        # the branches check y before the weight is taken
+        up, um = self.u1_branch.u1(y), self.u1_minus.u1(y)
         y = np.asarray(y, dtype=float)
         wgt = np.exp(-self.lam * np.log1p(-y * y))
-        return (self.u1_minus.u1_at_zero * self.u1_branch.u1(y)
-                - self.u1_branch.u1_at_zero * wgt * self.u1_minus.u1(y))
+        return (self.u1_minus.u1_at_zero * up
+                - self.u1_branch.u1_at_zero * wgt * um)
 
     def _kernel(self, grid):
         """Kernel samples and the barycentric interpolation matrix onto

@@ -353,6 +353,22 @@ def test_cli_import_leaves_integrate_and_interpolate_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_resolvent_check_leaves_integrate_unloaded(tmp_path):
+    # a polynomial potential's Green function takes both branches from
+    # the Taylor kernel, so the README resolvent check never reaches the
+    # adaptive solver (the only user of scipy.integrate)
+    cfg = _write_cfg(tmp_path, "rc.json", {
+        "grid_n": 128, "potential": {"kind": "constant", "value": -1.0},
+        "lambda": {"re": 0.05, "im": 2.0}, "num_states": 10, "seed": 7})
+    argv = ["resolvent-check", "--config", cfg, "--out", str(tmp_path / "o")]
+    code = ("import sys, hyperwave.cli; code = hyperwave.cli.main("
+            f"{argv!r}); print(code, 'scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def test_benchmark_tracer_finds_every_tracked_name():
     # the benchmark's tracer wraps its tracked names by getattr, so a
     # deleted or renamed one breaks its traced runs; read, not imported,

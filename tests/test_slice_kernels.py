@@ -50,6 +50,30 @@ def test_kernels_match_per_slice_norms(data):
                 hw.lq_norm(u, q), rel=1e-13, abs=0.0)
 
 
+def _slice_energies_reference(U, V, grid):
+    """slice_energies as one plain expression: the reference its in-place
+    form must match bit for bit."""
+    dU = (grid.diff_matrix @ np.transpose(U)).T
+    val = np.sum(grid.quad_weights * (1.0 - grid.nodes ** 2)
+                 * np.abs(dU) ** 2, axis=-1) \
+        + np.sum(grid.quad_weights * np.abs(V) ** 2, axis=-1)
+    return np.sqrt(np.maximum(np.real(val), 0.0))
+
+
+@pytest.mark.parametrize("shape", [(64,), (1, 64), (7, 32), (2049, 64)])
+def test_slice_energies_bitwise_as_before(shape):
+    rng = np.random.default_rng(len(shape) * shape[0])
+    grid = hw.make_grid(shape[-1])
+    U, V = rng.standard_normal(shape), rng.standard_normal(shape)
+    cU, cV = U + 1j * rng.standard_normal(shape), V - 1j * U
+    for u, v in ((U, V), (cU, cV), (U, cV), (cU, V)):
+        keep = u.copy(), v.copy()
+        got = slice_energies(u, v, grid)
+        want = _slice_energies_reference(u, v, grid)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(u, keep[0]) and np.array_equal(v, keep[1])
+
+
 @settings(max_examples=50, deadline=None)
 @given(odd_stacks(count=2), st.data())
 def test_trajectory_rejects_non_odd_rows(data, draw):

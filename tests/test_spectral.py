@@ -467,6 +467,50 @@ def test_green_function_reused_across_states_and_grids():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _green_mesh(n=128):
+    pos = hw.make_grid(n).nodes[n // 2:]
+    return np.unique(np.concatenate([graded_mesh(6000), pos]))
+
+
+@pytest.mark.parametrize("vname", ["0", "-1", "-6", "-30", "even_poly"])
+def test_dense_taylor_branch_matches_adaptive_solver(vname):
+    # the Green function's dense u1 against DOP853 on its quadrature mesh,
+    # for both branches +-lam; its u1(0, lam) is the kernel's, bit for bit
+    V = _contour_potential(vname)
+    xs = _green_mesh()
+    for lam in (0.05 + 2.0j, 0.1 + 3.0j, 0.2 + 15.0j):
+        for branch in (lam, -lam):
+            dense = spectral._TaylorSolution(V, branch)
+            ref = build_u1(V, branch).u1(xs)
+            err = np.max(np.abs(dense.u1(xs) - ref))
+            assert err <= 1e-10 * np.max(np.abs(ref))
+            assert dense.u1_at_zero == spectral._u1_taylor(
+                V, branch, spectral._kappa(V, abs(branch)))
+
+
+def test_green_function_dense_and_adaptive_branches_agree():
+    lam = 0.05 + 2.0j
+    dense = GreenFunction(hw.Potential.constant(-1.0), lam)
+    adaptive = GreenFunction(
+        hw.Potential.from_callable(lambda y: -1.0 + 0.0 * y), lam)
+    assert isinstance(dense.u1_branch, spectral._TaylorSolution)
+    assert isinstance(adaptive.u1_branch, hw.FrobeniusSolution)
+    g = hw.make_grid(64)
+    for f, h in ((lambda y: y - y ** 3, lambda y: 0.5 * y ** 3),
+                 (lambda y: np.sin(3.0 * y), lambda y: y * np.exp(-y * y)),
+                 (lambda y: y ** 5, lambda y: -y)):
+        state = hw.EnergyState.from_callables(g, f, h)
+        want = adaptive.apply(state).stacked()
+        got = dense.apply(state).stacked()
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    for green in (dense, adaptive):
+        for fn in (green.u1, green.u0):
+            assert isinstance(fn(0.3), complex)
+            for y in (-0.5, 1.5):
+                with pytest.raises(hw.InvalidArgumentError):
+                    fn(y)
+
+
 # ---------------------------------------------------------------------------
 # Taylor kernel for polynomial potentials
 
