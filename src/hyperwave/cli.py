@@ -13,6 +13,7 @@ rejects as out of range), 3 numerical guard tripped, 4 internal error.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -238,14 +239,16 @@ def _fmt_cell(v):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        if all(type(v) is float for v in row):
-            # one format operation per row; same bytes as _fmt_cell
-            lines.append(",".join(["%.15g"] * len(row)) % tuple(row))
-        else:
-            lines.append(",".join(_fmt_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = ",".join(header) + "\n"
+    # cell types are checked once per column
+    if all(set(map(type, col)) == {float} for col in zip(*rows)):
+        # one format operation for the whole table; same bytes as _fmt_cell
+        row_fmt = ",".join(["%.15g"] * len(header))
+        body = "\n".join([row_fmt] * len(rows)) % tuple(
+            itertools.chain.from_iterable(rows))
+    else:
+        body = "\n".join(",".join(map(_fmt_cell, row)) for row in rows)
+    Path(path).write_text(head + body + "\n" if rows else head)
 
 
 def _jsonable(obj):

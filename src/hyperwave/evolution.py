@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve, schur
+from scipy.linalg import block_diag, expm, lu_factor, lu_solve, schur
 from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .core_types import (
@@ -29,12 +29,12 @@ from .core_types import (
     odd_extension,
     odd_fold,
     positive_half,
-    slice_energies,
 )
 from .errors import (
     ContourAccuracyError,
     DivergenceError,
     InvalidArgumentError,
+    InvalidDataError,
     NearEigenvalueError,
     SpectralAssumptionError,
 )
@@ -101,9 +101,17 @@ class GeneratorMatrix:
         return Trajectory.from_halves(self.grid, times,
                                       *np.split(X, 2, axis=-1), step=step)
 
-    def reduced_energy(self, x):
-        """Energy norm of a reduced vector (or of each column of a batch)."""
-        return slice_energies(*self.expand_rows(np.transpose(x)), self.grid)
+    def energy_factor(self):
+        """The matrix R whose product with a reduced vector x has the
+        energy norm of x as its 2-norm: the energy is the Gram form
+        x^H R^T R x. Its rows are u' weighted by sqrt(w (1 - y^2)) and v
+        weighted by sqrt(w) at all nodes, w the quadrature weights."""
+        g = self.grid
+        ext = odd_extension(np.eye(g.n // 2)).T  # positive half -> all nodes
+        return block_diag(
+            np.sqrt(g.quad_weights * (1.0 - g.nodes ** 2))[:, None]
+            * (g.diff_matrix @ ext),
+            np.sqrt(g.quad_weights)[:, None] * ext)
 
 
 def assemble_generator(grid, V):
@@ -178,13 +186,16 @@ def evolve(gen, init, s_max, ds=None, store_every=1):
     rows = np.empty((steps.size, x.size), dtype=x.dtype)
     rows[0] = x
     E = propagator(gen, ds)
+    R = gen.energy_factor()
     for i in range(1, M + 1):
         x = E @ x
         s = i * ds
         if i % store_every == 0 or i == M:
             rows[-(-i // store_every)] = x  # the last step may be off-stride
-        if (i % 50 == 0 or i == M) and norm0 > 0 \
-                and gen.reduced_energy(x) > 10.0 * np.exp(rate * s) * norm0:
+        if (i % 50 == 0 or i == M) and norm0 > 0 and not \
+                np.linalg.norm(R @ x) <= 10.0 * np.exp(rate * s) * norm0:
+            if not np.all(np.isfinite(x)):
+                raise InvalidDataError("non-finite state")
             raise DivergenceError(
                 f"norm at s = {s:.3f} exceeds 10 e^{{(max|V|+1)s}} times"
                 " the initial norm")

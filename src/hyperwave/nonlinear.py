@@ -20,9 +20,10 @@ from typing import List
 import numpy as np
 from scipy.linalg import block_diag
 
-from .coords import logcosh, phi_inv, pull_back_slice
+from .coords import logcosh, phi, phi_inv
 from .core_types import (
     EnergyState,
+    OddField,
     Potential,
     Trajectory,
     _barycentric_matrix,
@@ -263,10 +264,10 @@ def _lagrange_rows(xs, grid_pts, h, lo):
     return idx0, _lagrange_weights(grid_pts[idx0[:, None] + np.arange(4)], xs)
 
 
-def _level_line_seed(traj, s_line, y_line):
+def _level_line_seed(traj, s_line, y_line, stride=1):
     """W and W_t at the level-line points (s_line[k], y_line[k]): a cubic
-    spline in s of the stored slices, interpolated in y; zero where
-    s_line < 0, before the data.
+    spline in s of every stride-th stored slice, interpolated in y; zero
+    where s_line < 0, before the data.
 
     Only the positive-node half is fitted: a spline is linear in its data
     and odd data give odd slices, so the odd extension of the half fit is
@@ -275,8 +276,11 @@ def _level_line_seed(traj, s_line, y_line):
     # imported at its one call site: scipy.interpolate is slow to load
     from scipy.interpolate import CubicSpline
 
-    spline_u = CubicSpline(traj.times, positive_half(traj.U.real), axis=0)
-    spline_v = CubicSpline(traj.times, positive_half(traj.V.real), axis=0)
+    times = traj.times[::stride]
+    spline_u = CubicSpline(times, positive_half(traj.U.real)[::stride],
+                           axis=0)
+    spline_v = CubicSpline(times, positive_half(traj.V.real)[::stride],
+                           axis=0)
     W = np.zeros(s_line.size)
     Wt = np.zeros(s_line.size)
     ok = s_line >= 0.0
@@ -289,6 +293,22 @@ def _level_line_seed(traj, s_line, y_line):
     return W, Wt
 
 
+def _cross_check_steps(s1):
+    """Step counts that cauchy_cross_check tries for its hyperboloidal
+    solve to s1, coarsest first: the fewest even count at a step of at
+    most 1e-2, doubled while below the count at step 2e-3, which closes
+    the list. Even counts keep s1 on the slices shared with the solve at
+    twice the step, and each count but the last doubles the one before,
+    so that the solve at twice the step is the previous try's."""
+    finest = int(np.ceil(s1 / 2e-3 - 1e-12))
+    count = 2 * int(np.ceil(s1 / 2e-2 - 1e-12))
+    counts = []
+    while count < finest:
+        counts.append(count)
+        count *= 2
+    return counts + [finest]
+
+
 def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
                        dr=1.0 / 64):
     """Independent (t,r) leapfrog check of the hyperboloidal solver.
@@ -299,6 +319,19 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
     outside the domain of influence of the comparison set, which the
     domain guard enforces), steps to the comparison times, and returns
     the max difference on the s = s1 slice restricted to |y| <= y_max.
+
+    The hyperboloidal step is sized from an error estimate. Each step
+    count of _cross_check_steps is tried in turn. A run is accepted once
+    its estimated error in the discrepancy is at most 1e-3 of the
+    discrepancy; the last count, a step of 2e-3, is accepted without an
+    estimate. The error is estimated on the domain of dependence of the
+    compared slice, |r| <= r_cmp + (t_end - s0), as the seed error
+    sup|dW| + (t_end - s0) sup|dW_t| plus the solve's error on the
+    compared slice. The seed error adds a spline part, the fit of every
+    other slice against the fit of every slice, and a Lawson part, the
+    solve at twice the step against this one on their shared slices; both
+    are fourth order, so each difference is divided by 15 (step doubling,
+    Hairer, Norsett & Wanner, Solving ODEs I, II.4).
     """
     if abs(y_max) > 0.9:
         raise InvalidArgumentError("|y_max| <= 0.9 required")
@@ -318,19 +351,20 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
         raise DomainError(f"r_max = {r_max} too small for the requested"
                           " slice")
 
-    # hyperboloidal run at the spline spacing 2e-3, with the final slice
-    # landing exactly on s1
-    steps = int(np.ceil(s1 / 2e-3 - 1e-12))
-    traj = nonlinear_evolve_direct(f, g, s1, ds=s1 / steps)
-
-    # seed the leapfrog on the level line t = s0
+    # the leapfrog's level line t = s0, and the points of it and the
+    # hyperboloidal nodes in the domain of dependence of the compared slice
     nr = int(round(2.0 * r_max / dr)) + 1
     r = -r_max + dr * np.arange(nr)
-    W0, Wt0 = _level_line_seed(traj, *phi_inv((s0, r)))
+    s_line, y_line = phi_inv((s0, r))
+    span = t_end - s0
+    dep = np.abs(r) <= r_cmp + span
+    y_dep = np.abs(grid.nodes) <= np.tanh(r_cmp + span)
 
     dt = 0.5 * dr
-    nt = int(np.ceil((t_end - s0) / dt)) + 3
+    nt = int(np.ceil(span / dt)) + 3
     cosh2 = np.cosh(r) ** 2
+    t_levels = s0 + dt * np.arange(nt + 1)
+    mask = np.abs(grid.nodes) <= y_max
 
     def accel(W):
         a = np.zeros_like(W)
@@ -340,34 +374,62 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
         a[-1] = 0.0
         return a
 
-    levels = np.zeros((nt + 1, nr))
-    levels[0] = W0
-    W1 = W0 + dt * Wt0 + 0.5 * dt ** 2 * accel(W0)
-    W1[0] = 0.0
-    W1[-1] = 0.0
-    levels[1] = W1
-    for m in range(1, nt):
-        Wn = 2.0 * levels[m] - levels[m - 1] + dt ** 2 * accel(levels[m])
-        Wn[0] = 0.0
-        Wn[-1] = 0.0
-        levels[m + 1] = Wn
-    if not np.all(np.isfinite(levels)):
-        raise BlowUpError("Cauchy leapfrog produced non-finite values;"
-                          " the data are too large for the step dr/2")
-    t_levels = s0 + dt * np.arange(nt + 1)
+    def leapfrog_discrepancy(u_end, W0, Wt0):
+        levels = np.zeros((nt + 1, nr))
+        levels[0] = W0
+        W1 = W0 + dt * Wt0 + 0.5 * dt ** 2 * accel(W0)
+        W1[0] = 0.0
+        W1[-1] = 0.0
+        levels[1] = W1
+        for m in range(1, nt):
+            Wn = 2.0 * levels[m] - levels[m - 1] + dt ** 2 * accel(levels[m])
+            Wn[0] = 0.0
+            Wn[-1] = 0.0
+            levels[m + 1] = Wn
+        if not np.all(np.isfinite(levels)):
+            raise BlowUpError("Cauchy leapfrog produced non-finite values;"
+                              " the data are too large for the step dr/2")
 
-    def w_interp(t, rr):
-        if not (t_levels[0] <= t <= t_levels[-1]) or abs(rr) > r_max - 2 * dr:
-            return 0.0  # outside the stored region; masked out below
-        it, wt = _lagrange_rows(np.array([t]), t_levels, dt, t_levels[0])
-        ir, wr = _lagrange_rows(np.array([rr]), r, dr, r[0])
-        block = levels[it[0]:it[0] + 4, ir[0]:ir[0] + 4]
-        return float(wt[0] @ block @ wr[0])
+        # 4 x 4 Lagrange interpolation of the levels at the compared
+        # nodes (the domain guard keeps their stencils inside the levels),
+        # zero elsewhere; OddField checks and projects the parity
+        t, rr = phi((s1, grid.nodes[mask]))
+        it, wt = _lagrange_rows(t, t_levels, dt, t_levels[0])
+        ir, wr = _lagrange_rows(rr, r, dr, r[0])
+        four = np.arange(4)
+        block = levels[(it[:, None] + four)[:, :, None],
+                       (ir[:, None] + four)[:, None]]
+        pulled = np.zeros(grid.n)
+        pulled[mask] = (wt[:, None] @ block @ wr[:, :, None])[:, 0, 0]
+        pulled = OddField(grid, pulled).values[mask]
+        return float(np.max(np.abs(pulled - u_end[mask])))
 
-    pulled = pull_back_slice(w_interp, s1, grid)
-    mask = np.abs(grid.nodes) <= y_max
-    diff = np.abs(pulled.values[mask] - traj.U[-1][mask])
-    return float(np.max(diff))
+    def run(steps):
+        traj = nonlinear_evolve_direct(f, g, s1, ds=s1 / steps)
+        W0, Wt0 = _level_line_seed(traj, s_line, y_line)
+        return traj, W0, Wt0, leapfrog_discrepancy(traj.U[-1], W0, Wt0)
+
+    *tries, finest = _cross_check_steps(s1)
+    coarse = None
+    for steps in tries:
+        traj, W0, Wt0, disc = run(steps)
+        if coarse is None:
+            coarse = nonlinear_evolve_direct(f, g, s1, ds=s1 / (steps // 2))
+        W2, Wt2 = _level_line_seed(traj, s_line[dep], y_line[dep], stride=2)
+        spline_w = np.max(np.abs(W2 - W0[dep])) / 15.0
+        spline_wt = np.max(np.abs(Wt2 - Wt0[dep])) / 15.0
+        lawson_w, lawson_wt = (
+            np.max(np.abs(fine[::2, y_dep] - half[:, y_dep])) / 15.0
+            for fine, half in ((traj.U, coarse.U), (traj.V, coarse.V)))
+        # the seed error carried to the compared slice, plus the solve's
+        # own error on that slice
+        bound = spline_w + lawson_w + span * (spline_wt + lawson_wt) \
+            + lawson_w
+        # zero data give a zero bound and a zero discrepancy: accepted
+        if bound <= 1e-3 * disc:
+            return disc
+        coarse = traj
+    return run(finest)[-1]
 
 
 def _report_stride(num_steps):

@@ -549,3 +549,24 @@ def test_csv_float_rows_match_per_cell_format(tmp_path):
     want = "\n".join([",".join(header)] + [
         ",".join(cli._fmt_cell(v) for v in row) for row in rows]) + "\n"
     assert (tmp_path / "series.csv").read_text() == want
+
+
+@pytest.mark.parametrize("header, rows", [
+    # an all-float table, as `evolve` and `yangmills` write it
+    (["s", "a", "b"], (np.random.default_rng(2).standard_normal((50, 3))
+                       * 10.0 ** np.arange(-8, 7, 7)).tolist()
+     + [[0.0, -0.0, 1e300], [np.inf, np.nan, 5e-324]]),
+    # `crosscheck`: a float or int s1 from the config beside the grid size
+    (["s", "dr", "grid_n", "discrepancy"],
+     [(5.0, 0.03125, 64, 1.1683713942693555e-07),
+      (5, 0.015625, 128, 3.930342409961141e-08)]),
+    # `resolvent-check`: an int state index beside float defects
+    (["state", "rel_diff", "identity_defect"],
+     [(i, 10.0 ** -i / 3.0, 2e-15 * i) for i in range(10)]),
+    (["a"], []),
+])
+def test_csv_tables_match_per_cell_format(tmp_path, header, rows):
+    cli._write_csv(tmp_path / "series.csv", header, rows)
+    want = "\n".join([",".join(header)] + [
+        ",".join(cli._fmt_cell(v) for v in row) for row in rows]) + "\n"
+    assert (tmp_path / "series.csv").read_bytes() == want.encode()

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import hyperwave as hw
+from hyperwave import evolution
+from hyperwave.core_types import slice_energies
 
 
 def _band_limited_state(grid, rng, K=5):
@@ -196,6 +198,32 @@ def test_evolve_divergence_guard_checks_every_50th_step():
     init = hw.EnergyState.from_callables(g, lambda y: y, lambda y: 0 * y)
     with pytest.raises(hw.DivergenceError, match="norm at s = 0.050"):
         hw.evolve(bad, init, 1.0, ds=0.001)
+
+
+def test_evolve_divergence_guard_stops_a_non_finite_state(monkeypatch):
+    # a NaN state compares False against any bound; the guard must still
+    # stop the run at its first check
+    g = hw.make_grid(16)
+    gen = hw.assemble_generator(g, hw.Potential.constant(-1.0))
+    monkeypatch.setattr(evolution, "propagator",
+                        lambda gen, h: np.full((g.n, g.n), np.nan))
+    init = hw.EnergyState.from_callables(g, lambda y: y, lambda y: 0 * y)
+    with pytest.raises(hw.InvalidDataError, match="non-finite state"):
+        hw.evolve(gen, init, 1.0, ds=0.001)
+
+
+def test_evolve_guard_energy_matches_slice_energies():
+    # the guard's energy, |R x| with R built once, against the energy
+    # kernel on the expanded state, for real and complex reduced vectors
+    rng = np.random.default_rng(3)
+    for n in (8, 64):
+        g = hw.make_grid(n)
+        gen = hw.assemble_generator(g, hw.Potential.constant(-1.0))
+        R = gen.energy_factor()
+        for x in (rng.standard_normal(n),
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            want = slice_energies(*gen.expand_rows(x[None]), g)[0]
+            assert abs(np.linalg.norm(R @ x) - want) <= 1e-14 * want
 
 
 @settings(max_examples=25, deadline=None)

@@ -273,6 +273,70 @@ def test_cross_check_zero_data():
     assert hw.cauchy_cross_check(z, z, s0=4.0, s1=5.0, dr=1.0 / 16) == 0.0
 
 
+def _record_solve_steps(monkeypatch):
+    """Step counts of the hyperboloidal solves that follow, in order."""
+    steps = []
+    solve = nonlinear.nonlinear_evolve_direct
+
+    def spy(f, g, s_max, ds=None, store_every=1):
+        steps.append(round(s_max / ds))
+        return solve(f, g, s_max, ds=ds, store_every=store_every)
+
+    monkeypatch.setattr(nonlinear, "nonlinear_evolve_direct", spy)
+    return steps
+
+
+def test_cross_check_step_choice_matches_finest_step(monkeypatch):
+    # the benchmark's n = 64 run: the error-sized step moves the
+    # discrepancy by less than 1e-3 of itself against the finest step 2e-3
+    grid = hw.make_grid(64)
+    f, g = _small_data(grid, energy=0.01)
+    kw = dict(s0=4.0, s1=5.0, y_max=0.9, r_max=20.0, dr=1.0 / 32)
+    steps = _record_solve_steps(monkeypatch)
+    chosen = hw.cauchy_cross_check(f, g, **kw)
+    assert max(steps) < 2500
+    monkeypatch.setattr(nonlinear, "_cross_check_steps", lambda s1: [2500])
+    forced = hw.cauchy_cross_check(f, g, **kw)
+    assert steps[-1] == 2500
+    assert abs(chosen - forced) <= 1e-3 * forced
+
+
+def test_cross_check_warmup_config_takes_coarse_steps(monkeypatch):
+    # the benchmark warm-up (n = 16, r_max 6, dr 0.25) used to run 2,500
+    # Lawson steps; its first try, 500 steps checked against 250, passes
+    grid = hw.make_grid(16)
+    f, g = _small_data(grid, energy=0.01)
+    steps = _record_solve_steps(monkeypatch)
+    hw.cauchy_cross_check(f, g, r_max=6.0, dr=0.25)
+    assert steps == [500, 250]
+
+
+def test_cross_check_refines_from_a_coarse_first_try(monkeypatch):
+    # a first try of 40 steps fails its estimate; each doubling reuses the
+    # previous solve as its solve at twice the step, and the accepted run
+    # agrees with the finest step
+    grid = hw.make_grid(64)
+    f, g = _small_data(grid, energy=0.01)
+    monkeypatch.setattr(nonlinear, "_cross_check_steps",
+                        lambda s1: [40, 80, 160, 320, 640, 1280, 2500])
+    steps = _record_solve_steps(monkeypatch)
+    chosen = hw.cauchy_cross_check(f, g, dr=1.0 / 32)
+    assert steps[:3] == [40, 20, 80]
+    assert steps[2:] == [40 * 2 ** k for k in range(1, len(steps) - 1)]
+    assert steps[-1] < 2500
+    monkeypatch.setattr(nonlinear, "_cross_check_steps", lambda s1: [2500])
+    forced = hw.cauchy_cross_check(f, g, dr=1.0 / 32)
+    assert abs(chosen - forced) <= 1e-3 * forced
+
+
+def test_cross_check_step_counts():
+    # even counts from a step of at most 1e-2, doubling, closed by the
+    # count at step 2e-3
+    assert nonlinear._cross_check_steps(5.0) == [500, 1000, 2000, 2500]
+    assert nonlinear._cross_check_steps(4.5) == [450, 900, 1800, 2250]
+    assert nonlinear._cross_check_steps(4.237) == [424, 848, 1696, 2119]
+
+
 def test_cross_check_small_data():
     grid = hw.make_grid(64)
     f, g = _small_data(grid, energy=0.05)
