@@ -9,7 +9,8 @@ versions, and the wall-clock timestamp — the only non-deterministic
 field).
 
 Exit codes: 0 success, 2 config error (including a value the library
-rejects as out of range), 3 numerical guard tripped, 4 internal error.
+rejects as out of range, and a size above its cap), 3 numerical guard
+tripped, 4 internal error.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +42,8 @@ from .errors import (
     InvalidDataError,
 )
 from .evolution import (
+    _step_count,
+    _stored_steps,
     assemble_generator,
     evolve,
     growing_mode_projection,
@@ -47,12 +51,12 @@ from .evolution import (
 )
 from .nonlinear import (
     DEFAULT_DATA_THRESHOLD,
+    _cross_check_steps,
     _lawson_substeps,
     _report_stride,
     _stability_summary,
     cauchy_cross_check,
     fixed_point_residual,
-    make_propagators,
     nonlinear_evolve_direct,
     picard_solve,
 )
@@ -69,79 +73,173 @@ COMMANDS = ("evolve", "spectrum", "resolvent-check", "strichartz",
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config contract: one key table per command, read by _resolve
 
-def _cfg_get(cfg, key, path, types, default=KeyError, choices=None):
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """One config key. kind is "int", "number", "numbers" (a nonempty
+    list of numbers; booleans are never numbers), "bool", a tuple of
+    choices, a key table (a dict, or a _ByKind of them), or a function
+    parse(value, path)."""
+    kind: object
+    default: object = _REQUIRED
+    positive: bool = False
+
+
+class _ByKind(dict):
+    """The key tables of an object named by its "kind" key, one per kind."""
+
+
+_TYPES = {"int": (int,), "number": (int, float), "bool": (bool,)}
+
+_POTENTIAL = _ByKind(constant={"value": _Key("number")},
+                     even_poly={"coeffs": _Key("numbers")})
+_ENERGY = {"energy": _Key("number", None, positive=True)}
+_DATA = _ByKind(linear=_ENERGY, mode=_ENERGY, zero=_ENERGY,
+               bump={"amplitude": _Key("number", 1.0),
+                     "width": _Key("number", 0.5, positive=True), **_ENERGY},
+               cheb={"f": _Key("numbers", [0.0]), "g": _Key("numbers", [0.0]),
+                     **_ENERGY})
+_WINDOW = {"re_max": _Key("number", 3.0, positive=True),
+           "im_max": _Key("number", 20.0, positive=True)}
+_ENSEMBLE = {"count": _Key("int"), "band_limit": _Key("int"),
+             "seed": _Key("int", None), "decay": _Key("number", 2.0)}
+
+
+def _exponents(spec, path):
+    """The kind of `exponents`: [p, q] pairs of numbers or "inf"."""
+    if not isinstance(spec, list) or not spec:
+        raise ConfigError(f"{path}: expected a nonempty list of [p, q] pairs")
+    for i, pair in enumerate(spec):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{path}[{i}]: expected a [p, q] pair")
+        for j, v in enumerate(pair):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    or str(v).lower() in ("inf", "infinity")):
+                raise ConfigError(f"{path}[{i}][{j}]: expected a number"
+                                  " or 'inf'")
+    return [tuple(np.inf if isinstance(v, str) else float(v) for v in pair)
+            for pair in spec]
+
+
+_GRID = {"grid_n": _Key("int", 64)}
+TABLES = {
+    "evolve": {
+        **_GRID, "potential": _Key(_POTENTIAL, {"kind": "constant",
+                                               "value": 0.0}),
+        "data": _Key(_DATA), "s_max": _Key("number", positive=True),
+        "ds": _Key("number", None, positive=True),
+        "store_every": _Key("int", 16)},
+    "spectrum": {**_GRID, "potential": _Key(_POTENTIAL),
+                 "window": _Key(_WINDOW, {})},
+    "resolvent-check": {
+        "grid_n": _Key("int", 128), "potential": _Key(_POTENTIAL),
+        "lambda": _Key({"re": _Key("number"), "im": _Key("number", 0.0)}),
+        "num_states": _Key("int", 10), "seed": _Key("int", 7),
+        "band_limit": _Key("int", 10), "decay": _Key("number", 2.0)},
+    "strichartz": {
+        **_GRID, "mode": _Key(("free", "potential"), "free"),
+        "potential": _Key(_POTENTIAL, None), "ensemble": _Key(_ENSEMBLE),
+        "exponents": _Key(_exponents, DEFAULT_EXPONENTS),
+        "s_max": _Key("number", 20.0, positive=True),
+        "num_slices": _Key("int", 400), "window": _Key(_WINDOW, None),
+        "refine": _Key("bool", True)},
+    "yangmills": {
+        **_GRID, "data": _Key(_DATA), "max_iter": _Key("int", 25),
+        **{key: _Key("number", default, positive=True) for key, default in
+           (("s_max", 10.0), ("ds", 0.05), ("tol", 1e-10),
+            ("data_threshold", DEFAULT_DATA_THRESHOLD))}},
+    "crosscheck": {
+        **_GRID, "data": _Key(_DATA),
+        **{key: _Key("number", default, positive=True) for key, default in
+           (("s0", 4.0), ("s1", 5.0), ("y_max", 0.9), ("r_max", 20.0),
+            ("dr", 1.0 / 64))},
+        "refine": _Key("bool", False)},
+}
+
+# Size caps, checked before any work from the step and row counts the run
+# itself uses; the configs of README.md, the benchmark and the tests pass.
+MAX_GRID_N = 512          # every grid of a run, refined grids included
+MAX_STEPS = 500_000       # the stepped loops of one run, all tries summed
+MAX_STORED = 5_000_000    # stored rows x n of one trajectory
+MAX_LEAPFROG = 10_000_000  # crosscheck's leapfrog levels x points
+MAX_SCAN = 5_000_000      # ensemble count x num_slices x grid_n
+MAX_PAIRS = 16            # a scan's [p, q] exponent pairs
+MAX_BAND_LIMIT = 128
+MAX_NUM_STATES = 1000
+MAX_RE, MAX_IM = 3.0, 40.0  # the spectral window; |Im lambda| too
+
+
+def _table(table, cfg, path):
+    """The key table that checks the object cfg: of a _ByKind, the one
+    named by cfg's "kind", which is itself checked as a choice."""
+    if not isinstance(table, _ByKind):
+        return table
+    kinds = _Key(tuple(table))
+    return {"kind": kinds, **table[_value(cfg, "kind", kinds, path)]}
+
+
+def _resolve(cfg, table, path):
+    """The object cfg checked against a key table, with every default
+    filled in."""
+    table = _table(table, cfg, path)
+    for key in cfg:
+        if key not in table:
+            raise ConfigError(f"{path}{key}: unknown key")
+    return {key: _value(cfg, key, spec, path) for key, spec in table.items()}
+
+
+def _value(cfg, key, spec, path):
+    name = path + key
     if key not in cfg:
-        if default is KeyError:
-            raise ConfigError(f"{path}{key}: required key missing")
-        return default
-    val = cfg[key]
-    types = (types,) if isinstance(types, type) else types
+        if spec.default is _REQUIRED:
+            raise ConfigError(f"{name}: required key missing")
+        if not (isinstance(spec.kind, dict) and spec.default is not None):
+            return spec.default
+    val = cfg.get(key, spec.default)
+    kind = spec.kind
+    if callable(kind):
+        return kind(val, name)
+    if kind == "numbers":
+        if not isinstance(val, list) or not val or not all(
+                isinstance(c, (int, float)) and not isinstance(c, bool)
+                for c in val):
+            raise ConfigError(f"{name}: need a nonempty number list")
+        return val
+    types = ((dict,) if isinstance(kind, dict) else
+             (str,) if isinstance(kind, tuple) else _TYPES[kind])
     # bool is an int subclass: accept it only where bool is asked for
-    if types is not None and (not isinstance(val, types) or (
-            isinstance(val, bool) and bool not in types)):
+    if not isinstance(val, types) or (isinstance(val, bool)
+                                      and kind != "bool"):
         names = "/".join(t.__name__ for t in types)
-        raise ConfigError(f"{path}{key}: expected {names},"
+        raise ConfigError(f"{name}: expected {names},"
                           f" got {type(val).__name__}")
-    if choices is not None and val not in choices:
-        raise ConfigError(f"{path}{key}: must be one of {sorted(choices)}")
+    if isinstance(kind, dict):
+        return _resolve(val, kind, name + ".")
+    if isinstance(kind, tuple) and val not in kind:
+        raise ConfigError(f"{name}: must be one of {sorted(kind)}")
+    if spec.positive and val <= 0:
+        raise ConfigError(f"{name}: must be positive")
     return val
 
 
-def _no_unknown(cfg, allowed, path):
-    for k in cfg:
-        if k not in allowed:
-            raise ConfigError(f"{path}{k}: unknown key")
+def _cap(what, size, limit):
+    """Refuses a run whose size is above its cap (or not a number)."""
+    if not size <= limit:
+        size = size if size < 1e300 else math.inf  # huge ints do not format
+        raise ConfigError(f"{what}: {size:.4g} above the cap {limit:g}")
 
 
-def _cfg_number(cfg, key, path, default=KeyError, positive=False):
-    v = _cfg_get(cfg, key, path, (int, float), default=default)
-    if positive and v is not None and v <= 0:
-        raise ConfigError(f"{path}{key}: must be positive")
-    return v
-
-
-def _cfg_numbers(cfg, key, path, default=KeyError):
-    """A nonempty list of numbers (booleans refused)."""
-    vals = _cfg_get(cfg, key, path, list, default=default)
-    if not vals or not all(isinstance(c, (int, float))
-                           and not isinstance(c, bool) for c in vals):
-        raise ConfigError(f"{path}{key}: need a nonempty number list")
-    return vals
-
-
-def _cfg_seed(cfg, path, override, default=KeyError):
-    """--seed if given, else the config's seed; the key is type-checked
-    whenever present and is required only without --seed."""
-    val = _cfg_get(cfg, "seed", path, int,
-                   default=default if override is None else None)
-    return val if override is None else override
-
-
-def _build_potential(spec, path):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kind = _cfg_get(spec, "kind", path + ".", str,
-                    choices={"constant", "even_poly"})
-    if kind == "constant":
-        _no_unknown(spec, {"kind", "value"}, path + ".")
-        return Potential.constant(_cfg_number(spec, "value", path + "."))
-    _no_unknown(spec, {"kind", "coeffs"}, path + ".")
-    return Potential.even_poly(_cfg_numbers(spec, "coeffs", path + "."))
+def _build_potential(spec):
+    if spec["kind"] == "constant":
+        return Potential.constant(spec["value"])
+    return Potential.even_poly(spec["coeffs"])
 
 
 def _build_data(grid, spec, path):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kind = _cfg_get(spec, "kind", path + ".", str,
-                    choices={"linear", "mode", "zero", "bump", "cheb"})
-    allowed = {"kind", "energy"}
-    if kind == "bump":
-        allowed |= {"amplitude", "width"}
-    if kind == "cheb":
-        allowed |= {"f", "g"}
-    _no_unknown(spec, allowed, path + ".")
+    kind = spec["kind"]
     y = grid.nodes
     if kind == "linear":
         f = OddField(grid, y)
@@ -153,23 +251,17 @@ def _build_data(grid, spec, path):
         f = OddField.zero(grid)
         g = OddField.zero(grid)
     elif kind == "bump":
-        amp = _cfg_number(spec, "amplitude", path + ".", default=1.0)
-        width = _cfg_number(spec, "width", path + ".", default=0.5,
-                            positive=True)
-        vals = amp * y * np.exp(-((y / width) ** 2))
+        vals = spec["amplitude"] * y * np.exp(-((y / spec["width"]) ** 2))
         f = OddField(grid, vals)
         g = OddField.zero(grid)
     else:
-        cf = _cfg_numbers(spec, "f", path + ".", default=[0.0])
-        cg = _cfg_numbers(spec, "g", path + ".", default=[0.0])
         try:
-            sol = free_wave.from_chebyshev(grid, np.asarray(cf, float),
-                                           np.asarray(cg, float))
+            sol = free_wave.from_chebyshev(grid, np.asarray(spec["f"], float),
+                                           np.asarray(spec["g"], float))
         except HyperwaveError as e:
             raise ConfigError(f"{path}: {e}") from e
         f, g = sol.f_field, sol.g_field
-    target = _cfg_number(spec, "energy", path + ".", default=None,
-                         positive=True)
+    target = spec["energy"]
     if target is not None:
         e0 = energy_norm(EnergyState(f, g))
         if e0 <= 0:
@@ -179,49 +271,21 @@ def _build_data(grid, spec, path):
     return f, g
 
 
-def _parse_exponent(v, path):
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return np.inf
-        raise ConfigError(f"{path}: only 'inf' is accepted as a string")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: expected a number or 'inf'")
-    return float(v)
-
-
-def _build_exponents(spec, path):
-    if spec is None:
-        return DEFAULT_EXPONENTS
-    if not isinstance(spec, list) or not spec:
-        raise ConfigError(f"{path}: expected a nonempty list of [p, q] pairs")
-    out = []
-    for i, pair in enumerate(spec):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{path}[{i}]: expected a [p, q] pair")
-        out.append((_parse_exponent(pair[0], f"{path}[{i}][0]"),
-                    _parse_exponent(pair[1], f"{path}[{i}][1]")))
-    return out
-
-
-def _grid_from(cfg, path, default=64):
-    n = _cfg_get(cfg, "grid_n", path, int, default=default)
+def _grid(n, refine=False):
+    """The run's grid of n nodes; a refined run also builds one of 2n."""
+    _cap("grid_n (doubled by refine)" if refine else "grid_n",
+         2 * n if refine else n, MAX_GRID_N)
     try:
         return make_grid(n)
     except HyperwaveError as e:
-        raise ConfigError(f"{path}grid_n: {e}") from e
+        raise ConfigError(f"grid_n: {e}") from e
 
 
-def _window_from(cfg, path):
-    spec = _cfg_get(cfg, "window", path, dict,
-                    default={"re_max": 3.0, "im_max": 20.0})
-    _no_unknown(spec, {"re_max", "im_max"}, path + "window.")
-    a = _cfg_number(spec, "re_max", path + "window.", default=3.0,
-                    positive=True)
-    b = _cfg_number(spec, "im_max", path + "window.", default=20.0,
-                    positive=True)
-    if a > 3.0 + 1e-12 or b > 40.0 + 1e-12:
-        raise ConfigError(f"{path}window: scan window capped at"
-                          " re_max <= 3, im_max <= 40")
+def _window(spec):
+    a, b = spec["re_max"], spec["im_max"]
+    if a > MAX_RE + 1e-12 or b > MAX_IM + 1e-12:
+        raise ConfigError("window: scan window capped at"
+                          f" re_max <= {MAX_RE:g}, im_max <= {MAX_IM:g}")
     return (float(a), float(b))
 
 
@@ -283,21 +347,18 @@ def _pair_key(p, q):
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_evolve(cfg, out_dir, seed):
-    allowed = {"grid_n", "potential", "data", "s_max", "ds", "store_every"}
-    _no_unknown(cfg, allowed, "")
-    grid = _grid_from(cfg, "")
-    V = _build_potential(_cfg_get(cfg, "potential", "", dict,
-                                  default={"kind": "constant", "value": 0.0}),
-                         "potential")
-    f, g = _build_data(grid, _cfg_get(cfg, "data", "", dict), "data")
-    s_max = _cfg_number(cfg, "s_max", "", positive=True)
-    ds = _cfg_number(cfg, "ds", "", default=None, positive=True)
-    store_every = _cfg_get(cfg, "store_every", "", int, default=16)
+def _cmd_evolve(c, out_dir, seed):
+    grid = _grid(c["grid_n"])
+    steps = _step_count(c["s_max"], c["ds"], grid.n)[1]
+    _cap("steps", steps, MAX_STEPS)
+    _cap("stored values", grid.n * _stored_steps(steps, c["store_every"]).size,
+         MAX_STORED)
+    V = _build_potential(c["potential"])
+    f, g = _build_data(grid, c["data"], "data")
 
     gen = assemble_generator(grid, V)
-    traj = evolve(gen, EnergyState(f, g), s_max, ds=ds,
-                  store_every=store_every)
+    traj = evolve(gen, EnergyState(f, g), c["s_max"], ds=c["ds"],
+                  store_every=c["store_every"])
     energies = slice_energies(traj.U, traj.V, grid)
     _write_csv(out_dir / "series.csv",
                ["s", "energy", "l2", "l6", "sup"],
@@ -315,11 +376,10 @@ def _cmd_evolve(cfg, out_dir, seed):
     return results, {"ds_used": traj.step, "grid_n": grid.n}
 
 
-def _cmd_spectrum(cfg, out_dir, seed):
-    _no_unknown(cfg, {"grid_n", "potential", "window"}, "")
-    grid = _grid_from(cfg, "")
-    V = _build_potential(_cfg_get(cfg, "potential", "", dict), "potential")
-    window = _window_from(cfg, "")
+def _cmd_spectrum(c, out_dir, seed):
+    grid = _grid(c["grid_n"])
+    V = _build_potential(c["potential"])
+    window = _window(c["window"])
     roots = find_sigma_v(V, window=window, grid=grid)
     gen = assemble_generator(grid, V)
     rows = []
@@ -347,23 +407,17 @@ def _cmd_spectrum(cfg, out_dir, seed):
     return results, {"grid_n": grid.n}
 
 
-def _cmd_resolvent_check(cfg, out_dir, seed):
-    allowed = {"grid_n", "potential", "lambda", "num_states", "seed",
-               "band_limit", "decay"}
-    _no_unknown(cfg, allowed, "")
-    grid = _grid_from(cfg, "", default=128)
-    V = _build_potential(_cfg_get(cfg, "potential", "", dict), "potential")
-    lam_spec = _cfg_get(cfg, "lambda", "", dict)
-    _no_unknown(lam_spec, {"re", "im"}, "lambda.")
-    lam = complex(_cfg_number(lam_spec, "re", "lambda."),
-                  _cfg_number(lam_spec, "im", "lambda.", default=0.0))
-    num = _cfg_get(cfg, "num_states", "", int, default=10)
-    band = _cfg_get(cfg, "band_limit", "", int, default=10)
-    decay = _cfg_number(cfg, "decay", "", default=2.0)
-    eff_seed = _cfg_seed(cfg, "", seed, default=7)
+def _cmd_resolvent_check(c, out_dir, seed):
+    grid = _grid(c["grid_n"])
+    lam = complex(c["lambda"]["re"], c["lambda"]["im"])
+    _cap("lambda.im (absolute value)", abs(lam.imag), MAX_IM)
+    _cap("num_states", c["num_states"], MAX_NUM_STATES)
+    _cap("band_limit", c["band_limit"], MAX_BAND_LIMIT)
+    V = _build_potential(c["potential"])
+    eff_seed = c["seed"] if seed is None else seed
 
-    spec = EnsembleSpec(count=num, band_limit=band, seed=eff_seed,
-                        decay=decay)
+    spec = EnsembleSpec(count=c["num_states"], band_limit=c["band_limit"],
+                        seed=eff_seed, decay=c["decay"])
     members = spec.fields(grid)
     gen = assemble_generator(grid, V)
     handle = resolvent_matrix(gen, lam)
@@ -390,43 +444,39 @@ def _cmd_resolvent_check(cfg, out_dir, seed):
     results = {"potential": V.name,
                "lambda": {"re": lam.real, "im": lam.imag},
                "max_rel_diff": max(rels), "max_identity_defect": max(idds),
-               "num_states": num}
+               "num_states": c["num_states"]}
     return results, {"grid_n": grid.n, "seed": eff_seed}
 
 
-def _cmd_strichartz(cfg, out_dir, seed):
-    allowed = {"grid_n", "mode", "potential", "ensemble", "exponents",
-               "s_max", "num_slices", "window", "refine"}
-    _no_unknown(cfg, allowed, "")
-    grid = _grid_from(cfg, "")
-    mode = _cfg_get(cfg, "mode", "", str, default="free",
-                    choices={"free", "potential"})
+def _cmd_strichartz(c, out_dir, seed):
+    mode = c["mode"]
     for key in ("potential", "window"):
-        if mode == "free" and key in cfg:
+        if mode == "free" and c[key] is not None:
             raise ConfigError(f"{key}: not read in free mode")
-    ens = _cfg_get(cfg, "ensemble", "", dict)
-    _no_unknown(ens, {"count", "band_limit", "seed", "decay"}, "ensemble.")
-    eff_seed = _cfg_seed(ens, "ensemble.", seed)
-    spec = EnsembleSpec(
-        count=_cfg_get(ens, "count", "ensemble.", int),
-        band_limit=_cfg_get(ens, "band_limit", "ensemble.", int),
-        seed=eff_seed,
-        decay=_cfg_number(ens, "decay", "ensemble.", default=2.0))
-    exponents = _build_exponents(cfg.get("exponents"), "exponents")
-    s_max = _cfg_number(cfg, "s_max", "", default=20.0, positive=True)
-    num_slices = _cfg_get(cfg, "num_slices", "", int, default=400)
-    refine = _cfg_get(cfg, "refine", "", bool, default=True)
+    grid = _grid(c["grid_n"], c["refine"])
+    ens = c["ensemble"]
+    _cap("ensemble.count x num_slices x grid_n",
+         ens["count"] * c["num_slices"] * grid.n, MAX_SCAN)
+    _cap("ensemble.band_limit", ens["band_limit"], MAX_BAND_LIMIT)
+    _cap("exponents (pairs)", len(c["exponents"]), MAX_PAIRS)
+    eff_seed = ens["seed"] if seed is None else seed
+    if eff_seed is None:
+        raise ConfigError("ensemble.seed: required key missing")
+    spec = EnsembleSpec(count=ens["count"], band_limit=ens["band_limit"],
+                        seed=eff_seed, decay=ens["decay"])
 
     if mode == "free":
-        report = run_free_scan(spec, exponents, s_max, grid=grid,
-                               num_slices=num_slices, refine=refine)
+        report = run_free_scan(spec, c["exponents"], c["s_max"], grid=grid,
+                               num_slices=c["num_slices"], refine=c["refine"])
     else:
-        V = _build_potential(_cfg_get(cfg, "potential", "", dict),
-                             "potential")
-        window = _window_from(cfg, "")
-        report = run_potential_scan(V, spec, exponents, s_max, grid=grid,
-                                    window=window, num_slices=num_slices,
-                                    refine=refine)
+        if c["potential"] is None:
+            raise ConfigError("potential: required key missing")
+        V = _build_potential(c["potential"])
+        window = _window(c["window"] or _resolve({}, _WINDOW, ""))
+        report = run_potential_scan(V, spec, c["exponents"], c["s_max"],
+                                    grid=grid, window=window,
+                                    num_slices=c["num_slices"],
+                                    refine=c["refine"])
 
     header = ["member"] + [f"ratio_{p:g}_{q:g}" for p, q in report.exponents]
     rows = []
@@ -447,29 +497,23 @@ def _cmd_strichartz(cfg, out_dir, seed):
     return results, {"seed": eff_seed}
 
 
-def _cmd_yangmills(cfg, out_dir, seed):
-    allowed = {"grid_n", "data", "s_max", "ds", "max_iter", "tol",
-               "data_threshold"}
-    _no_unknown(cfg, allowed, "")
-    grid = _grid_from(cfg, "")
-    f, g = _build_data(grid, _cfg_get(cfg, "data", "", dict), "data")
-    s_max = _cfg_number(cfg, "s_max", "", default=10.0, positive=True)
-    ds = _cfg_number(cfg, "ds", "", default=0.05, positive=True)
-    max_iter = _cfg_get(cfg, "max_iter", "", int, default=25)
-    tol = _cfg_number(cfg, "tol", "", default=1e-10, positive=True)
-    threshold = _cfg_number(cfg, "data_threshold", "",
-                            default=DEFAULT_DATA_THRESHOLD, positive=True)
-
-    run = picard_solve(f, g, s_max, ds, max_iter=max_iter, tol=tol,
-                       data_threshold=threshold)
-    prop = make_propagators(grid, ds, s_max)
-    resid = fixed_point_residual(prop, f, g, run.final)
-
+def _cmd_yangmills(c, out_dir, seed):
+    grid = _grid(c["grid_n"])
+    s_max, ds = c["s_max"], c["ds"]
     # one direct solve at a step dividing the Picard step: its every
-    # sub-th row is compared with Picard, and the decay report reads it all
-    sub = _lawson_substeps(ds, s_max, grid.n)
+    # sub-th row is compared with Picard, and the decay report reads it
+    # all; without a Picard step (ds > s_max) the library refuses the run
+    steps = _step_count(s_max, ds, grid.n)[1]
+    sub = _lawson_substeps(ds, s_max, grid.n) if steps else 1
+    _cap("steps", sub * steps, MAX_STEPS)
+    _cap("stored values", (sub * steps + 1) * grid.n, MAX_STORED)
+    f, g = _build_data(grid, c["data"], "data")
+
+    run = picard_solve(f, g, s_max, ds, max_iter=c["max_iter"], tol=c["tol"],
+                       data_threshold=c["data_threshold"])
+    resid = fixed_point_residual(run.prop, f, g, run.final)
     direct = nonlinear_evolve_direct(f, g, s_max, ds=ds / sub)
-    on_nodes = slice(0, sub * prop.num_steps + 1, sub)
+    on_nodes = slice(0, sub * run.prop.num_steps + 1, sub)
     Up = run.final.U
     Ud = direct.U[on_nodes]
     if len(Ud) != len(Up) or not np.allclose(
@@ -490,24 +534,28 @@ def _cmd_yangmills(cfg, out_dir, seed):
         "fixed_point_residual": resid,
         "picard_vs_direct_linf_l6": l6_diff,
         "data_energy": energy_norm(EnergyState(f, g)),
-        "data_threshold": threshold,
+        "data_threshold": c["data_threshold"],
         "stability": report,
     }
     return results, {"grid_n": grid.n, "ds": ds}
 
 
-def _cmd_crosscheck(cfg, out_dir, seed):
-    allowed = {"grid_n", "data", "s0", "s1", "y_max", "r_max", "dr",
-               "refine"}
-    _no_unknown(cfg, allowed, "")
-    grid = _grid_from(cfg, "")
-    f, g = _build_data(grid, _cfg_get(cfg, "data", "", dict), "data")
-    s0 = _cfg_number(cfg, "s0", "", default=4.0, positive=True)
-    s1 = _cfg_number(cfg, "s1", "", default=5.0, positive=True)
-    y_max = _cfg_number(cfg, "y_max", "", default=0.9, positive=True)
-    r_max = _cfg_number(cfg, "r_max", "", default=20.0, positive=True)
-    dr = _cfg_number(cfg, "dr", "", default=1.0 / 64, positive=True)
-    refine = _cfg_get(cfg, "refine", "", bool, default=False)
+def _cmd_crosscheck(c, out_dir, seed):
+    refine = c["refine"]
+    grid = _grid(c["grid_n"], refine)
+    s0, s1, y_max, r_max, dr = (c[k] for k in ("s0", "s1", "y_max",
+                                               "r_max", "dr"))
+    # the refined run, at 2n and dr/2, is the larger; its leapfrog spans
+    # t_end - s0 <= s1 - s0 + 1 (y_max <= 0.9) in steps of dr/2
+    fine_dr = 0.5 * dr if refine else dr
+    _cap("leapfrog levels x points",
+         2.0 * r_max / fine_dr * (s1 - s0 + 1.0) / (0.5 * fine_dr),
+         MAX_LEAPFROG)
+    counts = _cross_check_steps(s1)
+    _cap("Lawson steps", sum(counts) + counts[0] // 2, MAX_STEPS)
+    _cap("stored values", (counts[-1] + 1) * grid.n * (2 if refine else 1),
+         MAX_STORED)
+    f, g = _build_data(grid, c["data"], "data")
 
     disc = cauchy_cross_check(f, g, s0=s0, s1=s1, y_max=y_max, r_max=r_max,
                               dr=dr)
@@ -516,7 +564,7 @@ def _cmd_crosscheck(cfg, out_dir, seed):
     if refine:
         # rebuild the data on the doubled grid from its defining config
         grid2 = make_grid(2 * grid.n)
-        f2, g2 = _build_data(grid2, cfg["data"], "data")
+        f2, g2 = _build_data(grid2, c["data"], "data")
         disc2 = cauchy_cross_check(f2, g2, s0=s0, s1=s1, y_max=y_max,
                                    r_max=r_max, dr=0.5 * dr)
         rows.append((s1, 0.5 * dr, grid2.n, disc2))
@@ -586,10 +634,11 @@ def main(argv=None):
 
     try:
         cfg = _load_config(args.config)
+        c = _resolve(cfg, TABLES[args.command], "")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.time()
-        results, extras = _RUNNERS[args.command](cfg, out_dir, args.seed)
+        results, extras = _RUNNERS[args.command](c, out_dir, args.seed)
         manifest = {
             "command": args.command,
             "config": cfg,

@@ -130,13 +130,14 @@ def duhamel_step(prop, f, g, source):
 
 @dataclass
 class PicardRun:
-    """Record of the fixed-point iteration u_{n+1} = K(u_n), u_0 = 0:
-    the last iterate and the X-norms of all of them (u_0 included)."""
+    """Record of the iteration u_{n+1} = K(u_n), u_0 = 0: the last
+    iterate, the X-norms of all (u_0 included) and K's propagators."""
     final: Trajectory
     x_norms: List[float]
     deltas: List[float]          # ||u_{n+1} - u_n||_X
     ratios: List[float]          # deltas[n] / deltas[n-1]
     converged: bool
+    prop: PropagatorSet
 
 
 def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
@@ -144,10 +145,12 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
     """Iterate the Duhamel map from u_0 = 0 until the X-norm increments
     stop moving.
 
-    Requires energy_norm(f, g) below the smallness threshold. Three
-    consecutive increment ratios above 1 abort with a contraction
-    failure.
+    Requires max_iter >= 1 and energy_norm(f, g) below the smallness
+    threshold. Three consecutive increment ratios above 1 abort with a
+    contraction failure.
     """
+    if max_iter < 1:
+        raise InvalidArgumentError(f"max_iter >= 1 required, got {max_iter}")
     grid = f.grid
     init = EnergyState(f, g)
     e0 = energy_norm(init)
@@ -182,7 +185,7 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
             converged = True
             break
     return PicardRun(final=cur, x_norms=x_norms, deltas=deltas,
-                     ratios=ratios, converged=converged)
+                     ratios=ratios, converged=converged, prop=prop)
 
 
 def fixed_point_residual(prop, f, g, traj):
@@ -300,6 +303,8 @@ def _cross_check_steps(s1):
     the list. Even counts keep s1 on the slices shared with the solve at
     twice the step, and each count but the last doubles the one before,
     so that the solve at twice the step is the previous try's."""
+    if not np.isfinite(s1 / 2e-3):
+        raise InvalidArgumentError("s1 / 2e-3 overflows")
     finest = int(np.ceil(s1 / 2e-3 - 1e-12))
     count = 2 * int(np.ceil(s1 / 2e-2 - 1e-12))
     counts = []

@@ -657,11 +657,13 @@ def _winding(path, vals):
     mu = sum lam_mid * dlog u1 / (2 pi i), the midpoint rule for the
     contour integral of lam u1'/u1 / (2 pi i), which is the sum of the
     zeros inside (Delves & Lyness 1967), so the zero itself when w = 1.
-    Returns None when the sampling looks unreliable (a node below
-    _CONTOUR_GUARD times the median, or phase steps too large), so the
-    caller can jitter/refine. The phase errors of the steps telescope,
+    Returns None when the sampling looks unreliable (a non-finite node,
+    a node below _CONTOUR_GUARD times the median, or phase steps too
+    large), so the caller can jitter/refine. The phase errors telescope,
     so only a step misjudged by a whole turn can change w.
     """
+    if not np.all(np.isfinite(vals)):
+        return None
     mags = np.abs(vals)
     if np.min(mags) < _CONTOUR_GUARD * max(np.median(mags), 1e-30):
         return None

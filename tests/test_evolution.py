@@ -201,14 +201,15 @@ def test_evolve_divergence_guard_checks_every_50th_step():
 
 
 def test_evolve_divergence_guard_stops_a_non_finite_state(monkeypatch):
-    # a NaN state compares False against any bound; the guard must still
-    # stop the run at its first check
+    # a NaN state compares False against any bound, so the guard stops
+    # the run at its first check (step 50) as a divergence, a numerical
+    # guard
     g = hw.make_grid(16)
     gen = hw.assemble_generator(g, hw.Potential.constant(-1.0))
     monkeypatch.setattr(evolution, "propagator",
                         lambda gen, h: np.full((g.n, g.n), np.nan))
     init = hw.EnergyState.from_callables(g, lambda y: y, lambda y: 0 * y)
-    with pytest.raises(hw.InvalidDataError, match="non-finite state"):
+    with pytest.raises(hw.DivergenceError, match=r"s = 0\.050 "):
         hw.evolve(gen, init, 1.0, ds=0.001)
 
 

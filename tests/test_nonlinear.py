@@ -80,6 +80,24 @@ def test_picard_rejects_large_data():
         hw.picard_solve(f, g, 2.0, 0.05)
 
 
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_picard_refuses_no_iterates(max_iter):
+    # zero iterates would return u_0 = 0 as a non-converged run
+    grid = hw.make_grid(16)
+    f, g = _small_data(grid, energy=0.01)
+    with pytest.raises(hw.InvalidArgumentError, match="max_iter >= 1"):
+        hw.picard_solve(f, g, 0.5, 0.05, max_iter=max_iter)
+
+
+def test_picard_run_keeps_its_propagators():
+    grid = hw.make_grid(16)
+    f, g = _small_data(grid, energy=0.01)
+    run = hw.picard_solve(f, g, 0.5, 0.05)
+    assert run.prop.gen.grid is grid and run.prop.ds == 0.05
+    assert np.array_equal(run.prop.times(), run.final.times)
+    assert hw.fixed_point_residual(run.prop, f, g, run.final) < 1e-8
+
+
 def test_picard_contraction_small_data():
     grid = hw.make_grid(64)
     f, g = _small_data(grid)

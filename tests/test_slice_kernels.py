@@ -148,8 +148,7 @@ def test_positive_half_constructors_keep_the_data_checks():
 
 
 def test_cli_even_poly_is_complex_safe():
-    V = cli._build_potential({"kind": "even_poly", "coeffs": [-1, 0.5]},
-                             "potential")
+    V = cli._build_potential({"kind": "even_poly", "coeffs": [-1, 0.5]})
     z = 1.0 + 0.2 * np.exp(2j * np.pi * np.arange(8) / 8)
     assert np.allclose(_horner(V.even_coeffs, z * z), -1.0 + 0.5 * z ** 2,
                        rtol=1e-15)

@@ -209,7 +209,7 @@ def test_spectral_point_fields():
 def _contour_potential(name):
     if name == "even_poly":  # the CLI's complex-safe Horner closure
         return cli._build_potential(
-            {"kind": "even_poly", "coeffs": [0, -6, 2]}, "potential")
+            {"kind": "even_poly", "coeffs": [0, -6, 2]})
     if name == "cos":  # not a polynomial, and real input only
         return hw.Potential.from_callable(
             lambda y: -4.0 * np.cos(np.real(y)), name="-4cos")
@@ -312,6 +312,25 @@ def test_jittered_symmetric_cell_stays_symmetric(monkeypatch):
     assert w == 1 and im_hi > 10.0 and im_lo == -im_hi
     path = _rect_path(*rect, 512)
     assert np.array_equal(_u1_zero_path(V, path), _u1_zero_batch(V, path))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 1.0)])
+def test_winding_counts_non_finite_samples_as_unreliable(bad):
+    # u1(0, .) overflows for a large potential; a NaN or infinite sample
+    # is a failed evaluation, not a winding
+    path = _rect_path(0.1, 1.0, -1.0, 1.0, 8)
+    vals = path - 0.5
+    assert spectral._winding(path, vals)[0] == 1
+    vals[3] = bad
+    assert spectral._winding(path, vals) is None
+
+
+def test_non_finite_contour_ends_in_a_contour_accuracy_error(monkeypatch):
+    monkeypatch.setattr(spectral, "_u1_zero_path",
+                        lambda V, path: np.full(path.shape, np.nan + 0j))
+    with pytest.raises(hw.ContourAccuracyError):
+        spectral._stable_winding(hw.Potential.constant(1e6),
+                                 (-0.015, 1.0, -2.0, 2.0), 16)
 
 
 @settings(max_examples=10, deadline=None)

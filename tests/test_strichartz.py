@@ -47,6 +47,15 @@ def test_exponent_validation():
         run_free_scan(spec, [(2.0, 0.5)], 4.0)
 
 
+@pytest.mark.parametrize("decay", [-400.0, -1e-9, np.inf, np.nan])
+def test_ensemble_refuses_negative_or_non_finite_decay(decay):
+    # a negative decay grows (k+1)^(-decay) past a float; NaN or inf
+    # would draw NaN coefficients
+    with pytest.raises(hw.InvalidArgumentError, match="finite decay >= 0"):
+        EnsembleSpec(count=2, band_limit=8, seed=1,
+                     decay=decay).coefficient_arrays()
+
+
 def test_free_scan_energy_pair_bounded():
     # (p,q) = (inf,2): the flow is an energy contraction, so the L2
     # amplitude stays comparable to the data norm
