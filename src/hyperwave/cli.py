@@ -170,6 +170,7 @@ MAX_PAIRS = 16            # a scan's [p, q] exponent pairs
 MAX_BAND_LIMIT = 128
 MAX_NUM_STATES = 1000
 MAX_RE, MAX_IM = 3.0, 40.0  # the spectral window; |Im lambda| too
+MAX_POTENTIAL = 1e6       # max |V|, which sizes the spectral search's mesh
 
 
 def _table(table, cfg, path):
@@ -315,29 +316,20 @@ def _write_csv(path, header, rows):
     Path(path).write_text(head + body + "\n" if rows else head)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
+def _json_default(obj):
+    """What json cannot encode itself; a complex number as {"re", "im"}."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if obj is None:
-        return None
+    if isinstance(obj, np.generic):
+        return obj.item()
     return str(obj)
 
 
 def _write_json(path, obj):
-    Path(path).write_text(
-        json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2,
+                                     default=_json_default) + "\n")
 
 
 def _pair_key(p, q):
@@ -379,6 +371,7 @@ def _cmd_evolve(c, out_dir, seed):
 def _cmd_spectrum(c, out_dir, seed):
     grid = _grid(c["grid_n"])
     V = _build_potential(c["potential"])
+    _cap("potential (max |V|)", V.max_abs(), MAX_POTENTIAL)
     window = _window(c["window"])
     roots = find_sigma_v(V, window=window, grid=grid)
     gen = assemble_generator(grid, V)
@@ -414,6 +407,7 @@ def _cmd_resolvent_check(c, out_dir, seed):
     _cap("num_states", c["num_states"], MAX_NUM_STATES)
     _cap("band_limit", c["band_limit"], MAX_BAND_LIMIT)
     V = _build_potential(c["potential"])
+    _cap("potential (max |V|)", V.max_abs(), MAX_POTENTIAL)
     eff_seed = c["seed"] if seed is None else seed
 
     spec = EnsembleSpec(count=c["num_states"], band_limit=c["band_limit"],
@@ -459,6 +453,12 @@ def _cmd_strichartz(c, out_dir, seed):
          ens["count"] * c["num_slices"] * grid.n, MAX_SCAN)
     _cap("ensemble.band_limit", ens["band_limit"], MAX_BAND_LIMIT)
     _cap("exponents (pairs)", len(c["exponents"]), MAX_PAIRS)
+    if mode == "potential":
+        if c["potential"] is None:
+            raise ConfigError("potential: required key missing")
+        V = _build_potential(c["potential"])
+        _cap("potential (max |V|)", V.max_abs(), MAX_POTENTIAL)
+        window = _window(c["window"] or _resolve({}, _WINDOW, ""))
     eff_seed = ens["seed"] if seed is None else seed
     if eff_seed is None:
         raise ConfigError("ensemble.seed: required key missing")
@@ -469,10 +469,6 @@ def _cmd_strichartz(c, out_dir, seed):
         report = run_free_scan(spec, c["exponents"], c["s_max"], grid=grid,
                                num_slices=c["num_slices"], refine=c["refine"])
     else:
-        if c["potential"] is None:
-            raise ConfigError("potential: required key missing")
-        V = _build_potential(c["potential"])
-        window = _window(c["window"] or _resolve({}, _WINDOW, ""))
         report = run_potential_scan(V, spec, c["exponents"], c["s_max"],
                                     grid=grid, window=window,
                                     num_slices=c["num_slices"],

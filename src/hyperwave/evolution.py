@@ -9,8 +9,7 @@ The first-order system evolved here is
 collocated at the parity-symmetric Chebyshev nodes. All states of
 interest are odd, so time stepping runs on the odd-sector reduction: the
 unknowns are f1 and f2 at the n/2 positive nodes (exact parity by
-construction, and no spurious even-sector eigenvalues), and the public
-2n x 2n matrix is that reduction unfolded onto all nodes. The layout
+construction, and no spurious even-sector eigenvalues). The layout
 itself lives in core_types (odd_fold, odd_extension, positive_half).
 """
 
@@ -44,28 +43,21 @@ class GeneratorMatrix:
     """Discretized first-order generator for a fixed potential.
 
     `reduced` is the n x n odd-sector matrix, acting on (f1, f2) at the
-    positive nodes, that time stepping and resolvents use; `matrix` is
-    the public parity-projected 2n x 2n operator, `reduced` unfolded onto
-    all nodes. Eigenvalues and the complex Schur form of `reduced` are
-    computed on first use.
+    positive nodes, that time stepping and resolvents use. Eigenvalues
+    and the complex Schur form of `reduced` are computed on first use.
     """
 
-    __slots__ = ("grid", "potential", "matrix", "reduced", "_eigs",
-                 "_schur")
+    __slots__ = ("grid", "potential", "reduced", "_eigs", "_schur")
 
-    def __init__(self, grid, potential, matrix, reduced):
+    def __init__(self, grid, potential, reduced):
         self.grid = grid
         self.potential = potential
-        self.matrix = matrix
         self.reduced = reduced
         self._eigs = None
         self._schur = None
 
     def apply(self, state):
-        self._check_grid(state)
-        w = self.matrix @ state.stacked()
-        return EnergyState(*(OddField.from_half(self.grid, positive_half(h))
-                             for h in np.split(w, 2)))
+        return self.expand_state(self.reduced @ self.reduce_state(state))
 
     def reduced_eigenvalues(self):
         if self._eigs is None:
@@ -84,16 +76,14 @@ class GeneratorMatrix:
             raise InvalidArgumentError("state and generator grids differ")
 
     def reduce_state(self, state):
+        """(f1, f2) at the positive nodes: OddField data are exactly odd."""
         self._check_grid(state)
-        return odd_fold(np.stack([state.u.values, state.v.values])).ravel()
+        return positive_half(np.stack([state.u.values,
+                                       state.v.values])).ravel()
 
     def expand_state(self, x):
         return EnergyState(*(OddField.from_half(self.grid, h)
                              for h in np.split(x, 2)))
-
-    def expand_rows(self, X):
-        """Odd extensions (U, V) of reduced rows X of shape (..., n)."""
-        return tuple(odd_extension(h) for h in np.split(X, 2, axis=-1))
 
     def trajectory(self, times, X, step):
         """Trajectory of the reduced rows X (one per time)."""
@@ -114,27 +104,23 @@ class GeneratorMatrix:
 
 
 def assemble_generator(grid, V):
-    """Build the collocation matrix of the generator for potential V."""
-    n = grid.n
+    """Build the odd-sector collocation matrix of the generator for V."""
+    n, h = grid.n, grid.n // 2
     y = grid.nodes
     D = grid.diff_matrix
-    Iden = np.eye(n)
     A = (1.0 - y ** 2)[:, None] * (D @ D) - 2.0 * y[:, None] * D \
         - np.diag(np.asarray(V(y), dtype=float))
-    B = -2.0 * y[:, None] * D - Iden
-    L = np.block([[np.zeros((n, n)), Iden], [A, B]])
+    B = -2.0 * y[:, None] * D - np.eye(n)
 
-    # odd sector: fold the rows of each component, then difference its
-    # columns; in this order each entry rounds as in the dense product
-    # restrict @ L @ extend
-    h = n // 2
-    F = odd_fold(L.reshape(2, n, 2 * n).swapaxes(1, 2)).swapaxes(1, 2)
-    F = F.reshape(n, 2, n)
-    reduced = (F[..., h:] - F[..., h - 1::-1]).reshape(n, n)
-    # unfold: rows extended per component, columns extended and halved
-    M = odd_extension(reduced.reshape(2, h, n).swapaxes(1, 2)).swapaxes(1, 2)
-    matrix = odd_extension(0.5 * M.reshape(2 * n, 2, h)).reshape(2 * n, 2 * n)
-    return GeneratorMatrix(grid, V, matrix, reduced)
+    # odd sector of L = [[0, I], [A, B]]: fold the rows of each block,
+    # then difference its columns; in this order each entry rounds as in
+    # the dense product restrict @ L @ extend
+    def fold(M):
+        F = odd_fold(M.T).T
+        return F[:, h:] - F[:, h - 1::-1]
+
+    reduced = np.block([[np.zeros((h, h)), np.eye(h)], [fold(A), fold(B)]])
+    return GeneratorMatrix(grid, V, reduced)
 
 
 def propagator(gen, h):
@@ -417,17 +403,31 @@ class DecomposedEvolution:
         return EnergyState(st.u + un.u, st.v + un.v)
 
 
-def _growing_modes(V, window, grid, consequence):
-    """Right-half-plane spectral points of V in the window; an
-    imaginary-axis point violates the spectral assumption."""
-    roots = find_sigma_v(V, window=window, grid=grid)
+def _growing_modes(gen, window, consequence):
+    """Right-half-plane spectral points of gen's potential in the window.
+    An imaginary-axis point violates the spectral assumption, and so does
+    a growing eigenvalue of gen outside every circle of `_root_circles`:
+    the window missed its spectral point, so no projection removes it."""
+    V = gen.potential
+    roots = find_sigma_v(V, window=window, grid=gen.grid)
     axis = [r.lam for r in roots if abs(r.lam.real) < 1e-6]
     if axis:
         bad = ", ".join(f"{lam:.6g}" for lam in axis)
         raise SpectralAssumptionError(
             f"imaginary-axis spectral point(s) {bad} for {V!r}:"
             f" {consequence}")
-    return [r.lam for r in roots if r.lam.real >= 1e-6]
+    lams = [r.lam for r in roots if r.lam.real >= 1e-6]
+    z = gen.reduced_eigenvalues()
+    missed = z[z.real >= 1e-6]
+    for c in _root_circles(lams):
+        missed = missed[_boundary_distance(c, missed) >= 0]
+    if missed.size:
+        bad = ", ".join(f"{lam:.6g}" for lam in np.sort_complex(missed))
+        raise SpectralAssumptionError(
+            f"growing generator eigenvalue(s) {bad} for {V!r} lie outside"
+            f" the search window re <= {window[0]:g}, |im| <="
+            f" {window[1]:g}: {consequence}")
+    return lams
 
 
 def _root_circles(lams):
@@ -459,8 +459,7 @@ def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
     is the one that projection found for its eigenvalue cluster;
     phi_k = (1/k!) (L-lam)^k P_lam init for k <= n(lam).
     """
-    lams = _growing_modes(gen.potential, window, gen.grid,
-                          "the decomposition does not apply")
+    lams = _growing_modes(gen, window, "the decomposition does not apply")
     if not lams:
         traj = evolve(gen, init, s_max, ds=ds, store_every=store_every)
         return DecomposedEvolution([], traj)

@@ -117,17 +117,12 @@ class FrobeniusSolution:
     """u1(., lam): series near y=1 glued to an ODE solution on
     [0, 1 - _SEED_OFFSET]."""
 
-    __slots__ = ("lam", "potential", "taylor_coeffs", "u1_at_zero",
-                 "_dense", "sample_u1")
+    __slots__ = ("taylor_coeffs", "u1_at_zero", "_dense")
 
-    def __init__(self, lam, potential, coeffs, dense, grid=None):
-        self.lam = lam
-        self.potential = potential
+    def __init__(self, coeffs, dense):
         self.taylor_coeffs = coeffs
         self._dense = dense
         self.u1_at_zero = complex(dense.sol(1.0)[0])
-        self.sample_u1 = None if grid is None else self.u1(
-            positive_half(grid.nodes))
 
     def _eval(self, y, d):
         """w (d = 0) or dw/dz (d = 1) at the points y: the dense ODE
@@ -152,7 +147,7 @@ class FrobeniusSolution:
         return -self._eval(y, 1)
 
 
-def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, grid=None, check_resonance=True):
+def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, check_resonance=True):
     """Construct the analytic-at-one branch for one lambda.
 
     Requires Re lambda >= -1/4. Detects indicial resonance (which only
@@ -191,7 +186,7 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, grid=None, check_resonance=True):
                     rtol=1e-12, atol=1e-14, dense_output=True)
     if not sol.success:
         raise StiffFailureError(f"integration failed: {sol.message}")
-    return FrobeniusSolution(lam, V, c, sol, grid=grid)
+    return FrobeniusSolution(c, sol)
 
 
 # Contour samples of u1(0, lam) are held to this error, relative to the
@@ -834,8 +829,8 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     for r in uniq:
         if r.real < -1e-8:
             continue
-        sol = build_u1(V, r, m=m, grid=grid, check_resonance=False)
-        upos = sol.sample_u1
+        sol = build_u1(V, r, m=m, check_resonance=False)
+        upos = sol.u1(positive_half(grid.nodes))
         sup = max(float(np.max(np.abs(upos))), abs(sol.u1_at_zero))
         # normalized by the first largest sample of the full odd vector
         vals = odd_extension(upos)

@@ -25,7 +25,6 @@ from .core_types import (
     _odd_part,
     make_grid,
     odd_extension,
-    odd_fold,
     positive_half,
     slice_energies,
     slice_norms,
@@ -265,13 +264,16 @@ def run_potential_scan(V, spec, exponents=DEFAULT_EXPONENTS, s_max=20.0,
     """Ratio scan for the evolution under V, growing modes projected out.
 
     Aborts with a diagnostic if the mode finder reports imaginary-axis
-    spectrum (the ratio bound is meaningless there). Ratios use the
+    spectrum (the ratio bound is meaningless there) or the base grid's
+    generator has a growing eigenvalue the window missed. Ratios use the
     energy of the original (un-projected) data.
     """
     pairs, grid = _validate_scan(exponents, s_max, num_slices, grid)
-    lams = _growing_modes(V, window, grid,
+    base = assemble_generator(grid, V)
+    lams = _growing_modes(base, window,
                           "the projected-evolution bound does not apply")
-    flows = {}  # grid size -> (generator, growing-mode projection)
+    # grid size -> (generator, growing-mode projection)
+    flows = {grid.n: (base, growing_mode_projection(base, lams))}
 
     def norms_of(cf, cg, F, G, grid, times, qs):
         if grid.n not in flows:
@@ -279,7 +281,7 @@ def run_potential_scan(V, spec, exponents=DEFAULT_EXPONENTS, s_max=20.0,
             flows[grid.n] = gen, growing_mode_projection(gen, lams)
         gen, proj = flows[grid.n]
         # reduced columns [f; g] at the positive nodes, one per member
-        X0 = odd_fold(np.stack([F, G])).transpose(0, 2, 1) \
+        X0 = positive_half(np.stack([F, G])).transpose(0, 2, 1) \
             .reshape(grid.n, -1)
         if proj is not None:
             X0 = X0 - proj.reduced @ X0

@@ -127,7 +127,7 @@ def test_criterion_06_constructed_eigenvalues():
         roots = find_sigma_v(V, window=(3.0, 20.0))
         root = min(roots, key=lambda r: abs(r.lam - lam0))
         root_err = abs(root.lam - lam0)
-        sol = build_u1(V, root.lam, grid=g, check_resonance=False)
+        sol = build_u1(V, root.lam, check_resonance=False)
         phi = sol.u1(np.abs(g.nodes)) * np.sign(g.nodes)
         c = (phi @ g.nodes) / (g.nodes @ g.nodes)
         collin = float(np.max(np.abs(phi - c * g.nodes))

@@ -570,3 +570,44 @@ def test_csv_tables_match_per_cell_format(tmp_path, header, rows):
     want = "\n".join([",".join(header)] + [
         ",".join(cli._fmt_cell(v) for v in row) for row in rows]) + "\n"
     assert (tmp_path / "series.csv").read_bytes() == want.encode()
+
+
+def _explicit_jsonable(obj):
+    """Every value converted to a JSON type by hand, recursively: the
+    oracle for the encoder's `default` hook."""
+    if isinstance(obj, dict):
+        return {str(k): _explicit_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_explicit_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, np.ndarray):
+        return [_explicit_jsonable(v) for v in obj.tolist()]
+    if obj is None:
+        return None
+    return str(obj)
+
+
+def test_json_default_matches_explicit_conversion(tmp_path):
+    obj = {
+        "str": "x", "int": 3, "bool": True, "none": None, "float": 0.1,
+        "nan": np.nan, "inf": -np.inf, "f64": np.float64(1.0 / 3.0),
+        "f32": np.float32(0.1), "i64": np.int64(-7), "np_bool": np.bool_(0),
+        "complex": 1.0 - 2.0j, "c128": np.complex128(0.5 + 1e-300j),
+        "array": np.arange(6.0).reshape(2, 3),
+        "complex_array": np.array([1.0 + 2.0j, -0.0j]),
+        "int_array": np.array([1, 2], dtype=np.int32),
+        "bool_array": np.array([True, False]),
+        "tuple": (1, (2.5, "y")),
+        "list": [np.float64(2.0), {"nested": np.int8(4)}],
+        "path": Path("a") / "b", "empty": {},
+    }
+    cli._write_json(tmp_path / "results.json", obj)
+    want = json.dumps(_explicit_jsonable(obj), sort_keys=True, indent=2)
+    assert (tmp_path / "results.json").read_text() == want + "\n"

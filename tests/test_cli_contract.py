@@ -116,6 +116,18 @@ _OVER_CAP = [
     ("crosscheck", {"s0": 415.0, "s1": 416.0}, "Lawson steps"),
     ("crosscheck", {"grid_n": 64, "s0": 300.0, "s1": 301.0},
      "stored values"),
+    # max|V| (sampled), which sizes the spectral search
+    ("spectrum", {"potential": {"kind": "even_poly", "coeffs": [-1, 1e10]}},
+     "potential (max |V|)"),
+    ("spectrum", {"potential": {"kind": "constant",
+                                "value": -1.5 * cli.MAX_POTENTIAL}},
+     "potential (max |V|)"),
+    ("resolvent-check", {"potential": {"kind": "constant",
+                                       "value": 1.5 * cli.MAX_POTENTIAL}},
+     "potential (max |V|)"),
+    ("strichartz", {"potential": {"kind": "even_poly",
+                                  "coeffs": [0, -1.5 * cli.MAX_POTENTIAL]}},
+     "potential (max |V|)"),
 ]
 
 
@@ -161,6 +173,17 @@ def test_spectrum_non_finite_contour_is_a_numerical_guard(tmp_path, capsys,
            "window": {"re_max": 1.0, "im_max": 2.0}}
     assert _run(tmp_path, "spectrum", cfg) == 3
     assert "ContourAccuracyError" in capsys.readouterr().err
+
+
+def test_potential_scan_missing_a_growing_mode_is_a_numerical_guard(
+        tmp_path, capsys):
+    # V = -1e6 (at the potential cap) has growing modes near 1000, far
+    # right of the window; the scan wrote Infinity ratios without this
+    # guard
+    cfg = _with(_BASE["strichartz"], ("potential", "value"),
+                -cli.MAX_POTENTIAL)
+    assert _run(tmp_path, "strichartz", cfg) == 3
+    assert "outside the search window" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,path", [

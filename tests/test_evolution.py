@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 import hyperwave as hw
 from hyperwave import evolution
-from hyperwave.core_types import slice_energies
+from hyperwave.core_types import odd_extension, slice_energies
 
 
 def _band_limited_state(grid, rng, K=5):
@@ -59,13 +59,6 @@ def test_generator_dissipation_defect():
         assert defect < 1e-6 * max(1.0, hw.energy_norm(st) ** 2)
 
 
-def test_generator_annihilates_even_sector():
-    g = hw.make_grid(32)
-    gen = hw.assemble_generator(g, hw.Potential.constant(-1.0))
-    even = np.concatenate([g.nodes ** 2, np.ones(g.n)])
-    assert np.max(np.abs(gen.matrix @ even)) < 1e-10
-
-
 def _odd_sector_maps(n):
     """Dense extension / restriction between odd fields on n nodes and
     their values at the n/2 positive nodes: the reference for the folded
@@ -94,13 +87,14 @@ def test_odd_sector_folds_match_dense_maps(n, V):
     B = -2.0 * y[:, None] * D - Iden
     L = np.block([[np.zeros((n, n)), Iden], [A, B]])
     assert np.array_equal(gen.reduced, R @ L @ E)
-    assert np.array_equal(gen.matrix, E @ gen.reduced @ R)
     rng = np.random.default_rng(n)
     st = _band_limited_state(g, rng)
     for state in (st, hw.EnergyState(st.u, 1j * st.v)):
         assert np.array_equal(gen.reduce_state(state), R @ state.stacked())
     X = rng.standard_normal((3, n))
-    assert np.array_equal(np.hstack(gen.expand_rows(X)), X @ E.T)
+    assert np.array_equal(
+        np.hstack([odd_extension(h) for h in np.split(X, 2, axis=-1)]),
+        X @ E.T)
 
 
 def test_free_eigenfamily_residual():
@@ -193,7 +187,7 @@ def test_evolve_divergence_guard_checks_every_50th_step():
     # already fails (e^{2.4} > 10)
     g = hw.make_grid(16)
     gen = hw.assemble_generator(g, hw.Potential.constant(-1.0))
-    bad = hw.GeneratorMatrix(g, gen.potential, gen.matrix,
+    bad = hw.GeneratorMatrix(g, gen.potential,
                              gen.reduced + 50.0 * np.eye(g.n))
     init = hw.EnergyState.from_callables(g, lambda y: y, lambda y: 0 * y)
     with pytest.raises(hw.DivergenceError, match="norm at s = 0.050"):
@@ -223,7 +217,8 @@ def test_evolve_guard_energy_matches_slice_energies():
         R = gen.energy_factor()
         for x in (rng.standard_normal(n),
                   rng.standard_normal(n) + 1j * rng.standard_normal(n)):
-            want = slice_energies(*gen.expand_rows(x[None]), g)[0]
+            want = slice_energies(*(odd_extension(h) for h in np.split(
+                x[None], 2, axis=-1)), g)[0]
             assert abs(np.linalg.norm(R @ x) - want) <= 1e-14 * want
 
 
@@ -386,8 +381,9 @@ def _rel_diff(a, b):
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_library_states_from_halves_match_checked_construction(n):
     # apply goes through the odd-sector matrix on positive-node halves;
-    # the reference is the full matrix product, parity-checked
+    # the reference is the product with the dense maps, parity-checked
     g = hw.make_grid(n)
+    E, R = _odd_sector_maps(n)
     rng = np.random.default_rng(n)
     for V in (-1.0, -6.0):
         gen = hw.assemble_generator(g, hw.Potential.constant(V))
@@ -395,7 +391,8 @@ def test_library_states_from_halves_match_checked_construction(n):
             rng.standard_normal((2, n // 2))
             + 1j * rng.standard_normal((2, n // 2)))))
         for st in (_band_limited_state(g, rng), rough):
-            want = _checked_state(g, gen.matrix @ st.stacked())
+            want = _checked_state(
+                g, E @ (gen.reduced @ (R @ st.stacked())))
             assert _rel_diff(gen.apply(st), want) <= 1e-14
 
 
@@ -413,6 +410,17 @@ def test_decomposition_states_from_halves_match_checked_construction():
         tot = _checked_state(g, np.concatenate([traj.U[i] + un.u.values,
                                                 traj.V[i] + un.v.values]))
         assert _rel_diff(dec.total_state(i), tot) <= 1e-14
+
+
+def test_decompose_and_evolve_refuses_a_growing_mode_outside_the_window():
+    # V = -6 has the growing mode 1; a window of Re <= 0.5 misses it, so
+    # the remainder would still grow like e^s
+    g = hw.make_grid(16)
+    gen = hw.assemble_generator(g, hw.Potential.constant(-6.0))
+    init = _band_limited_state(g, np.random.default_rng(3))
+    with pytest.raises(hw.SpectralAssumptionError,
+                       match="eigenvalue.* 1\\+0j .*outside the search"):
+        hw.decompose_and_evolve(gen, init, 2.0, window=(0.5, 1.0))
 
 
 def test_decompose_and_evolve_stable_only():

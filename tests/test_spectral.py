@@ -325,6 +325,17 @@ def test_winding_counts_non_finite_samples_as_unreliable(bad):
     assert spectral._winding(path, vals) is None
 
 
+@pytest.mark.parametrize("phases", [
+    # one step of 3 rad (the steps still sum to one whole turn)
+    [0.0, 3.0, 6.0, 2.0 * np.pi],
+    # small steps summing to half a turn
+    np.linspace(0.0, np.pi, 20),
+])
+def test_winding_refuses_a_large_phase_step_or_a_fractional_total(phases):
+    path = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, len(phases)))
+    assert spectral._winding(path, np.exp(1j * np.asarray(phases))) is None
+
+
 def test_non_finite_contour_ends_in_a_contour_accuracy_error(monkeypatch):
     monkeypatch.setattr(spectral, "_u1_zero_path",
                         lambda V, path: np.full(path.shape, np.nan + 0j))

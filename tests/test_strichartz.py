@@ -164,6 +164,27 @@ def test_potential_scan_refuses_axis_root_beside_growing_mode():
                            [(3.0, 6.0)], 4.0, num_slices=80, refine=False)
 
 
+@pytest.mark.parametrize("V,window,missed", [
+    # V = -25: the modes 1.525 and 3.525; only the first is in the window
+    (-25.0, (3.0, 20.0), "3.52494"),
+    # V = -6: the mode 1 lies right of a window of Re <= 0.5
+    (-6.0, (0.5, 1.0), "1"),
+])
+def test_potential_scan_refuses_a_growing_mode_outside_the_window(
+        V, window, missed, monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("the scan stepped")
+
+    monkeypatch.setattr(strichartz_harness, "_batch_slice_norms",
+                        no_stepping)
+    spec = EnsembleSpec(count=4, band_limit=4, seed=1)
+    with pytest.raises(hw.SpectralAssumptionError,
+                       match=f"eigenvalue\\(s\\) {missed}\\+0j .*outside"):
+        run_potential_scan(hw.Potential.constant(V), spec, [(3.0, 6.0)],
+                           10.0, grid=hw.make_grid(32), window=window,
+                           num_slices=40, refine=False)
+
+
 def test_tail_share_fields():
     spec = EnsembleSpec(count=4, band_limit=4, seed=31)
     rep = run_free_scan(spec, [(2.0, 4.0)], 8.0, num_slices=160,
