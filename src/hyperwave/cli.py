@@ -31,6 +31,7 @@ from .core_types import (
     Potential,
     energy_norm,
     make_grid,
+    positive_half,
     slice_energies,
     slice_norms,
 )
@@ -240,36 +241,49 @@ def _build_potential(spec):
 
 
 def _build_data(grid, spec, path):
+    """The data fields (f, g) a config describes; data whose samples or
+    energy norm overflow are a config error, before any work."""
+    # overflow is checked on the results, not warned about: a bump of tiny
+    # width squares y/width to inf, and exp(-inf) = 0 is its exact value
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            f, g = _data_fields(grid, spec)
+            e0 = _data_energy(f, g, path)
+            target = spec["energy"]
+            if target is not None:
+                if e0 <= 0:
+                    raise ConfigError(
+                        f"{path}.energy: cannot rescale zero data")
+                f = (target / e0) * f
+                g = (target / e0) * g
+                _data_energy(f, g, path)
+        except InvalidDataError as e:
+            raise ConfigError(f"{path}: {e}") from e
+    return f, g
+
+
+def _data_fields(grid, spec):
     kind = spec["kind"]
     y = grid.nodes
     if kind == "linear":
-        f = OddField(grid, y)
-        g = OddField.zero(grid)
-    elif kind == "mode":
-        f = OddField(grid, y)
-        g = OddField(grid, y)
-    elif kind == "zero":
-        f = OddField.zero(grid)
-        g = OddField.zero(grid)
-    elif kind == "bump":
+        return OddField(grid, y), OddField.zero(grid)
+    if kind == "mode":
+        return OddField(grid, y), OddField(grid, y)
+    if kind == "zero":
+        return OddField.zero(grid), OddField.zero(grid)
+    if kind == "bump":
         vals = spec["amplitude"] * y * np.exp(-((y / spec["width"]) ** 2))
-        f = OddField(grid, vals)
-        g = OddField.zero(grid)
-    else:
-        try:
-            sol = free_wave.from_chebyshev(grid, np.asarray(spec["f"], float),
-                                           np.asarray(spec["g"], float))
-        except HyperwaveError as e:
-            raise ConfigError(f"{path}: {e}") from e
-        f, g = sol.f_field, sol.g_field
-    target = spec["energy"]
-    if target is not None:
-        e0 = energy_norm(EnergyState(f, g))
-        if e0 <= 0:
-            raise ConfigError(f"{path}.energy: cannot rescale zero data")
-        f = (target / e0) * f
-        g = (target / e0) * g
-    return f, g
+        return OddField(grid, vals), OddField.zero(grid)
+    sol = free_wave.from_chebyshev(grid, np.asarray(spec["f"], float),
+                                   np.asarray(spec["g"], float))
+    return sol.f_field, sol.g_field
+
+
+def _data_energy(f, g, path):
+    e = energy_norm(EnergyState(f, g))
+    if not np.isfinite(e):
+        raise ConfigError(f"{path}: the data's energy norm overflows")
+    return e
 
 
 def _grid(n, refine=False):
@@ -351,11 +365,12 @@ def _cmd_evolve(c, out_dir, seed):
     gen = assemble_generator(grid, V)
     traj = evolve(gen, EnergyState(f, g), c["s_max"], ds=c["ds"],
                   store_every=c["store_every"])
-    energies = slice_energies(traj.U, traj.V, grid)
+    U = positive_half(traj.U)
+    energies = slice_energies(U, positive_half(traj.V), grid)
     _write_csv(out_dir / "series.csv",
                ["s", "energy", "l2", "l6", "sup"],
                np.column_stack([traj.times, energies, *(
-                   slice_norms(traj.U, grid, q) for q in (2, 6, np.inf))
+                   slice_norms(U, grid, q) for q in (2, 6, np.inf))
                ]).tolist())
     results = {
         "num_slices": len(traj),
@@ -510,8 +525,8 @@ def _cmd_yangmills(c, out_dir, seed):
     resid = fixed_point_residual(run.prop, f, g, run.final)
     direct = nonlinear_evolve_direct(f, g, s_max, ds=ds / sub)
     on_nodes = slice(0, sub * run.prop.num_steps + 1, sub)
-    Up = run.final.U
-    Ud = direct.U[on_nodes]
+    Up = positive_half(run.final.U)
+    Ud = positive_half(direct.U)[on_nodes]
     if len(Ud) != len(Up) or not np.allclose(
             direct.times[on_nodes], run.final.times, rtol=1e-12, atol=0.0):
         raise InvalidDataError("direct solver rows miss the Picard nodes")

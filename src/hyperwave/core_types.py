@@ -6,7 +6,10 @@ at y = +-1 and the solutions live on the open interval. Boundary traces,
 where needed, are obtained by polynomial extrapolation. The nodes ascend
 and are antisymmetric, so an odd field is fixed by its samples at the
 n/2 positive nodes (the upper half); positive_half, odd_extension and
-odd_fold convert between the two forms for the other modules.
+odd_fold convert between the two forms for the other modules. The norm
+and energy kernels (slice_norms, slice_energies) take such positive-half
+samples: for odd u, |u|^q and (1-y^2)|u'|^2 are even, so every norm is a
+sum over the positive nodes with doubled weights.
 """
 
 from collections.abc import Sequence
@@ -24,9 +27,17 @@ class Grid:
     barycentric first-derivative collocation matrix; quad_weights are
     Fejer-type weights for the open node set, exact for polynomials of
     degree < n and summing to 2.
+
+    The odd-sector data of the norm and energy kernels act on the n/2
+    positive nodes: half_weights is 2 w there, half_grad_weights is
+    2 w (1 - y^2), and half_diff is the folded derivative
+    D[h:, h:] - D[h:, :h][:, ::-1] (h = n/2), which maps the positive
+    samples of an odd u to those of the even u'. All arrays are
+    read-only.
     """
 
-    __slots__ = ("n", "nodes", "diff_matrix", "quad_weights", "bary_weights")
+    __slots__ = ("n", "nodes", "diff_matrix", "quad_weights", "bary_weights",
+                 "half_weights", "half_grad_weights", "half_diff")
 
     def __init__(self, n, nodes, diff_matrix, quad_weights, bary_weights):
         self.n = n
@@ -34,7 +45,12 @@ class Grid:
         self.diff_matrix = diff_matrix
         self.quad_weights = quad_weights
         self.bary_weights = bary_weights
-        for a in (nodes, diff_matrix, quad_weights, bary_weights):
+        h = n // 2
+        self.half_weights = 2.0 * quad_weights[h:]
+        self.half_grad_weights = self.half_weights * (1.0 - nodes[h:] ** 2)
+        self.half_diff = diff_matrix[h:, h:] - diff_matrix[h:, h - 1::-1]
+        for a in (nodes, diff_matrix, quad_weights, bary_weights,
+                  self.half_weights, self.half_grad_weights, self.half_diff):
             a.setflags(write=False)
 
     def __repr__(self):
@@ -405,8 +421,9 @@ class Trajectory(Sequence):
 
 
 def slice_norms(U, grid, q):
-    """L^q(-1,1) norms of the rows of a (T, n) sample stack (one row: a
-    scalar); q = inf gives the sample sup."""
+    """L^q(-1,1) norms of the odd fields whose positive-node samples are
+    the rows of a (..., n/2) stack U (one row: a scalar); q = inf gives
+    the sample sup."""
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
     a = np.abs(U)
@@ -415,35 +432,34 @@ def slice_norms(U, grid, q):
     # in place: a second stack-sized temporary makes large stacks (the
     # scans' 16-slice blocks) page-fault on every call
     a **= q
-    return (a @ grid.quad_weights) ** (1.0 / q)
+    return (a @ grid.half_weights) ** (1.0 / q)
 
 
 def slice_energies(U, V, grid):
-    """Energy norms sqrt(int (1-y^2)|u'|^2 + int |v|^2) of the rows of
-    (T, n) stacks of u and v = ds_u (one row each: a scalar)."""
+    """Energy norms sqrt(int (1-y^2)|u'|^2 + int |v|^2) of odd states
+    whose positive-node samples of u and v = ds_u are the rows of
+    (..., n/2) stacks U and V (one row each: a scalar)."""
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise InvalidDataError("non-finite state")
-    dU = (grid.diff_matrix @ np.transpose(U)).T
+    dU = U @ grid.half_diff.T
     # in place, as in `slice_norms`: each stack-sized temporary
     # page-faults on a long trajectory
     du2 = np.abs(dU, out=dU) if dU.dtype == float else np.abs(dU)
     np.square(du2, out=du2)
-    du2 *= grid.quad_weights * (1.0 - grid.nodes ** 2)
     v2 = np.abs(V, dtype=float)
     np.square(v2, out=v2)
-    v2 *= grid.quad_weights
-    return np.sqrt(np.maximum(np.sum(du2, axis=-1) + np.sum(v2, axis=-1),
-                              0.0))
+    return np.sqrt(du2 @ grid.half_grad_weights + v2 @ grid.half_weights)
 
 
 def energy_norm(state):
     """Energy norm of a state: sqrt(int (1-y^2)|u'|^2 + int |v|^2)."""
-    return float(slice_energies(state.u.values, state.v.values, state.grid))
+    return float(slice_energies(positive_half(state.u.values),
+                                positive_half(state.v.values), state.grid))
 
 
 def lq_norm(field, q):
     """L^q(-1,1) norm of an odd field; q = inf gives the sample sup."""
-    return float(slice_norms(field.values, field.grid, q))
+    return float(slice_norms(positive_half(field.values), field.grid, q))
 
 
 def _mixed_from_samples(times, lq_values, p):
@@ -460,8 +476,8 @@ def mixed_norm(traj, p, q):
     """L^p in s of the L^q(-1,1) norms of the u component."""
     if p < 2:
         raise InvalidArgumentError(f"p must be >= 2, got {p}")
-    return _mixed_from_samples(traj.times, slice_norms(traj.U, traj.grid, q),
-                               p)
+    return _mixed_from_samples(
+        traj.times, slice_norms(positive_half(traj.U), traj.grid, q), p)
 
 
 def _lagrange_weights(stencils, x):

@@ -25,7 +25,6 @@ from .core_types import (
     OddField,
     Trajectory,
     energy_norm,
-    odd_extension,
     odd_fold,
     positive_half,
 )
@@ -93,14 +92,12 @@ class GeneratorMatrix:
     def energy_factor(self):
         """The matrix R whose product with a reduced vector x has the
         energy norm of x as its 2-norm: the energy is the Gram form
-        x^H R^T R x. Its rows are u' weighted by sqrt(w (1 - y^2)) and v
-        weighted by sqrt(w) at all nodes, w the quadrature weights."""
+        x^H R^T R x. Its rows are u' weighted by sqrt(2 w (1 - y^2)) and v
+        weighted by sqrt(2 w) at the positive nodes, w the quadrature
+        weights, as in `slice_energies`."""
         g = self.grid
-        ext = odd_extension(np.eye(g.n // 2)).T  # positive half -> all nodes
-        return block_diag(
-            np.sqrt(g.quad_weights * (1.0 - g.nodes ** 2))[:, None]
-            * (g.diff_matrix @ ext),
-            np.sqrt(g.quad_weights)[:, None] * ext)
+        return block_diag(np.sqrt(g.half_grad_weights)[:, None] * g.half_diff,
+                          np.diag(np.sqrt(g.half_weights)))
 
 
 def assemble_generator(grid, V):
@@ -177,9 +174,10 @@ def evolve(gen, init, s_max, ds=None, store_every=1):
         s = i * ds
         if i % store_every == 0 or i == M:
             rows[-(-i // store_every)] = x  # the last step may be off-stride
-        if (i % 50 == 0 or i == M) and norm0 > 0:
+        if i % 50 == 0 or i == M:
             norm = np.linalg.norm(R @ x)
-            if not (norm == 0 or np.log(norm) - np.log(norm0)
+            # zero data stay zero unless the propagator is not finite
+            if not (norm == 0 or norm0 > 0 and np.log(norm) - np.log(norm0)
                     <= np.log(10.0) + rate * s):
                 raise DivergenceError(
                     f"norm at s = {s:.3f} exceeds 10 e^{{(max|V|+1)s}}"

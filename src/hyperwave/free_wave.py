@@ -22,6 +22,7 @@ from .core_types import (
     OddField,
     Trajectory,
     extrapolate_to,
+    positive_half,
     slice_energies,
 )
 from .errors import InvalidArgumentError, InvalidDataError
@@ -158,7 +159,8 @@ def energy_flux_check(traj):
     """
     if len(traj) < 3:
         raise InvalidDataError("need at least 3 slices")
-    E = slice_energies(traj.U, traj.V, traj.grid) ** 2
+    E = slice_energies(positive_half(traj.U), positive_half(traj.V),
+                       traj.grid) ** 2
     if E[0] == 0.0:
         return 0.0
     t = traj.times

@@ -53,8 +53,8 @@ _REPORT_SAMPLES = 4000  # slice budget of the stability report
 
 
 def _x_norm(times, U, grid):
-    """L^3_s L^6_y + L^inf_s L^6_y of a slice stack."""
-    l6 = slice_norms(U, grid, 6)
+    """L^3_s L^6_y + L^inf_s L^6_y of a (T, n) slice stack."""
+    l6 = slice_norms(positive_half(U), grid, 6)
     return _mixed_from_samples(times, l6, 3) + float(np.max(l6))
 
 
@@ -191,7 +191,8 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
 def fixed_point_residual(prop, f, g, traj):
     """sup_s L^6 distance between a trajectory and its Duhamel image."""
     image = duhamel_step(prop, f, g, traj)
-    return float(np.max(slice_norms(image.U - traj.U, prop.gen.grid, 6)))
+    return float(np.max(slice_norms(
+        positive_half(image.U) - positive_half(traj.U), prop.gen.grid, 6)))
 
 
 def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1):
@@ -231,7 +232,7 @@ def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1):
     x, x_lin, c13, c24 = X[0], X[1], cubes[:n], cubes[n:]
     y13, y24, Ex, Ex_lin = Y[0, :n], Y[0, half:n + half], Y[0, n:], Y[1, n:]
 
-    bound = slice_norms(odd_extension(x[:half]), grid, 6)
+    bound = slice_norms(x[:half], grid, 6)
     steps = _stored_steps(M, store_every)
     rows = np.empty((steps.size, n), dtype=X.dtype)
     rows[0] = x
@@ -248,7 +249,7 @@ def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1):
         x += Ex
         x_lin[:] = Ex_lin
         if i % 25 == 0 or i == M:
-            l6, l6_lin = slice_norms(odd_extension(X[:, :half]), grid, 6)
+            l6, l6_lin = slice_norms(X[:, :half], grid, 6)
             bound = max(bound, l6_lin)
             if not l6 <= 10.0 * bound:
                 raise BlowUpError(
@@ -342,7 +343,12 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
         raise InvalidArgumentError("|y_max| <= 0.9 required")
     if not (s0 < s1 <= s0 + 2.0):
         raise InvalidArgumentError("need s0 < s1 <= s0 + 2")
+    if not 0.0 < dr <= 0.5 * r_max:
+        raise InvalidArgumentError("need 0 < dr <= r_max / 2")
     grid = f.grid
+    mask = np.abs(grid.nodes) <= y_max
+    if not np.any(mask):
+        raise InvalidArgumentError(f"no grid node has |y| <= y_max = {y_max}")
 
     r_cmp = np.arctanh(y_max)
     t_end = s1 + float(logcosh(np.asarray(r_cmp)))
@@ -369,7 +375,6 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
     nt = int(np.ceil(span / dt)) + 3
     cosh2 = np.cosh(r) ** 2
     t_levels = s0 + dt * np.arange(nt + 1)
-    mask = np.abs(grid.nodes) <= y_max
 
     def accel(W):
         a = np.zeros_like(W)
@@ -465,7 +470,7 @@ def _stability_summary(traj, s_max, every=1):
     and the last."""
     keep = _stored_steps(len(traj) - 1, every)
     times = traj.times[keep]
-    l6 = slice_norms(traj.U[keep], traj.grid, 6)
+    l6 = slice_norms(positive_half(traj.U)[keep], traj.grid, 6)
     tail_sel = times >= 0.5 * s_max
     late = (times >= 0.5 * s_max) & (l6 > 1e-14)
     if np.sum(late) >= 2:

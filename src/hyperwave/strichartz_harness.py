@@ -24,12 +24,11 @@ from .core_types import (
     _mixed_from_samples,
     _odd_part,
     make_grid,
-    odd_extension,
     positive_half,
     slice_energies,
     slice_norms,
 )
-from .errors import InvalidArgumentError, InvalidDataError
+from .errors import DivergenceError, InvalidArgumentError, InvalidDataError
 from .evolution import (
     _growing_modes,
     assemble_generator,
@@ -80,8 +79,7 @@ class EnsembleSpec:
     def fields(self, grid):
         F, G = _node_fields(grid, *_coefficient_matrices(self))
         return [EnsembleMember(index=i, state=EnergyState(
-                    OddField.from_half(grid, positive_half(f)),
-                    OddField.from_half(grid, positive_half(g))))
+                    OddField.from_half(grid, f), OddField.from_half(grid, g)))
                 for i, (f, g) in enumerate(zip(F, G))]
 
 
@@ -95,10 +93,10 @@ def _coefficient_matrices(spec):
 
 
 def _node_fields(grid, cf, cg):
-    """(M, n) samples at the nodes of the data with coefficient columns
-    cf, cg, held to the OddField parity tolerance and projected."""
-    return (_odd_part(grid, C.chebval(grid.nodes, cf), 2),
-            _odd_part(grid, C.chebval(grid.nodes, cg), 2))
+    """(M, n/2) samples at the positive nodes of the data with coefficient
+    columns cf, cg, held to the OddField parity tolerance and projected."""
+    return (positive_half(_odd_part(grid, C.chebval(grid.nodes, cf), 2)),
+            positive_half(_odd_part(grid, C.chebval(grid.nodes, cg), 2)))
 
 
 @dataclass
@@ -168,9 +166,9 @@ def _run_scan(potential_id, spec, pairs, s_max, grid, num_slices, refine,
 
     norms_of(cf, cg, F, G, grid, times, qs) returns {q: (len(times), M)}
     L^q norms of u on the slices for M data, given as (d, M) coefficient
-    columns cf, cg and as (M, n) node samples F, G. Refinement reruns
-    the argmax members with the grid doubled and with the horizon (and
-    slice count) doubled.
+    columns cf, cg and as (M, n/2) positive-node samples F, G. Refinement
+    reruns the argmax members with the grid doubled and with the horizon
+    (and slice count) doubled.
     """
     qs = sorted({q for _, q in pairs})
     CF, CG = _coefficient_matrices(spec)
@@ -180,6 +178,10 @@ def _run_scan(potential_id, spec, pairs, s_max, grid, num_slices, refine,
         F, G = _node_fields(grid, cf, cg)
         times = np.linspace(0.0, s_max, num_slices + 1)
         norms = norms_of(cf, cg, F, G, grid, times, qs)
+        if not all(np.all(np.isfinite(v)) for v in norms.values()):
+            raise DivergenceError(
+                f"non-finite slice norms on [0, {s_max:g}] with"
+                f" {num_slices} slices")
         return times, norms, _ratios(pairs, times, norms,
                                      slice_energies(F, G, grid))
 
@@ -208,20 +210,23 @@ def _run_scan(potential_id, spec, pairs, s_max, grid, num_slices, refine,
 
 
 def _store_norms(norms, lo, U, grid):
-    """Write the L^q norms of the (k, M, n) slice block U into rows
-    lo, ..., lo + k - 1 of each norms[q]."""
+    """Write the L^q norms of the (k, M, n/2) positive-node slice block U
+    into rows lo, ..., lo + k - 1 of each norms[q]."""
     for q, out in norms.items():
         out[lo:lo + len(U)] = slice_norms(U, grid, q)
 
 
 def _free_norms(cf, cg, grid, times, qs):
     """{q: (len(times), M)} L^q norms of the free solutions with the
-    coefficient columns cf, cg, _SLICE_BLOCK slices per product."""
+    coefficient columns cf, cg, _SLICE_BLOCK slices per product. The
+    characteristic endpoints swap exactly at the mirrored node, so the
+    solution is odd and is evaluated at the positive nodes only."""
     H = free_wave.antiderivative_columns(cf, cg)
+    y = positive_half(grid.nodes)
     norms = {q: np.empty((len(times), H.shape[1])) for q in qs}
     for lo in range(0, len(times), _SLICE_BLOCK):
         _store_norms(norms, lo, free_wave.evaluate_columns(
-            H, times[lo:lo + _SLICE_BLOCK], grid.nodes), grid)
+            H, times[lo:lo + _SLICE_BLOCK], y), grid)
     return norms
 
 
@@ -244,16 +249,16 @@ def _batch_slice_norms(gen, X0, s_max, num_slices, qs):
     h = gen.grid.n // 2
     E = propagator(gen, s_max / num_slices)
     norms = {q: np.empty((num_slices + 1, X0.shape[1])) for q in qs}
-    block = np.empty((_SLICE_BLOCK,) + X0[:h].shape, dtype=X0.dtype)
+    # (slices, members, n/2): the u-rows are the positive-node samples
+    block = np.empty((_SLICE_BLOCK, X0.shape[1], h), dtype=X0.dtype)
     X = X0
     for lo in range(0, num_slices + 1, _SLICE_BLOCK):
         k = min(_SLICE_BLOCK, num_slices + 1 - lo)
         for j in range(k):
             if lo + j:
                 X = E @ X
-            block[j] = X[:h]
-        U = odd_extension(block[:k].transpose(0, 2, 1))  # (k, members, n)
-        _store_norms(norms, lo, U, gen.grid)
+            block[j] = X[:h].T
+        _store_norms(norms, lo, block[:k], gen.grid)
     times = np.linspace(0.0, s_max, num_slices + 1)
     return times, norms
 
@@ -281,8 +286,7 @@ def run_potential_scan(V, spec, exponents=DEFAULT_EXPONENTS, s_max=20.0,
             flows[grid.n] = gen, growing_mode_projection(gen, lams)
         gen, proj = flows[grid.n]
         # reduced columns [f; g] at the positive nodes, one per member
-        X0 = positive_half(np.stack([F, G])).transpose(0, 2, 1) \
-            .reshape(grid.n, -1)
+        X0 = np.stack([F, G]).transpose(0, 2, 1).reshape(grid.n, -1)
         if proj is not None:
             X0 = X0 - proj.reduced @ X0
         return _batch_slice_norms(gen, X0, times[-1], len(times) - 1, qs)[1]

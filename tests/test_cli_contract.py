@@ -281,3 +281,67 @@ def test_hostile_config_never_exits_4(tmp_path, monkeypatch, command, data):
     assert code in (0, 2, 3), (cfg, literal)
     if literal is not None or over_cap:
         assert code == 2, (cfg, literal)
+
+
+# extreme magnitudes: every number key of each command, under each data
+# and potential kind, set in turn to a value whose square overflows or
+# underflows
+
+_MAGNITUDES = (1e300, 1e-300)
+
+
+def _number_paths(table, cfg):
+    """(path, kind) of the "number" and "numbers" keys that _paths walks."""
+    for key, spec in table.items():
+        sub, node = spec.kind, cfg.get(key)
+        if sub in ("number", "numbers"):
+            yield (key,), sub
+        if isinstance(sub, dict) and isinstance(node, dict):
+            for path, kind in _number_paths(cli._table(sub, node, ""), node):
+                yield (key,) + path, kind
+
+
+_DATA_KINDS = [_BUMP, {"kind": "linear", "energy": 0.01},
+               {"kind": "mode", "energy": 0.01}, {"kind": "zero"},
+               {"kind": "cheb", "f": [0.0, 0.1], "g": [0.0, 0.1],
+                "energy": 0.01}]
+_POTENTIAL_KINDS = [_CONST, {"kind": "even_poly", "coeffs": [-1.0, 0.5]}]
+
+
+def _kind_variants(command):
+    """The base config with each data kind and with each potential kind
+    (and the free scan)."""
+    cfg = _BASE[command]
+    out = [cfg]
+    if "data" in cfg:
+        out += [dict(cfg, data=d) for d in _DATA_KINDS]
+    if "potential" in cfg:
+        out += [dict(cfg, potential=p) for p in _POTENTIAL_KINDS]
+    if command == "strichartz":
+        out.append(dict({k: v for k, v in cfg.items()
+                         if k not in ("potential", "window")}, mode="free"))
+    return out
+
+
+@pytest.mark.parametrize("magnitude", _MAGNITUDES)
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_extreme_magnitude_never_exits_4(tmp_path, command, magnitude):
+    for cfg in _kind_variants(command):
+        for path, kind in _number_paths(cli.TABLES[command], cfg):
+            value = [0.0, magnitude] if kind == "numbers" else magnitude
+            code = _run(tmp_path, command, _with(cfg, path, value))
+            assert code in (0, 2, 3), (cfg, path, value)
+
+
+@pytest.mark.parametrize("key,value,code,err", [
+    # narrower than any node spacing: the bump is 0 at every node
+    ("width", 1e-300, 0, ""),
+    ("amplitude", 1e300, 2, "config error: data: the data's energy norm"
+                            " overflows")])
+def test_bump_of_extreme_magnitude(tmp_path, capsys, key, value, code, err):
+    cfg = {"grid_n": 16, "data": {"kind": "bump", key: value}, "s_max": 0.5}
+    assert _run(tmp_path, "evolve", cfg) == code
+    assert err in capsys.readouterr().err
+    if code == 0:
+        results = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert results["max_energy"] == 0.0

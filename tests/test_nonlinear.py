@@ -12,6 +12,7 @@ from hyperwave.coords import logcosh
 from hyperwave.core_types import (
     _barycentric_matrix,
     extrapolate_to,
+    positive_half,
     slice_norms,
 )
 from hyperwave.evolution import _step_count
@@ -169,7 +170,7 @@ def test_lawson_step_converged_on_small_data(energy, width):
     fine = hw.nonlinear_evolve_direct(f, g, 2.0, ds=0.05 / 52,
                                       store_every=52)
     assert np.allclose(coarse.times, fine.times, rtol=0, atol=1e-12)
-    d6 = slice_norms(coarse.U - fine.U, grid, 6)
+    d6 = slice_norms(positive_half(coarse.U - fine.U), grid, 6)
     assert np.max(d6) < 1e-10
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hyperwave as hw
-from hyperwave import cli
+from hyperwave import cli, free_wave
 from hyperwave.core_types import (
     _horner,
     odd_extension,
@@ -40,30 +40,29 @@ def odd_stacks(draw, count=1):
 @given(odd_stacks(count=2))
 def test_kernels_match_per_slice_norms(data):
     grid, (U, V) = data
-    energies = slice_energies(U, V, grid)
+    H, K = positive_half(U), positive_half(V)
+    energies = slice_energies(H, K, grid)
     for i in range(U.shape[0]):
         u, v = hw.OddField(grid, U[i]), hw.OddField(grid, V[i])
         want = hw.energy_norm(hw.EnergyState(u, v))
         assert energies[i] == pytest.approx(want, rel=1e-13, abs=0.0)
         for q in QS:
-            assert slice_norms(U, grid, q)[i] == pytest.approx(
+            assert slice_norms(H, grid, q)[i] == pytest.approx(
                 hw.lq_norm(u, q), rel=1e-13, abs=0.0)
 
 
 def _slice_energies_reference(U, V, grid):
-    """slice_energies as one plain expression: the reference its in-place
-    form must match bit for bit."""
-    dU = (grid.diff_matrix @ np.transpose(U)).T
-    val = np.sum(grid.quad_weights * (1.0 - grid.nodes ** 2)
-                 * np.abs(dU) ** 2, axis=-1) \
-        + np.sum(grid.quad_weights * np.abs(V) ** 2, axis=-1)
-    return np.sqrt(np.maximum(np.real(val), 0.0))
+    """slice_energies on positive-half stacks as one plain expression:
+    the reference its in-place form must match bit for bit."""
+    dU = U @ grid.half_diff.T
+    return np.sqrt(np.abs(dU) ** 2 @ grid.half_grad_weights
+                   + np.abs(V) ** 2 @ grid.half_weights)
 
 
 @pytest.mark.parametrize("shape", [(64,), (1, 64), (7, 32), (2049, 64)])
 def test_slice_energies_bitwise_as_before(shape):
     rng = np.random.default_rng(len(shape) * shape[0])
-    grid = hw.make_grid(shape[-1])
+    grid = hw.make_grid(2 * shape[-1])
     U, V = rng.standard_normal(shape), rng.standard_normal(shape)
     cU, cV = U + 1j * rng.standard_normal(shape), V - 1j * U
     for u, v in ((U, V), (cU, cV), (U, cV), (cU, V)):
@@ -72,6 +71,89 @@ def test_slice_energies_bitwise_as_before(shape):
         want = _slice_energies_reference(u, v, grid)
         assert got.shape == want.shape and np.array_equal(got, want)
         assert np.array_equal(u, keep[0]) and np.array_equal(v, keep[1])
+
+
+def _all_node_norms(U, grid, q):
+    """L^q norms of the rows of all-node sample stacks, summed over every
+    node with the quadrature weights."""
+    a = np.abs(U)
+    if np.isinf(q):
+        return np.max(a, axis=-1)
+    return (a ** q @ grid.quad_weights) ** (1.0 / q)
+
+
+def _all_node_energies(U, V, grid):
+    """Energy norms of the rows of all-node sample stacks of u and v."""
+    dU = U @ grid.diff_matrix.T
+    w = grid.quad_weights
+    return np.sqrt(np.abs(dU) ** 2 @ (w * (1.0 - grid.nodes ** 2))
+                   + np.abs(V) ** 2 @ w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(4, 256), T=st.integers(1, 5), cplx=st.booleans(),
+       q=st.sampled_from([1.0, 2.0, 3.5, 4.0, 6.0, np.inf]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_half_kernels_equal_all_node_sums(h, T, cplx, q, seed):
+    # |u|^q and (1 - y^2)|u'|^2 are even for odd u: the positive-half sums
+    # with doubled weights are the all-node sums, up to round-off (the
+    # Fejer weights are not bitwise symmetric)
+    grid = hw.make_grid(2 * h)
+    rng = np.random.default_rng(seed)
+    H, K = rng.standard_normal((2, T, h))
+    if cplx:
+        H = H + 1j * rng.standard_normal((T, h))
+        K = K - 1j * rng.standard_normal((T, h))
+    U, V = odd_extension(H), odd_extension(K)
+    got, want = slice_norms(H, grid, q), _all_node_norms(U, grid, q)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    got, want = slice_energies(H, K, grid), _all_node_energies(U, V, grid)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([8, 16, 64, 256, 512]), d=st.integers(1, 12),
+       members=st.integers(1, 40), k=st.integers(1, 16),
+       s_max=st.floats(0.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_free_solution_at_positive_nodes_is_the_positive_half(
+        n, d, members, k, s_max, seed):
+    # at the mirrored node the characteristic endpoints a and b swap
+    # exactly, so the all-node evaluation is odd bit for bit and its
+    # positive half is the evaluation at the positive nodes
+    grid = hw.make_grid(n)
+    rng = np.random.default_rng(seed)
+    cf, cg = np.zeros((2, 2 * d, members))
+    cf[1::2], cg[1::2] = rng.standard_normal((2, d, members))
+    H = free_wave.antiderivative_columns(cf, cg)
+    times = np.sort(rng.uniform(0.0, s_max, k))
+    full = free_wave.evaluate_columns(H, times, grid.nodes)
+    half = free_wave.evaluate_columns(H, times, positive_half(grid.nodes))
+    if members > 1:
+        assert np.array_equal(positive_half(full), half)
+        assert np.array_equal(full[..., ::-1], -full)
+    else:
+        # one column is a matrix-vector product, whose summation order
+        # depends on the row count: equal to round-off only
+        scale = np.max(np.abs(full), axis=-1, keepdims=True)
+        assert np.all(np.abs(positive_half(full) - half) <= 1e-14 * scale)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.sampled_from([16, 32, 64]), amplitude=st.floats(0.01, 100.0),
+       width=st.floats(0.4, 0.8), s_max=st.floats(0.5, 4.0))
+def test_free_evolve_energy_never_rises(n, amplitude, width, s_max):
+    # V = 0: the energy only leaves through the boundary. Bumps are kept
+    # resolved: narrower than ~0.35 on 16 nodes, the collocated flow
+    # itself gains up to 1e-3 of the energy in a step
+    grid = hw.make_grid(n)
+    gen = hw.assemble_generator(grid, hw.Potential.constant(0.0))
+    y = grid.nodes
+    init = hw.EnergyState(
+        hw.OddField(grid, amplitude * y * np.exp(-(y / width) ** 2)),
+        hw.OddField.zero(grid))
+    traj = hw.evolve(gen, init, s_max)
+    E = slice_energies(positive_half(traj.U), positive_half(traj.V), grid)
+    assert np.all(np.diff(E) <= 0.0)
 
 
 @settings(max_examples=50, deadline=None)
