@@ -31,7 +31,6 @@ from .core_types import (
     Potential,
     energy_norm,
     make_grid,
-    positive_half,
     slice_energies,
     slice_norms,
 )
@@ -365,12 +364,11 @@ def _cmd_evolve(c, out_dir, seed):
     gen = assemble_generator(grid, V)
     traj = evolve(gen, EnergyState(f, g), c["s_max"], ds=c["ds"],
                   store_every=c["store_every"])
-    U = positive_half(traj.U)
-    energies = slice_energies(U, positive_half(traj.V), grid)
+    energies = slice_energies(traj.U, traj.V, grid)
     _write_csv(out_dir / "series.csv",
                ["s", "energy", "l2", "l6", "sup"],
                np.column_stack([traj.times, energies, *(
-                   slice_norms(U, grid, q) for q in (2, 6, np.inf))
+                   slice_norms(traj.U, grid, q) for q in (2, 6, np.inf))
                ]).tolist())
     results = {
         "num_slices": len(traj),
@@ -525,8 +523,8 @@ def _cmd_yangmills(c, out_dir, seed):
     resid = fixed_point_residual(run.prop, f, g, run.final)
     direct = nonlinear_evolve_direct(f, g, s_max, ds=ds / sub)
     on_nodes = slice(0, sub * run.prop.num_steps + 1, sub)
-    Up = positive_half(run.final.U)
-    Ud = positive_half(direct.U)[on_nodes]
+    Up = run.final.U
+    Ud = direct.U[on_nodes]
     if len(Ud) != len(Up) or not np.allclose(
             direct.times[on_nodes], run.final.times, rtol=1e-12, atol=0.0):
         raise InvalidDataError("direct solver rows miss the Picard nodes")

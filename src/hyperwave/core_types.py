@@ -5,11 +5,11 @@ grid on (-1,1): no endpoint nodes, because the wave operator degenerates
 at y = +-1 and the solutions live on the open interval. Boundary traces,
 where needed, are obtained by polynomial extrapolation. The nodes ascend
 and are antisymmetric, so an odd field is fixed by its samples at the
-n/2 positive nodes (the upper half); positive_half, odd_extension and
-odd_fold convert between the two forms for the other modules. The norm
-and energy kernels (slice_norms, slice_energies) take such positive-half
-samples: for odd u, |u|^q and (1-y^2)|u'|^2 are even, so every norm is a
-sum over the positive nodes with doubled weights.
+n/2 positive nodes (the upper half), the one form that OddField,
+Trajectory and the norm and energy kernels (slice_norms, slice_energies)
+take; positive_half, odd_extension and odd_fold convert it to and from
+all-node samples. For odd u, |u|^q and (1-y^2)|u'|^2 are even, so every
+norm is a sum over the positive nodes with doubled weights.
 """
 
 from collections.abc import Sequence
@@ -123,54 +123,60 @@ def _checked(grid, values, ndim, size):
     return values
 
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
 def _odd_part(grid, values, ndim=1):
-    """Checked odd projection of one field's samples (ndim 1) or of a
-    (T, n) stack of them (ndim 2).
+    """Checked positive-node samples of the odd part of one field's
+    all-node samples (ndim 1) or of a (T, n) stack of them (ndim 2).
 
     Each field's parity defect max|v_i + v_{n-1-i}| must stay within 1e-6
-    times max(1, max|v|); the result (v - reversed(v))/2 is read-only.
+    times max(1, max|v|); the result, odd_fold(v), is read-only.
     """
     values = _checked(grid, values, ndim, grid.n)
-    flipped = values[..., ::-1]
-    defect = np.max(np.abs(values + flipped), axis=-1)
+    defect = np.max(np.abs(values + values[..., ::-1]), axis=-1)
     ratio = defect / np.maximum(1.0, np.max(np.abs(values), axis=-1))
     if np.any(ratio > 1e-6):
         raise InvalidDataError(
             f"parity defect {np.max(ratio):.3e} times max(1, max|v|)"
             " exceeds 1.0e-06; data is not odd")
-    out = values - flipped
-    out *= 0.5
-    out.setflags(write=False)
-    return out
+    return _frozen(odd_fold(values))
 
 
 def _from_half(grid, half, ndim=1):
-    """Checked, read-only odd extension of one field's positive-node
+    """Checked, read-only private copy of one field's positive-node
     samples (ndim 1) or of a (T, n/2) stack of them (ndim 2)."""
-    out = odd_extension(_checked(grid, half, ndim, grid.n // 2))
-    out.setflags(write=False)
-    return out
+    return _frozen(_checked(grid, half, ndim, grid.n // 2).copy())
+
+
+def same_grid(a, b):
+    """Whether two grids are one: the same object or equal nodes."""
+    return a is b or np.array_equal(a.nodes, b.nodes)
 
 
 class OddField:
     """Samples of an odd function of y on a grid.
 
-    The constructor measures the parity defect max|v_i + v_{n-1-i}|,
-    rejects input whose defect exceeds 1e-6 relative to the field size,
-    and stores the projected samples (v - reversed(v))/2.
+    `half` holds a read-only copy of the samples at the n/2 positive
+    nodes; `values` expands it to all n nodes on each access. The
+    constructor rejects all-node samples v whose parity defect
+    max|v_i + v_{n-1-i}| exceeds 1e-6 relative to the field size and
+    stores odd_fold(v); `from_half` takes positive-node samples.
     """
 
-    __slots__ = ("grid", "values")
+    __slots__ = ("grid", "half")
 
     def __init__(self, grid, values):
         self.grid = grid
-        self.values = _odd_part(grid, values)
+        self.half = _odd_part(grid, values)
 
     @classmethod
     def from_half(cls, grid, half):
         """The odd field with samples `half` at the n/2 positive nodes."""
         f = cls.__new__(cls)
-        f.grid, f.values = grid, _from_half(grid, half)
+        f.grid, f.half = grid, _from_half(grid, half)
         return f
 
     @classmethod
@@ -181,16 +187,27 @@ class OddField:
     def zero(cls, grid):
         return cls.from_half(grid, np.zeros(grid.n // 2))
 
+    @property
+    def values(self):
+        """The read-only samples at all n nodes."""
+        return _frozen(odd_extension(self.half))
+
+    def _other_half(self, other):
+        if same_grid(self.grid, other.grid):
+            return other.half
+        raise InvalidDataError(
+            f"fields on different grids: {self.grid!r}, {other.grid!r}")
+
     def __add__(self, other):
         return OddField.from_half(self.grid,
-                                  positive_half(self.values + other.values))
+                                  self.half + self._other_half(other))
 
     def __sub__(self, other):
         return OddField.from_half(self.grid,
-                                  positive_half(self.values - other.values))
+                                  self.half - self._other_half(other))
 
     def __mul__(self, c):
-        return OddField.from_half(self.grid, positive_half(self.values) * c)
+        return OddField.from_half(self.grid, self.half * c)
 
     __rmul__ = __mul__
 
@@ -368,33 +385,19 @@ class Potential:
 class Trajectory(Sequence):
     """Time-stamped stack of odd energy states on one shared grid.
 
-    `times` has shape (T,); `U` and `V` of shape (T, n) hold the samples
-    of u and ds_u on each slice. `Trajectory.from_arrays` takes the
-    stacks and holds every slice to the OddField parity tolerance and
-    projects it, in one vectorised pass.
-    `Trajectory.from_halves` takes (T, n/2) stacks of the samples at the
-    positive nodes and is odd by construction. The trajectory is a
-    read-only sequence of its slices: indexing builds an EnergyState.
+    `times` has shape (T,); `U` and `V` of shape (T, n/2) hold the
+    samples of u and ds_u at the positive nodes on each slice, read-only
+    private copies of the stacks given to `Trajectory.from_halves`, the
+    one constructor. The trajectory is a read-only sequence of its
+    slices: indexing builds an EnergyState.
     """
 
     __slots__ = ("grid", "times", "U", "V", "step")
 
     @classmethod
-    def from_arrays(cls, grid, times, U, V, step=None):
-        """Trajectory of (T,) times and (T, n) stacks U of u, V of ds_u."""
-        traj = cls.__new__(cls)
-        traj._fill(grid, times, U, V, step, _odd_part)
-        return traj
-
-    @classmethod
     def from_halves(cls, grid, times, U, V, step=None):
         """Trajectory of (T,) times and (T, n/2) stacks U of u, V of ds_u
         at the positive nodes."""
-        traj = cls.__new__(cls)
-        traj._fill(grid, times, U, V, step, _from_half)
-        return traj
-
-    def _fill(self, grid, times, U, V, step, rows):
         times = np.array(times, dtype=float)
         if times.size == 0:
             raise InvalidDataError("empty trajectory")
@@ -402,22 +405,22 @@ class Trajectory(Sequence):
             raise InvalidDataError("times/states length mismatch")
         if times.size > 1 and np.any(np.diff(times) <= 0):
             raise InvalidDataError("times must be strictly increasing")
-        times.setflags(write=False)
-        self.grid = grid
-        self.times = times
-        self.U = rows(grid, U, ndim=2)
-        self.V = rows(grid, V, ndim=2)
+        traj = cls.__new__(cls)
+        traj.grid = grid
+        traj.times = _frozen(times)
+        traj.U = _from_half(grid, U, ndim=2)
+        traj.V = _from_half(grid, V, ndim=2)
         if step is None:
             step = float(times[1] - times[0]) if times.size > 1 else 0.0
-        self.step = step
+        traj.step = step
+        return traj
 
     def __len__(self):
         return self.times.size
 
     def __getitem__(self, i):
-        return EnergyState(
-            OddField.from_half(self.grid, positive_half(self.U[i])),
-            OddField.from_half(self.grid, positive_half(self.V[i])))
+        return EnergyState(OddField.from_half(self.grid, self.U[i]),
+                           OddField.from_half(self.grid, self.V[i]))
 
 
 def slice_norms(U, grid, q):
@@ -453,13 +456,12 @@ def slice_energies(U, V, grid):
 
 def energy_norm(state):
     """Energy norm of a state: sqrt(int (1-y^2)|u'|^2 + int |v|^2)."""
-    return float(slice_energies(positive_half(state.u.values),
-                                positive_half(state.v.values), state.grid))
+    return float(slice_energies(state.u.half, state.v.half, state.grid))
 
 
 def lq_norm(field, q):
     """L^q(-1,1) norm of an odd field; q = inf gives the sample sup."""
-    return float(slice_norms(positive_half(field.values), field.grid, q))
+    return float(slice_norms(field.half, field.grid, q))
 
 
 def _mixed_from_samples(times, lq_values, p):
@@ -477,7 +479,7 @@ def mixed_norm(traj, p, q):
     if p < 2:
         raise InvalidArgumentError(f"p must be >= 2, got {p}")
     return _mixed_from_samples(
-        traj.times, slice_norms(positive_half(traj.U), traj.grid, q), p)
+        traj.times, slice_norms(traj.U, traj.grid, q), p)
 
 
 def _lagrange_weights(stencils, x):

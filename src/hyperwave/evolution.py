@@ -9,8 +9,8 @@ The first-order system evolved here is
 collocated at the parity-symmetric Chebyshev nodes. All states of
 interest are odd, so time stepping runs on the odd-sector reduction: the
 unknowns are f1 and f2 at the n/2 positive nodes (exact parity by
-construction, and no spurious even-sector eigenvalues). The layout
-itself lives in core_types (odd_fold, odd_extension, positive_half).
+construction, and no spurious even-sector eigenvalues), the samples that
+OddField and Trajectory store; the layout itself lives in core_types.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ from .core_types import (
     Trajectory,
     energy_norm,
     odd_fold,
-    positive_half,
+    same_grid,
 )
 from .errors import (
     ContourAccuracyError,
@@ -70,15 +70,13 @@ class GeneratorMatrix:
         return self._schur
 
     def _check_grid(self, state):
-        if state.grid is not self.grid and not np.array_equal(
-                state.grid.nodes, self.grid.nodes):
+        if not same_grid(state.grid, self.grid):
             raise InvalidArgumentError("state and generator grids differ")
 
     def reduce_state(self, state):
-        """(f1, f2) at the positive nodes: OddField data are exactly odd."""
+        """(f1, f2) at the positive nodes, as the fields store them."""
         self._check_grid(state)
-        return positive_half(np.stack([state.u.values,
-                                       state.v.values])).ravel()
+        return np.concatenate([state.u.half, state.v.half])
 
     def expand_state(self, x):
         return EnergyState(*(OddField.from_half(self.grid, h)
@@ -367,11 +365,12 @@ class UnstableMode:
     phis: List[EnergyState]  # phi_k = (1/k!) (L-lam)^k P_lam init, k <= n(lam)
 
     def state_at(self, s):
+        """[u, ds_u] of the mode at time s, at the positive nodes."""
         u = v = 0.0
         for k, ph in enumerate(self.phis):
             c = np.exp(self.lam * s) * s ** k
-            u = u + ph.u.values * c
-            v = v + ph.v.values * c
+            u = u + ph.u.half * c
+            v = v + ph.v.half * c
         return [u, v]
 
 
@@ -388,11 +387,10 @@ class DecomposedEvolution:
 
     def unstable_state(self, s):
         grid = self.stable_trajectory.grid
-        uv = np.zeros((2, grid.n), dtype=complex)
+        uv = np.zeros((2, grid.n // 2), dtype=complex)
         for mode in self.unstable_modes:
             uv += mode.state_at(s)
-        return EnergyState(*(OddField.from_half(grid, h)
-                             for h in positive_half(uv)))
+        return EnergyState(*(OddField.from_half(grid, h) for h in uv))
 
     def total_state(self, index):
         """Unstable + stable at the index-th stored time."""

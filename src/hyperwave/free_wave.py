@@ -22,6 +22,7 @@ from .core_types import (
     OddField,
     Trajectory,
     extrapolate_to,
+    odd_extension,
     positive_half,
     slice_energies,
 )
@@ -137,16 +138,17 @@ def free_trajectory(f, g, grid, s_max, ds):
     """Sample the closed-form solution and its s-derivative on slices.
 
     f, g are Chebyshev coefficient arrays of odd data. Slices run over
-    0, ds, ..., up to s_max.
+    0, ds, ..., up to s_max. Only the positive nodes are evaluated: the
+    characteristic endpoints swap exactly at the mirrored node.
     """
     if ds <= 0 or s_max < ds:
         raise InvalidArgumentError("need ds > 0 and s_max >= ds")
     sol = from_chebyshev(grid, f, g)
     num = _step_count(s_max, ds, grid.n)[1]
     times = np.arange(num + 1) * ds
-    U = evaluate(sol, times[:, None], grid.nodes)
-    V = ds_evaluate(sol, times[:, None], grid.nodes)
-    return Trajectory.from_arrays(grid, times, U, V, step=ds)
+    U = evaluate(sol, times[:, None], positive_half(grid.nodes))
+    V = ds_evaluate(sol, times[:, None], positive_half(grid.nodes))
+    return Trajectory.from_halves(grid, times, U, V, step=ds)
 
 
 def energy_flux_check(traj):
@@ -159,13 +161,12 @@ def energy_flux_check(traj):
     """
     if len(traj) < 3:
         raise InvalidDataError("need at least 3 slices")
-    E = slice_energies(positive_half(traj.U), positive_half(traj.V),
-                       traj.grid) ** 2
+    E = slice_energies(traj.U, traj.V, traj.grid) ** 2
     if E[0] == 0.0:
         return 0.0
     t = traj.times
     dE = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
-    V = traj.V[1:-1].T
+    V = odd_extension(traj.V[1:-1]).T
     fl = np.abs(extrapolate_to(V, traj.grid, 1.0)) ** 2 \
         + np.abs(extrapolate_to(V, traj.grid, -1.0)) ** 2
     return float(np.max(np.abs(dE + 2.0 * fl))) / E[0]

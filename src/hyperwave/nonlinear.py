@@ -53,8 +53,8 @@ _REPORT_SAMPLES = 4000  # slice budget of the stability report
 
 
 def _x_norm(times, U, grid):
-    """L^3_s L^6_y + L^inf_s L^6_y of a (T, n) slice stack."""
-    l6 = slice_norms(positive_half(U), grid, 6)
+    """L^3_s L^6_y + L^inf_s L^6_y of a (T, n/2) positive-half stack."""
+    l6 = slice_norms(U, grid, 6)
     return _mixed_from_samples(times, l6, 3) + float(np.max(l6))
 
 
@@ -113,7 +113,7 @@ def duhamel_step(prop, f, g, source):
 
     # odd-sector reduction of the cubes: values at the positive nodes
     Y = np.zeros((M + 1, 2 * half), dtype=source.U.dtype)
-    Y[:, half:] = positive_half(source.U) ** 3
+    Y[:, half:] = source.U ** 3
 
     x_lin = gen.reduce_state(EnergyState(f, g))
     out = np.empty((M + 1, 2 * half), dtype=np.result_type(Y, x_lin))
@@ -191,8 +191,7 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
 def fixed_point_residual(prop, f, g, traj):
     """sup_s L^6 distance between a trajectory and its Duhamel image."""
     image = duhamel_step(prop, f, g, traj)
-    return float(np.max(slice_norms(
-        positive_half(image.U) - positive_half(traj.U), prop.gen.grid, 6)))
+    return float(np.max(slice_norms(image.U - traj.U, prop.gen.grid, 6)))
 
 
 def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1):
@@ -281,10 +280,8 @@ def _level_line_seed(traj, s_line, y_line, stride=1):
     from scipy.interpolate import CubicSpline
 
     times = traj.times[::stride]
-    spline_u = CubicSpline(times, positive_half(traj.U.real)[::stride],
-                           axis=0)
-    spline_v = CubicSpline(times, positive_half(traj.V.real)[::stride],
-                           axis=0)
+    spline_u = CubicSpline(times, traj.U.real[::stride], axis=0)
+    spline_v = CubicSpline(times, traj.V.real[::stride], axis=0)
     W = np.zeros(s_line.size)
     Wt = np.zeros(s_line.size)
     ok = s_line >= 0.0
@@ -369,7 +366,10 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
     s_line, y_line = phi_inv((s0, r))
     span = t_end - s0
     dep = np.abs(r) <= r_cmp + span
-    y_dep = np.abs(grid.nodes) <= np.tanh(r_cmp + span)
+    # positive nodes, as stored: the sets are mirror-symmetric and the
+    # slices odd, so each max |.| below is the all-node one
+    y_dep = positive_half(grid.nodes) <= np.tanh(r_cmp + span)
+    pos_mask = positive_half(mask)
 
     dt = 0.5 * dr
     nt = int(np.ceil(span / dt)) + 3
@@ -411,8 +411,8 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
                        (ir[:, None] + four)[:, None]]
         pulled = np.zeros(grid.n)
         pulled[mask] = (wt[:, None] @ block @ wr[:, :, None])[:, 0, 0]
-        pulled = OddField(grid, pulled).values[mask]
-        return float(np.max(np.abs(pulled - u_end[mask])))
+        pulled = OddField(grid, pulled).half[pos_mask]
+        return float(np.max(np.abs(pulled - u_end[pos_mask])))
 
     def run(steps):
         traj = nonlinear_evolve_direct(f, g, s1, ds=s1 / steps)
@@ -470,7 +470,7 @@ def _stability_summary(traj, s_max, every=1):
     and the last."""
     keep = _stored_steps(len(traj) - 1, every)
     times = traj.times[keep]
-    l6 = slice_norms(positive_half(traj.U)[keep], traj.grid, 6)
+    l6 = slice_norms(traj.U[keep], traj.grid, 6)
     tail_sel = times >= 0.5 * s_max
     late = (times >= 0.5 * s_max) & (l6 > 1e-14)
     if np.sum(late) >= 2:

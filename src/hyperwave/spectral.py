@@ -932,7 +932,7 @@ class GreenFunction:
             / self.wronskian_factor
         return EnergyState(
             OddField.from_half(grid, w_pos),
-            OddField.from_half(grid, self.lam * w_pos - positive_half(f1)))
+            OddField.from_half(grid, self.lam * w_pos - state.u.half))
 
 
 def resolvent_apply(V, lam, state):

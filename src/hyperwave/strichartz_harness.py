@@ -95,8 +95,8 @@ def _coefficient_matrices(spec):
 def _node_fields(grid, cf, cg):
     """(M, n/2) samples at the positive nodes of the data with coefficient
     columns cf, cg, held to the OddField parity tolerance and projected."""
-    return (positive_half(_odd_part(grid, C.chebval(grid.nodes, cf), 2)),
-            positive_half(_odd_part(grid, C.chebval(grid.nodes, cg), 2)))
+    return (_odd_part(grid, C.chebval(grid.nodes, cf), 2),
+            _odd_part(grid, C.chebval(grid.nodes, cg), 2))
 
 
 @dataclass

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import hyperwave as hw
 from hyperwave.coords import logcosh
-from hyperwave.core_types import _barycentric_matrix, extrapolate_to
+from hyperwave.core_types import _barycentric_matrix, extrapolate_to, \
+    positive_half
 
 
 def test_make_grid_basic():
@@ -182,8 +183,8 @@ def test_lq_norm_homogeneous(c, q):
 
 
 def _const_in_s_trajectory(g, n_slices=11, s_max=1.0):
-    U = np.tile(g.nodes, (n_slices, 1))
-    return hw.Trajectory.from_arrays(g, np.linspace(0, s_max, n_slices), U,
+    U = np.tile(positive_half(g.nodes), (n_slices, 1))
+    return hw.Trajectory.from_halves(g, np.linspace(0, s_max, n_slices), U,
                                      np.zeros_like(U))
 
 
@@ -201,9 +202,9 @@ def test_mixed_norm_constant_in_time():
 
 def test_trajectory_guards_and_restriction():
     g = hw.make_grid(16)
-    U = np.tile(g.nodes, (2, 1))
+    U = np.tile(positive_half(g.nodes), (2, 1))
     with pytest.raises(hw.InvalidDataError):
-        hw.Trajectory.from_arrays(g, np.array([0.0, 0.0]), U,
+        hw.Trajectory.from_halves(g, np.array([0.0, 0.0]), U,
                                   np.zeros_like(U))
 
 

@@ -178,7 +178,7 @@ def test_evolve_large_step_matches_closed_form():
     assert np.allclose(traj.times, [0.0, 0.5, 1.0], rtol=0, atol=1e-15)
     for s, u in zip(traj.times, traj.U):
         want = g.nodes * np.exp(-s) * (2.0 - np.exp(-s))
-        assert np.max(np.abs(u - want)) < 1e-10
+        assert np.max(np.abs(odd_extension(u) - want)) < 1e-10
 
 
 def test_evolve_divergence_guard_checks_every_50th_step():
@@ -403,11 +403,13 @@ def test_decomposition_states_from_halves_match_checked_construction():
     assert len(dec.unstable_modes) == 1
     traj = dec.stable_trajectory
     for i, s in enumerate(traj.times):
-        uv = sum(np.array(m.state_at(s)) for m in dec.unstable_modes)
+        uv = odd_extension(sum(np.array(m.state_at(s))
+                               for m in dec.unstable_modes))
         un = _checked_state(g, uv.ravel())
         assert _rel_diff(dec.unstable_state(s), un) <= 1e-14
-        tot = _checked_state(g, np.concatenate([traj.U[i] + un.u.values,
-                                                traj.V[i] + un.v.values]))
+        tot = _checked_state(g, np.concatenate([
+            odd_extension(traj.U[i]) + un.u.values,
+            odd_extension(traj.V[i]) + un.v.values]))
         assert _rel_diff(dec.total_state(i), tot) <= 1e-14
 
 

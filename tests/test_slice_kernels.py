@@ -12,6 +12,7 @@ import hyperwave as hw
 from hyperwave import cli, free_wave
 from hyperwave.core_types import (
     _horner,
+    _odd_part,
     odd_extension,
     odd_fold,
     positive_half,
@@ -152,35 +153,36 @@ def test_free_evolve_energy_never_rises(n, amplitude, width, s_max):
         hw.OddField(grid, amplitude * y * np.exp(-(y / width) ** 2)),
         hw.OddField.zero(grid))
     traj = hw.evolve(gen, init, s_max)
-    E = slice_energies(positive_half(traj.U), positive_half(traj.V), grid)
+    E = slice_energies(traj.U, traj.V, grid)
     assert np.all(np.diff(E) <= 0.0)
 
 
 @settings(max_examples=50, deadline=None)
-@given(odd_stacks(count=2), st.data())
-def test_trajectory_rejects_non_odd_rows(data, draw):
-    grid, (U, V) = data
+@given(odd_stacks(), st.data())
+def test_stacked_odd_part_rejects_non_odd_rows(data, draw):
+    # the stacked parity check of the scans' node fields holds each row to
+    # the OddField tolerance on its own
+    grid, (U,) = data
     row = draw.draw(st.integers(0, U.shape[0] - 1))
     col = draw.draw(st.integers(0, grid.n - 1))
     bad = U.copy()
     bad[row, col] += 1e-3 * max(1.0, np.max(np.abs(U[row])))
-    times = np.arange(U.shape[0], dtype=float)
-    with pytest.raises(hw.InvalidDataError):
-        hw.Trajectory.from_arrays(grid, times, bad, V)
-    with pytest.raises(hw.InvalidDataError):
-        hw.Trajectory.from_arrays(grid, times, V, bad)
+    assert np.array_equal(_odd_part(grid, U, 2), positive_half(U))
+    with pytest.raises(hw.InvalidDataError, match="not odd"):
+        _odd_part(grid, bad, 2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(odd_stacks(count=2))
 def test_trajectory_states_view_matches_rows(data):
     grid, (U, V) = data
-    traj = hw.Trajectory.from_arrays(grid, np.arange(U.shape[0]) * 0.5, U, V)
+    traj = hw.Trajectory.from_halves(grid, np.arange(U.shape[0]) * 0.5,
+                                     positive_half(U), positive_half(V))
     assert not traj.U.flags.writeable and not traj.V.flags.writeable
     assert len(traj) == U.shape[0]
     for i, st_ in enumerate(traj):
-        assert np.array_equal(st_.u.values, traj.U[i])
-        assert np.array_equal(st_.v.values, traj.V[i])
+        assert np.array_equal(st_.u.values, odd_extension(traj.U[i]))
+        assert np.array_equal(st_.v.values, odd_extension(traj.V[i]))
         assert np.array_equal(traj[i].u.values, U[i])
 
 
@@ -195,12 +197,13 @@ def test_positive_half_constructors_match_checked_ones(data, cplx):
     assert odd_fold(U).tobytes() == H.tobytes()
     times = np.arange(U.shape[0]) * 0.5
     got = hw.Trajectory.from_halves(grid, times, H, K)
-    want = hw.Trajectory.from_arrays(grid, times, U, V)
     # equal up to the sign of zero, which the complex projection's
     # multiplication by 0.5 + 0j does not keep
-    for a, b in ((got.U, want.U), (got.V, want.V)):
-        assert not a.flags.writeable
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for stack, rows in ((got.U, U), (got.V, V)):
+        assert not stack.flags.writeable
+        for a, u in zip(stack, rows):
+            b = hw.OddField(grid, u).half
+            assert a.dtype == b.dtype and np.array_equal(a, b)
     f = hw.OddField.from_half(grid, H[0])
     assert not f.values.flags.writeable
     assert np.array_equal(f.values, hw.OddField(grid, U[0]).values)
