@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_banded
 
 from .coords import logcosh, phi, phi_inv
 from .core_types import (
@@ -267,30 +267,75 @@ def _lagrange_rows(xs, grid_pts, h, lo):
     return idx0, _lagrange_weights(grid_pts[idx0[:, None] + np.arange(4)], xs)
 
 
+def _not_a_knot(x, y, q):
+    """The not-a-knot cubic spline through the rows of the (m, k) stack y
+    at the knots x, one spline per column, evaluated at the points q in
+    [x[0], x[-1]] (de Boor, A Practical Guide to Splines, rev. ed. 2001,
+    ch. IV-V): a (len(q), k) stack.
+
+    It equals scipy's CubicSpline bit for bit. The slope system, the
+    Hermite coefficients and the evaluation by ascending powers follow the
+    operation order of its CubicSpline, CubicHermiteSpline and PPoly; the
+    package thus never loads scipy.interpolate, which is slow to import.
+
+    Fewer than 4 knots are refused rather than fitted by scipy's 2- and
+    3-knot branches. cauchy_cross_check cannot reach them: its domain
+    guard forces arccosh(e^{s0}) > 0.5, so s1 > s0 > log cosh 0.5 ~ 0.120,
+    and its first try then takes at least 12 Lawson steps, 13 knots, 7 at
+    stride 2.
+    """
+    m = x.size
+    if m < 4:
+        raise InvalidArgumentError("a not-a-knot spline needs 4 or more"
+                                   " knots")
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # the tridiagonal slope system in banded form: super-, main and
+    # sub-diagonal, with the not-a-knot rows at both ends
+    A = np.zeros((3, m))
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b = np.empty(y.shape)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = x[2] - x[0]
+    A[1, 0], A[0, 1] = dx[1], d
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1], A[-1, -2] = dx[-2], d
+    b[-1] = (dxr[-1] ** 2 * slope[-2]
+             + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    # the cubic and quadratic Hermite coefficients of every interval; the
+    # linear and constant ones are s and y at its left knot
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c3, c2 = t / dxr, (slope - s[:-1]) / dxr - t
+    i = np.clip(np.searchsorted(x, q, "right") - 1, 0, m - 2)
+    z = (q - x[i])[:, None]
+    return ((0.0 + y[i]) + s[i] * z) + c2[i] * (z * z) + c3[i] * ((z * z) * z)
+
+
 def _level_line_seed(traj, s_line, y_line, stride=1):
-    """W and W_t at the level-line points (s_line[k], y_line[k]): a cubic
-    spline in s of every stride-th stored slice, interpolated in y; zero
-    where s_line < 0, before the data.
+    """W and W_t at the level-line points (s_line[k], y_line[k]): the
+    not-a-knot cubic spline in s of every stride-th stored slice
+    (_not_a_knot), interpolated in y; zero where s_line < 0, before the
+    data.
 
     Only the positive-node half is fitted: a spline is linear in its data
     and odd data give odd slices, so the odd extension of the half fit is
     the full fit bit for bit at half the cost.
     """
-    # imported at its one call site: scipy.interpolate is slow to load
-    from scipy.interpolate import CubicSpline
-
     times = traj.times[::stride]
-    spline_u = CubicSpline(times, traj.U.real[::stride], axis=0)
-    spline_v = CubicSpline(times, traj.V.real[::stride], axis=0)
     W = np.zeros(s_line.size)
     Wt = np.zeros(s_line.size)
     ok = s_line >= 0.0
     # row k of the weights interpolates the slice at s_line[k] to y_line[k]
     weights = _barycentric_matrix(traj.grid, y_line[ok])
-    W[ok] = np.einsum("kj,kj->k", weights,
-                      odd_extension(spline_u(s_line[ok])))
-    Wt[ok] = np.einsum("kj,kj->k", weights,
-                       odd_extension(spline_v(s_line[ok])))
+    for seed, stack in ((W, traj.U), (Wt, traj.V)):
+        fit = _not_a_knot(times, stack.real[::stride], s_line[ok])
+        seed[ok] = np.einsum("kj,kj->k", weights, odd_extension(fit))
     return W, Wt
 
 
@@ -349,9 +394,11 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
 
     r_cmp = np.arctanh(y_max)
     t_end = s1 + float(logcosh(np.asarray(r_cmp)))
-    # radius inside which the t = s0 line carries actual data (s >= 0)
-    r_data = np.arccosh(np.exp(s0))
-    if r_data - (t_end - s0) < r_cmp + 0.5:
+    # radius inside which the t = s0 line carries actual data (s >= 0);
+    # NaN for s0 < 0, where none of it does, and the guard refuses NaN
+    with np.errstate(invalid="ignore"):
+        r_data = np.arccosh(np.exp(s0))
+    if not r_data - (t_end - s0) >= r_cmp + 0.5:
         raise DomainError(
             "comparison cone reaches the zero-filled region: increase s0"
             " or reduce y_max / s1")

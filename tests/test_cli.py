@@ -343,8 +343,9 @@ def test_console_module_invocation(tmp_path):
 
 
 def test_cli_import_leaves_integrate_and_interpolate_unloaded():
-    # each loads at its one call site (build_u1's solve_ivp, the Cauchy
-    # seeding's CubicSpline); at import they would cost every command
+    # scipy.integrate loads at its one call site, build_u1's solve_ivp;
+    # no command needs scipy.interpolate. At import either would cost
+    # every command
     code = ("import sys, hyperwave.cli; print(sorted(m for m in"
             " ('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -363,6 +364,21 @@ def test_resolvent_check_leaves_integrate_unloaded(tmp_path):
     argv = ["resolvent-check", "--config", cfg, "--out", str(tmp_path / "o")]
     code = ("import sys, hyperwave.cli; code = hyperwave.cli.main("
             f"{argv!r}); print(code, 'scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_crosscheck_leaves_interpolate_unloaded(tmp_path):
+    # the Cauchy seed's spline is the package's own, so a crosscheck
+    # process never pays for loading scipy.interpolate
+    cfg = _write_cfg(tmp_path, "cc.json", {
+        "grid_n": 16, "r_max": 6.0, "dr": 0.25,
+        "data": dict(_BUMP, energy=0.01)})
+    argv = ["crosscheck", "--config", cfg, "--out", str(tmp_path / "o")]
+    code = ("import sys, hyperwave.cli; code = hyperwave.cli.main("
+            f"{argv!r}); print(code, 'scipy.interpolate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr

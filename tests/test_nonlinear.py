@@ -1,5 +1,7 @@
 """Cubic fixed-point solver, propagators, and the Cauchy cross-check."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -384,6 +386,31 @@ def test_level_line_seed_equals_full_column_fit(n):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("uniform", [True, False])
+def test_not_a_knot_equals_cubic_spline(uniform):
+    # the package's spline is scipy's, bit for bit, at random points, both
+    # ends and every knot; knot counts are log-uniform over 4..3,000
+    rng = np.random.default_rng(23 + uniform)
+    for m in (4, 5, 3000, *np.exp(rng.uniform(np.log(4), np.log(3000), 27))):
+        m = int(m)
+        k = int(rng.integers(1, 71))
+        x0 = rng.uniform(-5.0, 5.0)
+        if uniform:
+            x = x0 + rng.uniform(1e-3, 1.0) * np.arange(m)
+        else:
+            x = x0 + np.cumsum(rng.uniform(1e-2, 1.0, m))
+        y = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        q = np.concatenate([rng.uniform(x[0], x[-1], 200), x[[0, -1]], x])
+        got = nonlinear._not_a_knot(x, y, q)
+        assert np.array_equal(got, CubicSpline(x, y, axis=0)(q))
+
+
+def test_not_a_knot_refuses_fewer_than_four_knots():
+    x = np.arange(3.0)
+    with pytest.raises(hw.InvalidArgumentError):
+        nonlinear._not_a_knot(x, np.ones((3, 2)), x)
+
+
 @settings(max_examples=40, deadline=None)
 @given(lo=st.floats(min_value=-5.0, max_value=5.0),
        h=st.floats(min_value=1e-3, max_value=1.0),
@@ -425,6 +452,12 @@ def test_cross_check_domain_guard():
     z = hw.OddField.zero(grid)
     with pytest.raises(hw.DomainError):
         hw.cauchy_cross_check(z, z, s0=4.0, s1=5.0, r_max=2.0)
+    # s0 < 0 puts the whole level line before the data: arccosh(e^s0) is
+    # NaN, which the guard must refuse without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(hw.DomainError):
+            hw.cauchy_cross_check(z, z, s0=-1.0, s1=0.01)
 
 
 def test_stability_report_zero_data():
