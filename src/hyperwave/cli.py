@@ -306,26 +306,13 @@ def _window(spec):
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _fmt_cell(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.15g" % float(v)
-
-
 def _write_csv(path, header, rows):
+    """The table in one format operation: every cell a float, or an int
+    below 1e15, which "%.15g" writes as str() does."""
     head = ",".join(header) + "\n"
-    # cell types are checked once per column
-    if all(set(map(type, col)) == {float} for col in zip(*rows)):
-        # one format operation for the whole table; same bytes as _fmt_cell
-        row_fmt = ",".join(["%.15g"] * len(header))
-        body = "\n".join([row_fmt] * len(rows)) % tuple(
-            itertools.chain.from_iterable(rows))
-    else:
-        body = "\n".join(",".join(map(_fmt_cell, row)) for row in rows)
+    row_fmt = ",".join(["%.15g"] * len(header))
+    body = "\n".join([row_fmt] * len(rows)) % tuple(
+        itertools.chain.from_iterable(rows))
     Path(path).write_text(head + body + "\n" if rows else head)
 
 
@@ -433,16 +420,17 @@ def _cmd_resolvent_check(c, out_dir, seed):
     rows = []
     rels = []
     idds = []
+    # reduced vectors: each all-node vector is the odd extension of its
+    # positive half, so every norm ratio is that of the halves
     for m in members:
-        w_mat = handle.apply(m.state)
-        w_green = green.apply(m.state)
-        num_d = np.linalg.norm(w_green.stacked() - w_mat.stacked())
-        den_d = np.linalg.norm(w_mat.stacked())
+        x = gen.reduce_state(m.state)
+        w = gen.reduce_state(handle.apply(m.state))
+        den_d = np.linalg.norm(w)
+        num_d = np.linalg.norm(gen.reduce_state(green.apply(m.state)) - w)
         rel = float(num_d / den_d) if den_d > 0 else 0.0
-        back = gen.apply(w_mat)
-        resid = lam * w_mat.stacked() - back.stacked() - m.state.stacked()
+        resid = lam * w - gen.reduced @ w - x
         idd = float(np.linalg.norm(resid)
-                    / max(np.linalg.norm(m.state.stacked()), 1e-300))
+                    / max(np.linalg.norm(x), 1e-300))
         rows.append((m.index, rel, idd))
         rels.append(rel)
         idds.append(idd)

@@ -218,7 +218,7 @@ class EnergyState:
     __slots__ = ("u", "v")
 
     def __init__(self, u, v):
-        if u.grid is not v.grid:
+        if not same_grid(u.grid, v.grid):
             raise InvalidDataError("state components live on different grids")
         self.u = u
         self.v = v

@@ -32,6 +32,7 @@ from .core_types import (
     energy_norm,
     odd_extension,
     positive_half,
+    same_grid,
     slice_norms,
 )
 from .errors import (
@@ -99,7 +100,7 @@ def duhamel_step(prop, f, g, source):
     """
     gen = prop.gen
     grid = gen.grid
-    if f.grid is not grid or g.grid is not grid or source.grid is not grid:
+    if not all(same_grid(x.grid, grid) for x in (f, g, source)):
         raise InvalidDataError("fields and propagators on different grids")
     times = prop.times()
     if len(source.times) != len(times) or \

@@ -38,7 +38,6 @@ from .core_types import (
     _barycentric_matrix,
     _taylor_shift,
     make_grid,
-    odd_extension,
     positive_half,
 )
 from .errors import (
@@ -752,8 +751,8 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
     finite difference for a callable) starts from the cell's first
     log-derivative moment, which is the zero up to quadrature error; the
     polished zero is kept only if it lies inside the (jittered) cell,
-    otherwise the cell is subdivided. Eigenfunctions (odd extensions of
-    u1(., root) on the grid) and residuals come from one adaptive
+    otherwise the cell is subdivided. Eigenfunctions (u1(., root) at the
+    grid's positive nodes) and residuals come from one adaptive
     `build_u1` per root, which checks the root independently of the
     route that found it. The left edge sits slightly left
     of the axis so purely imaginary zeros are caught rather than
@@ -832,9 +831,10 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
         sol = build_u1(V, r, m=m, check_resonance=False)
         upos = sol.u1(positive_half(grid.nodes))
         sup = max(float(np.max(np.abs(upos))), abs(sol.u1_at_zero))
-        # normalized by the first largest sample of the full odd vector
-        vals = odd_extension(upos)
-        ef = OddField.from_half(grid, upos / vals[np.argmax(np.abs(vals))])
+        # normalized by the first largest sample of the odd extension,
+        # which lies on its negative half, -upos[::-1]
+        rev = upos[::-1]
+        ef = OddField.from_half(grid, upos / -rev[np.argmax(np.abs(rev))])
         out.append(SpectralPoint(lam=r, eigenfunction=ef,
                                  residual=abs(sol.u1_at_zero) / sup))
     return out
@@ -890,7 +890,13 @@ class GreenFunction:
     def _kernel(self, grid):
         """Kernel samples and the barycentric interpolation matrix onto
         the quadrature mesh (a 6000-point graded mesh merged with `grid`'s
-        positive nodes), computed once per grid size."""
+        positive nodes), computed once per grid size.
+
+        The matrix is folded onto the positive nodes: an odd function's
+        samples there, times B[:, h:] - B[:, h-1::-1] (h = n/2), give its
+        interpolant on the mesh. The fold runs in place (the two column
+        sets are disjoint) and keeps B[:, h:].
+        """
         key = grid.n
         if key not in self._kernels:
             pos = positive_half(grid.nodes)
@@ -901,10 +907,12 @@ class GreenFunction:
             # exactly
             low = (self.u1_minus.u1_at_zero * wfac * u1x
                    - self.u1_branch.u1_at_zero * self.u1_minus.u1(xs))
-            self._kernels[key] = (xs, _barycentric_matrix(grid, xs),
-                                  _panel_weights(xs), wfac * u1x, low,
-                                  np.searchsorted(xs, pos), self.u0(pos),
-                                  self.u1(pos))
+            B = _barycentric_matrix(grid, xs)
+            h = grid.n // 2
+            B[:, h:] -= B[:, h - 1::-1]
+            self._kernels[key] = (pos, B[:, h:], _panel_weights(xs),
+                                  wfac * u1x, low, np.searchsorted(xs, pos),
+                                  self.u0(pos), self.u1(pos))
         return self._kernels[key]
 
     def apply(self, state):
@@ -912,27 +920,25 @@ class GreenFunction:
 
         First component: integral of the Green kernel against
         F(x) = 2x f1'(x) + (lam+1) f1(x) + f2(x); second component
-        lam * (first) - f1.
+        lam * (first) - f1. F is odd and of degree < n, so it is assembled
+        at the positive nodes (f1' from `Grid.half_diff`) and its one
+        column is interpolated onto the mesh.
         """
         grid = state.grid
-        xs, interp, (idx, Wp), up_kernel, low_kernel, sel, u0_pos, u1_pos = \
+        pos, interp, (idx, Wp), up_kernel, low_kernel, sel, u0_pos, u1_pos = \
             self._kernel(grid)
-        f1 = state.u.values
-        f2 = state.v.values
-        cols = np.stack([grid.diff_matrix @ f1, f1, f2], axis=1)
+        f1 = state.u.half
+        F = 2.0 * pos * (grid.half_diff @ f1) + (self.lam + 1.0) * f1 \
+            + state.v.half
         # parts apart: matmul would cast the real matrix to complex
-        samples = interp @ cols.real
-        if np.iscomplexobj(cols):
-            samples = samples + 1j * (interp @ cols.imag)
-        Fx = (2.0 * xs * samples[:, 0] + (self.lam + 1.0) * samples[:, 1]
-              + samples[:, 2])
+        Fx = interp @ F.real + 1j * (interp @ F.imag)
         I_up = _cum_from_top(idx, Wp, up_kernel * Fx)
         I_low = _cum_from_bottom(idx, Wp, low_kernel * Fx)
         w_pos = -(u0_pos * I_up[sel] + u1_pos * I_low[sel]) \
             / self.wronskian_factor
         return EnergyState(
             OddField.from_half(grid, w_pos),
-            OddField.from_half(grid, self.lam * w_pos - state.u.half))
+            OddField.from_half(grid, self.lam * w_pos - f1))
 
 
 def resolvent_apply(V, lam, state):

@@ -550,6 +550,13 @@ def test_yangmills_warmup_takes_no_more_steps(tmp_path, monkeypatch):
     assert steps == [40]
 
 
+def _cell(v):
+    """Per-cell oracle of the CSV writer: an int as str() writes it, any
+    other number in "%.15g"."""
+    return str(int(v)) if isinstance(v, (int, np.integer)) \
+        else "%.15g" % float(v)
+
+
 def test_csv_float_rows_match_per_cell_format(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.choice([-1.0, 1.0], size=(300, 4)) \
@@ -557,13 +564,12 @@ def test_csv_float_rows_match_per_cell_format(tmp_path):
     rows = values.tolist() + [
         [-0.0, np.inf, -np.inf, np.nan],
         [1e16, 3.0, 0.1, 123456789012345.6],
-        [7, True, "x", 0.5],                      # mixed: per cell
-        list(np.array([2.5, -1e-21, 1e5, 0.0])),  # NumPy scalars: per cell
+        list(np.array([2.5, -1e-21, 1e5, 0.0])),  # NumPy scalars
     ]
     header = ["a", "b", "c", "d"]
     cli._write_csv(tmp_path / "series.csv", header, rows)
     want = "\n".join([",".join(header)] + [
-        ",".join(cli._fmt_cell(v) for v in row) for row in rows]) + "\n"
+        ",".join(_cell(v) for v in row) for row in rows]) + "\n"
     assert (tmp_path / "series.csv").read_text() == want
 
 
@@ -579,12 +585,17 @@ def test_csv_float_rows_match_per_cell_format(tmp_path):
     # `resolvent-check`: an int state index beside float defects
     (["state", "rel_diff", "identity_defect"],
      [(i, 10.0 ** -i / 3.0, 2e-15 * i) for i in range(10)]),
+    # `spectrum`: int multiplicity and nilpotency, -1 where none
+    (["re", "im", "multiplicity", "nilpotency", "residual"],
+     [(1.0, 0.0, 1, 0, 2.5e-14), (0.0, -0.0, -1, -1, 1e-12)]),
+    # `strichartz`: an int member index; the largest int "%.15g" keeps
+    (["member", "ratio_2_4"], [[0, 0.5], [999, 1.25], [10 ** 15 - 1, 2.0]]),
     (["a"], []),
 ])
 def test_csv_tables_match_per_cell_format(tmp_path, header, rows):
     cli._write_csv(tmp_path / "series.csv", header, rows)
     want = "\n".join([",".join(header)] + [
-        ",".join(cli._fmt_cell(v) for v in row) for row in rows]) + "\n"
+        ",".join(_cell(v) for v in row) for row in rows]) + "\n"
     assert (tmp_path / "series.csv").read_bytes() == want.encode()
 
 

@@ -149,6 +149,20 @@ def test_energy_state_grid_mismatch():
         hw.EnergyState(hw.OddField.zero(a), hw.OddField.zero(b))
 
 
+def test_equal_grids_are_one_grid_in_states_and_picard():
+    # two make_grid calls of one size give equal nodes: one grid, as for
+    # OddField arithmetic and the generator
+    a, b = hw.make_grid(16), hw.make_grid(16)
+    y = a.nodes
+    f = hw.OddField(a, 0.01 * y * np.exp(-(y / 0.6) ** 2))
+    g_a, g_b = hw.OddField(a, 0.005 * y), hw.OddField(b, 0.005 * y)
+    assert hw.EnergyState(f, g_b).grid is a
+    one, two = (hw.picard_solve(f, g, 1.0, 0.05) for g in (g_a, g_b))
+    assert two.final.U.tobytes() == one.final.U.tobytes()
+    assert two.final.V.tobytes() == one.final.V.tobytes()
+    assert (two.x_norms, two.deltas) == (one.x_norms, one.deltas)
+
+
 def test_energy_norm_oracles():
     # (y, 0): integral (1-y^2)*1 = 4/3; (0, y): integral y^2 = 2/3
     g = hw.make_grid(32)

@@ -2,6 +2,7 @@
 samples at the positive nodes, every public operation keeps the data odd
 bit for bit, and the solvers never expand to all nodes."""
 
+import json
 import operator
 import sys
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperwave as hw
-from hyperwave import free_wave, strichartz_harness
+from hyperwave import cli, free_wave, spectral, strichartz_harness
 from hyperwave.core_types import odd_extension, positive_half
 from hyperwave.strichartz_harness import EnsembleSpec
 
@@ -77,13 +78,9 @@ def test_free_trajectory_is_the_positive_half_of_the_all_node_solution(
         assert stack.tobytes() == positive_half(full).tobytes()
 
 
-def test_solvers_and_scans_never_expand_to_all_nodes(monkeypatch):
-    grid = hw.make_grid(16)
-    y = grid.nodes
-    f = hw.OddField(grid, 0.01 * y * np.exp(-(y / 0.6) ** 2))
-    g = hw.OddField.zero(grid)
-    gen = hw.assemble_generator(grid, hw.Potential.constant(-1.0))
-    spec = EnsembleSpec(count=3, band_limit=3, seed=1)
+def _count_odd_extensions(monkeypatch):
+    """The list of the shapes passed to `odd_extension`, through every
+    hyperwave module that imports it."""
     calls = []
 
     def counting(half):
@@ -93,6 +90,17 @@ def test_solvers_and_scans_never_expand_to_all_nodes(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("hyperwave") and hasattr(module, "odd_extension"):
             monkeypatch.setattr(module, "odd_extension", counting)
+    return calls
+
+
+def test_solvers_and_scans_never_expand_to_all_nodes(monkeypatch):
+    grid = hw.make_grid(16)
+    y = grid.nodes
+    f = hw.OddField(grid, 0.01 * y * np.exp(-(y / 0.6) ** 2))
+    g = hw.OddField.zero(grid)
+    gen = hw.assemble_generator(grid, hw.Potential.constant(-1.0))
+    spec = EnsembleSpec(count=3, band_limit=3, seed=1)
+    calls = _count_odd_extensions(monkeypatch)
     hw.evolve(gen, hw.EnergyState(f, g), 1.0)
     hw.nonlinear_evolve_direct(f, g, 1.0)
     hw.picard_solve(f, g, 1.0, 0.05)
@@ -105,6 +113,57 @@ def test_solvers_and_scans_never_expand_to_all_nodes(monkeypatch):
     # the counter is live: reading all-node values goes through it
     assert f.values.shape == (grid.n,)
     assert calls == [(grid.n // 2,)]
+
+
+_SMALL = {"re_max": 2.0, "im_max": 1.0}
+_ENSEMBLE = {"count": 2, "band_limit": 2, "seed": 1}
+_SCAN = {"grid_n": 16, "ensemble": _ENSEMBLE, "s_max": 0.5,
+         "num_slices": 8}
+_BUMP = {"kind": "bump", "amplitude": 1.0, "width": 0.6}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    # V = -6 has the root 1, so an eigenfunction and a projection are made
+    ("spectrum", {"grid_n": 16, "potential": {"kind": "constant",
+                                               "value": -6.0},
+                  "window": _SMALL}),
+    ("resolvent-check", {"grid_n": 16,
+                         "potential": {"kind": "constant", "value": -1.0},
+                         "lambda": {"re": 0.05, "im": 2.0},
+                         "num_states": 2}),
+    ("strichartz", dict(_SCAN, mode="free")),
+    ("strichartz", dict(_SCAN, mode="potential", window=_SMALL,
+                        potential={"kind": "constant", "value": -1.0})),
+    ("evolve", {"grid_n": 16, "data": _BUMP, "s_max": 0.5}),
+    ("yangmills", {"grid_n": 16, "data": dict(_BUMP, energy=0.01),
+                   "s_max": 0.5}),
+])
+def test_cli_commands_but_crosscheck_never_expand_to_all_nodes(
+        tmp_path, monkeypatch, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    calls = _count_odd_extensions(monkeypatch)
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert calls == []
+    if command == "spectrum":
+        res = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert res["num_roots"] == 1
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@pytest.mark.parametrize("coeffs", [(-6.0,), (-7.0, 2.0)])
+def test_eigenfunction_keeps_the_all_node_normalization(n, coeffs):
+    grid = hw.make_grid(n)
+    V = hw.Potential.even_poly(coeffs)
+    roots = spectral.find_sigma_v(V, window=(2.0, 1.0), grid=grid)
+    assert roots
+    for r in roots:
+        sol = spectral.build_u1(V, r.lam, check_resonance=False)
+        upos = sol.u1(positive_half(grid.nodes))
+        vals = odd_extension(upos)
+        want = upos / vals[np.argmax(np.abs(vals))]
+        assert r.eigenfunction.half.tobytes() == want.tobytes()
 
 
 def test_constructors_do_not_alias_the_callers_arrays():
