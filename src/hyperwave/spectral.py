@@ -502,12 +502,6 @@ def _cum_from_top(idx, W, f):
     return np.concatenate([np.cumsum(S[::-1])[::-1], [0.0]])
 
 
-def _cum_from_bottom(idx, W, f):
-    """I[i] ~ integral from x_0 to x_i of f."""
-    S = (W * f[idx]).sum(axis=1)
-    return np.concatenate([[0.0], np.cumsum(S)])
-
-
 class VolterraSolution:
     """Samples of h1 on a graded mesh; v1 = psi1 * h1."""
 
@@ -843,6 +837,51 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
 # ---------------------------------------------------------------------------
 # Green function and resolvent
 
+# Green route quadrature (`_green_rule`). In s = log(1 - x) the kernels
+# are smooth on [0, 1), with the branch point of (1 - x^2)^lam at x = 1,
+# and their phase turns at most at the rate max(|lam|, sqrt(max|V| (1-x))):
+# |lam| from (1 -+ x)^(+-lam), the rest from the potential. A panel spans
+# at most _GREEN_SPAN in s, which keeps the branch point 2.2 half-widths
+# from its centre, and at most _GREEN_PHASE radians of that phase; with
+# _GREEN_POINTS Gauss points either holds a panel's error near 1e-14 of
+# the kernels' size. More points per panel with longer panels at large
+# |lam| saved no points: the panels between nodes set the count there.
+_GREEN_POINTS = 10
+_GREEN_SPAN = 1.0
+_GREEN_PHASE = 4.0
+# the last breakpoint, in 1 - x: beyond it the integrals are ~1e-15 of
+# the kernels' size
+_GREEN_TAIL = 1e-15
+
+
+def _green_rule(lam, vmax, pos):
+    """Gauss-Legendre panels on [0, 1) for the Green route at lam, for a
+    potential with max |V| = vmax.
+
+    The breakpoints 0, the positive nodes `pos` and 1 - _GREEN_TAIL bound
+    n/2 + 1 segments; each is split into equal parts in s = log(1 - x),
+    as few as keep every panel within _GREEN_SPAN and _GREEN_PHASE at the
+    rate of the segment's lower end (see above), so the last segment is
+    a geometric tail. Returns the points and weights, ascending, and the
+    index of each segment's first point.
+    """
+    d = np.concatenate([[1.0], 1.0 - pos, [_GREEN_TAIL]])
+    span = np.log(d[:-1] / d[1:])
+    rate = np.maximum(abs(lam), np.sqrt(vmax * d[:-1]))
+    k = np.ceil(span / np.minimum(_GREEN_SPAN, _GREEN_PHASE / rate))
+    k = k.astype(int)
+    seg = np.repeat(np.arange(k.size), k)
+    first = np.cumsum(k) - k
+    # 1 - x at each panel's lower and upper end
+    top = d[seg] * np.exp(-span[seg] * (np.arange(seg.size) - first[seg])
+                          / k[seg])
+    bot = np.append(top[1:], _GREEN_TAIL)
+    t, wt = np.polynomial.legendre.leggauss(_GREEN_POINTS)
+    half = 0.5 * (top - bot)[:, None]
+    xs = 1.0 - (0.5 * (top + bot)[:, None] - half * t)
+    return xs.ravel(), (half * wt).ravel(), first * _GREEN_POINTS
+
+
 class GreenFunction:
     """Green kernel data of the spectral ODE at one lambda.
 
@@ -853,11 +892,11 @@ class GreenFunction:
     (`_TaylorSolution`), for a callable by the adaptive solver
     (`build_u1`). `apply` is the resolvent at lambda, for Re lambda in
     (0, 1/4]; build one GreenFunction per lambda and apply it to every
-    state, since the kernel samples are reused.
+    state and grid, since each grid's Green matrix is computed once.
     """
 
     __slots__ = ("lam", "u1_branch", "u1_minus", "wronskian_factor",
-                 "_kernels")
+                 "_vmax", "_kernels")
 
     def __init__(self, V, lam):
         lam = complex(lam)
@@ -874,6 +913,7 @@ class GreenFunction:
                 f"|u1(0,lambda)| = {abs(u10):.3e} < 1e-10: resolvent"
                 " blow-up (lambda is an eigenvalue or too close to one)")
         self.wronskian_factor = 2.0 * lam * u10
+        self._vmax = V.max_abs()
         self._kernels = {}
 
     def u1(self, y):
@@ -888,19 +928,23 @@ class GreenFunction:
                 - self.u1_branch.u1_at_zero * wgt * um)
 
     def _kernel(self, grid):
-        """Kernel samples and the barycentric interpolation matrix onto
-        the quadrature mesh (a 6000-point graded mesh merged with `grid`'s
-        positive nodes), computed once per grid size.
+        """The Green matrix of `grid`, computed once per grid size: the
+        complex (n/2 x n/2) map from F at the positive nodes to w there.
 
-        The matrix is folded onto the positive nodes: an odd function's
-        samples there, times B[:, h:] - B[:, h-1::-1] (h = n/2), give its
-        interpolant on the mesh. The fold runs in place (the two column
-        sets are disjoint) and keeps B[:, h:].
+        w(y) = -(u0(y) int_y^1 (1-x^2)^lam u1 F + u1(y) int_0^y
+        (1-x^2)^lam u0 F) / (2 lam u1(0, lam)), on `_green_rule`'s
+        panels. F enters through the barycentric matrix B onto the panel
+        points, folded onto the positive nodes (an odd function's samples
+        there, times B[:, h:] - B[:, h-1::-1] with h = n/2, give its
+        interpolant), which is exact because F has degree < n. Each row,
+        times its point's kernel and weight, is summed over the segment
+        between two nodes: the integral up to the node y_i is the sum of
+        the segments below it, the one from y_i the sum of those above.
         """
-        key = grid.n
-        if key not in self._kernels:
+        G = self._kernels.get(grid.n)
+        if G is None:
             pos = positive_half(grid.nodes)
-            xs = np.unique(np.concatenate([graded_mesh(6000), pos]))
+            xs, ws, first = _green_rule(self.lam, self._vmax, pos)
             u1x = self.u1_branch.u1(xs)
             wfac = np.exp(self.lam * np.log1p(-xs * xs))  # (1-x^2)^lam
             # (1-x^2)^lam u0(x): written so the growing factor cancels
@@ -909,33 +953,32 @@ class GreenFunction:
                    - self.u1_branch.u1_at_zero * self.u1_minus.u1(xs))
             B = _barycentric_matrix(grid, xs)
             h = grid.n // 2
+            # in place: the two column sets are disjoint
             B[:, h:] -= B[:, h - 1::-1]
-            self._kernels[key] = (pos, B[:, h:], _panel_weights(xs),
-                                  wfac * u1x, low, np.searchsorted(xs, pos),
-                                  self.u0(pos), self.u1(pos))
-        return self._kernels[key]
+            B = B[:, h:]
+            above = np.add.reduceat((ws * wfac * u1x)[:, None] * B, first)
+            above = np.cumsum(above[:0:-1], axis=0)[::-1]
+            below = np.add.reduceat((ws * low)[:, None] * B, first)
+            below = np.cumsum(below[:h], axis=0)
+            G = -(self.u0(pos)[:, None] * above
+                  + self.u1(pos)[:, None] * below) / self.wronskian_factor
+            self._kernels[grid.n] = G
+        return G
 
     def apply(self, state):
         """Apply the Green-function resolvent (lam - L)^(-1) to a state.
 
-        First component: integral of the Green kernel against
-        F(x) = 2x f1'(x) + (lam+1) f1(x) + f2(x); second component
-        lam * (first) - f1. F is odd and of degree < n, so it is assembled
-        at the positive nodes (f1' from `Grid.half_diff`) and its one
-        column is interpolated onto the mesh.
+        First component: w = G F at the positive nodes, with G the grid's
+        Green matrix (`_kernel`) and F(x) = 2x f1'(x) + (lam+1) f1(x) +
+        f2(x) assembled there (f1' from `Grid.half_diff`); second
+        component lam * w - f1.
         """
         grid = state.grid
-        pos, interp, (idx, Wp), up_kernel, low_kernel, sel, u0_pos, u1_pos = \
-            self._kernel(grid)
+        pos = positive_half(grid.nodes)
         f1 = state.u.half
         F = 2.0 * pos * (grid.half_diff @ f1) + (self.lam + 1.0) * f1 \
             + state.v.half
-        # parts apart: matmul would cast the real matrix to complex
-        Fx = interp @ F.real + 1j * (interp @ F.imag)
-        I_up = _cum_from_top(idx, Wp, up_kernel * Fx)
-        I_low = _cum_from_bottom(idx, Wp, low_kernel * Fx)
-        w_pos = -(u0_pos * I_up[sel] + u1_pos * I_low[sel]) \
-            / self.wronskian_factor
+        w_pos = self._kernel(grid) @ F
         return EnergyState(
             OddField.from_half(grid, w_pos),
             OddField.from_half(grid, self.lam * w_pos - f1))
@@ -944,9 +987,10 @@ class GreenFunction:
 def resolvent_apply(V, lam, state):
     """Apply the Green-function resolvent to a state.
 
-    Builds the GreenFunction at lam and applies it (see
-    GreenFunction.apply). Requires Re lambda in (0, 1/4] and lambda away
-    from the point spectrum; to apply one lambda to many states, build
-    the GreenFunction once.
+    Builds the GreenFunction at lam, with the Green matrix of the
+    state's grid, and applies it (see GreenFunction.apply). Requires
+    Re lambda in (0, 1/4] and lambda away from the point spectrum; to
+    apply one lambda to many states, build the GreenFunction once, so
+    that its Green matrix is computed once per grid.
     """
     return GreenFunction(V, lam).apply(state)

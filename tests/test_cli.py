@@ -439,6 +439,43 @@ def test_resolvent_check_command(tmp_path):
     assert res["max_identity_defect"] <= 1e-8
 
 
+def test_resolvent_check_benchmark_seed_108(tmp_path):
+    # the `resolvent` job of the benchmark's seed 108, where a third-order
+    # Green route read 1.293e-6 against the benchmark's 1e-6 gate; on
+    # Gauss panels the routes agree to round-off
+    cfg = {"grid_n": 128, "potential": {"kind": "constant", "value": -1.0},
+           "lambda": {"re": 0.05, "im": 2.0}, "num_states": 10,
+           "seed": 895791808}
+    code, out = _run(tmp_path, "resolvent-check", cfg)
+    assert code == 0
+    res = json.loads((out / "results.json").read_text())
+    assert res["max_rel_diff"] <= 1e-10
+
+
+# At n = 16 a non-constant potential parts the routes by the matrix
+# route's own collocation error (1e-5 to 1e-3 for [-7, 2], gone by
+# n = 32), so `even_poly` takes the n = 512 corners.
+@pytest.mark.parametrize("n, potential, re, im", [
+    (16, {"kind": "constant", "value": -1.0}, 1e-3, 0.0),
+    (16, {"kind": "constant", "value": -1.0}, 0.25, 0.0),
+    (16, {"kind": "constant", "value": -1.0}, 1e-3, 40.0),
+    (16, {"kind": "constant", "value": -1.0}, 0.25, -40.0),
+    (512, {"kind": "constant", "value": -1.0}, 0.25, 40.0),
+    (512, {"kind": "even_poly", "coeffs": [-7.0, 2.0]}, 1e-3, 40.0),
+    (512, {"kind": "even_poly", "coeffs": [-7.0, 2.0]}, 0.25, -40.0),
+])
+def test_resolvent_check_routes_agree_at_the_corners(tmp_path, n, potential,
+                                                     re, im):
+    # Re lambda and |Im lambda| at the ends of their ranges, the smallest
+    # and a large grid: the Green route's panels are sized by |lambda|
+    cfg = {"grid_n": n, "potential": potential,
+           "lambda": {"re": re, "im": im}, "num_states": 3, "seed": 11}
+    code, out = _run(tmp_path, "resolvent-check", cfg)
+    assert code == 0
+    res = json.loads((out / "results.json").read_text())
+    assert res["max_rel_diff"] <= 1e-8
+
+
 @pytest.mark.parametrize("data", [
     {"kind": "mode"}, {"kind": "zero"},
     {"kind": "cheb", "f": [0, 1.0, 0, -0.5], "g": [0, 0.25]},

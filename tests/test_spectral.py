@@ -497,18 +497,19 @@ def test_green_function_reused_across_states_and_grids():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def _green_mesh(n=128):
+def _green_mesh(V, lam, n=128):
     pos = hw.make_grid(n).nodes[n // 2:]
-    return np.unique(np.concatenate([graded_mesh(6000), pos]))
+    return spectral._green_rule(lam, V.max_abs(), pos)[0]
 
 
 @pytest.mark.parametrize("vname", ["0", "-1", "-6", "-30", "even_poly"])
 def test_dense_taylor_branch_matches_adaptive_solver(vname):
-    # the Green function's dense u1 against DOP853 on its quadrature mesh,
-    # for both branches +-lam; its u1(0, lam) is the kernel's, bit for bit
+    # the Green function's dense u1 against DOP853 on its quadrature
+    # points, for both branches +-lam; its u1(0, lam) is the kernel's, bit
+    # for bit
     V = _contour_potential(vname)
-    xs = _green_mesh()
     for lam in (0.05 + 2.0j, 0.1 + 3.0j, 0.2 + 15.0j):
+        xs = _green_mesh(V, lam)
         for branch in (lam, -lam):
             dense = spectral._TaylorSolution(V, branch)
             ref = build_u1(V, branch).u1(xs)
