@@ -423,13 +423,14 @@ class Trajectory(Sequence):
                            OddField.from_half(self.grid, self.V[i]))
 
 
-def slice_norms(U, grid, q):
+def slice_norms(U, grid, q, out=None):
     """L^q(-1,1) norms of the odd fields whose positive-node samples are
     the rows of a (..., n/2) stack U (one row: a scalar); q = inf gives
-    the sample sup."""
+    the sample sup. `out`, a float array of U's shape and memory layout,
+    is overwritten with |U|^q instead of a new stack."""
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
-    a = np.abs(U)
+    a = np.abs(U, out=out)
     if np.isinf(q):
         return np.max(a, axis=-1)
     # in place: a second stack-sized temporary makes large stacks (the

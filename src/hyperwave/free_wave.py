@@ -111,15 +111,18 @@ def antiderivative_columns(cf, cg):
     return C.chebint(_flux_columns(cf, cg), axis=0)
 
 
-def evaluate_columns(H, s, y):
+def evaluate_columns(H, s, y, out=None):
     """u(s, y) = (T(b) - T(a)) H / 2 for every column of H (from
     antiderivative_columns) at the times s (k,) and points y (n,), with
     T the Chebyshev-Vandermonde matrix of the characteristic endpoints;
-    shape (k, M, n)."""
+    shape (k, M, n), a transposed view of a (k, n, M) array: `out` if
+    given (C-contiguous, of H's dtype), else a new one."""
     a, b = _region_endpoints(_as_times(s)[:, None], np.asarray(y, float))
     deg = len(H) - 1
     T = C.chebvander(b, deg) - C.chebvander(a, deg)  # (k, n, deg+1)
-    U = 0.5 * (T.reshape(-1, deg + 1) @ H)
+    U = np.matmul(T.reshape(-1, deg + 1), H,
+                  out=None if out is None else out.reshape(-1, H.shape[1]))
+    U *= 0.5
     return U.reshape(len(s), len(y), -1).transpose(0, 2, 1)
 
 

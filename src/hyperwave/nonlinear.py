@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.linalg import block_diag, solve_banded
 
 from .coords import logcosh, phi, phi_inv
 from .core_types import (
@@ -221,7 +220,8 @@ def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1):
     K = Eh[:half, half:]
     # row-vector form throughout: a state x is a row and M x is x @ M.T
     S = np.hstack([np.eye(n)[:, :half], Eh[:half].T, E.T])
-    B = block_diag(-(0.5 * ds) * K.T, -ds * K.T)
+    Z = np.zeros((half, half))
+    B = np.block([[-(0.5 * ds) * K.T, Z], [Z, -ds * K.T]])
     G = (-ds / 6.0) * np.vstack([E[:, half:].T, 2.0 * Eh[:, half:].T,
                                  2.0 * Eh[:, half:].T, np.eye(n)[half:]])
 
@@ -307,6 +307,9 @@ def _not_a_knot(x, y, q):
     A[1, -1], A[-1, -2] = dx[-2], d
     b[-1] = (dxr[-1] ** 2 * slope[-2]
              + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    # imported here: scipy.linalg is slow to load, and only crosscheck
+    # needs it
+    from scipy.linalg import solve_banded
     s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
                      check_finite=False)
     # the cubic and quadratic Hermite coefficients of every interval; the

@@ -882,6 +882,14 @@ def _green_rule(lam, vmax, pos):
     return xs.ravel(), (half * wt).ravel(), first * _GREEN_POINTS
 
 
+def _check_finite(*values):
+    """Refuse Green-function data that overflowed at working precision."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise StiffFailureError(
+            "the Green function overflows at working precision (the"
+            " branches u1(., +-lambda) grow past the float range)")
+
+
 class GreenFunction:
     """Green kernel data of the spectral ODE at one lambda.
 
@@ -905,8 +913,12 @@ class GreenFunction:
                 f"Re lambda must lie in (0, 0.25], got {lam.real}")
         self.lam = lam
         branch = _TaylorSolution if V.even_coeffs is not None else build_u1
-        self.u1_branch = branch(V, lam)
-        self.u1_minus = branch(V, -lam)
+        # a strong potential can make a branch overflow on its way from
+        # y = 1 to 0; that is refused below rather than warned about
+        with np.errstate(all="ignore"):
+            self.u1_branch = branch(V, lam)
+            self.u1_minus = branch(V, -lam)
+        _check_finite(self.u1_branch.u1_at_zero, self.u1_minus.u1_at_zero)
         u10 = self.u1_branch.u1_at_zero
         if abs(u10) < 1e-10:
             raise NearEigenvalueError(
@@ -943,27 +955,32 @@ class GreenFunction:
         """
         G = self._kernels.get(grid.n)
         if G is None:
-            pos = positive_half(grid.nodes)
-            xs, ws, first = _green_rule(self.lam, self._vmax, pos)
-            u1x = self.u1_branch.u1(xs)
-            wfac = np.exp(self.lam * np.log1p(-xs * xs))  # (1-x^2)^lam
-            # (1-x^2)^lam u0(x): written so the growing factor cancels
-            # exactly
-            low = (self.u1_minus.u1_at_zero * wfac * u1x
-                   - self.u1_branch.u1_at_zero * self.u1_minus.u1(xs))
-            B = _barycentric_matrix(grid, xs)
-            h = grid.n // 2
-            # in place: the two column sets are disjoint
-            B[:, h:] -= B[:, h - 1::-1]
-            B = B[:, h:]
-            above = np.add.reduceat((ws * wfac * u1x)[:, None] * B, first)
-            above = np.cumsum(above[:0:-1], axis=0)[::-1]
-            below = np.add.reduceat((ws * low)[:, None] * B, first)
-            below = np.cumsum(below[:h], axis=0)
-            G = -(self.u0(pos)[:, None] * above
-                  + self.u1(pos)[:, None] * below) / self.wronskian_factor
+            with np.errstate(all="ignore"):
+                G = self._green_matrix(grid)
+            _check_finite(G)
             self._kernels[grid.n] = G
         return G
+
+    def _green_matrix(self, grid):
+        pos = positive_half(grid.nodes)
+        xs, ws, first = _green_rule(self.lam, self._vmax, pos)
+        u1x = self.u1_branch.u1(xs)
+        wfac = np.exp(self.lam * np.log1p(-xs * xs))  # (1-x^2)^lam
+        # (1-x^2)^lam u0(x): written so the growing factor cancels
+        # exactly
+        low = (self.u1_minus.u1_at_zero * wfac * u1x
+               - self.u1_branch.u1_at_zero * self.u1_minus.u1(xs))
+        B = _barycentric_matrix(grid, xs)
+        h = grid.n // 2
+        # in place: the two column sets are disjoint
+        B[:, h:] -= B[:, h - 1::-1]
+        B = B[:, h:]
+        above = np.add.reduceat((ws * wfac * u1x)[:, None] * B, first)
+        above = np.cumsum(above[:0:-1], axis=0)[::-1]
+        below = np.add.reduceat((ws * low)[:, None] * B, first)
+        below = np.cumsum(below[:h], axis=0)
+        return -(self.u0(pos)[:, None] * above
+                 + self.u1(pos)[:, None] * below) / self.wronskian_factor
 
     def apply(self, state):
         """Apply the Green-function resolvent (lam - L)^(-1) to a state.

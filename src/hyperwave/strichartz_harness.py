@@ -209,12 +209,17 @@ def _run_scan(potential_id, spec, pairs, s_max, grid, num_slices, refine,
         s_max=float(s_max), grid_n=grid.n)
 
 
-def _store_norms(norms, lo, U, grid):
+def _store_norms(norms, lo, U, grid, work):
     """Write the L^q norms of the (k, M, n/2) positive-node slice block U
-    into rows lo, ..., lo + k - 1 of each norms[q]."""
+    into rows lo, ..., lo + k - 1 of each norms[q]; `work`, a float array
+    of U's shape and layout, holds the powers."""
     for q, out in norms.items():
-        out[lo:lo + len(U)] = slice_norms(U, grid, q)
+        out[lo:lo + len(U)] = slice_norms(U, grid, q, out=work)
 
+
+# Both scans compute their norms in one set of block buffers per sample:
+# a block-sized temporary per call is, depending on the allocator's
+# state, mapped afresh each time and page-faults on every use.
 
 def _free_norms(cf, cg, grid, times, qs):
     """{q: (len(times), M)} L^q norms of the free solutions with the
@@ -224,9 +229,13 @@ def _free_norms(cf, cg, grid, times, qs):
     H = free_wave.antiderivative_columns(cf, cg)
     y = positive_half(grid.nodes)
     norms = {q: np.empty((len(times), H.shape[1])) for q in qs}
+    # (slices, n/2, members), read as (slices, members, n/2)
+    values = np.empty((_SLICE_BLOCK, y.size, H.shape[1]), dtype=H.dtype)
+    work = np.empty(values.shape).transpose(0, 2, 1)
     for lo in range(0, len(times), _SLICE_BLOCK):
-        _store_norms(norms, lo, free_wave.evaluate_columns(
-            H, times[lo:lo + _SLICE_BLOCK], y), grid)
+        t = times[lo:lo + _SLICE_BLOCK]
+        U = free_wave.evaluate_columns(H, t, y, out=values[:len(t)])
+        _store_norms(norms, lo, U, grid, work[:len(t)])
     return norms
 
 
@@ -251,6 +260,7 @@ def _batch_slice_norms(gen, X0, s_max, num_slices, qs):
     norms = {q: np.empty((num_slices + 1, X0.shape[1])) for q in qs}
     # (slices, members, n/2): the u-rows are the positive-node samples
     block = np.empty((_SLICE_BLOCK, X0.shape[1], h), dtype=X0.dtype)
+    work = np.empty(block.shape)
     X = X0
     for lo in range(0, num_slices + 1, _SLICE_BLOCK):
         k = min(_SLICE_BLOCK, num_slices + 1 - lo)
@@ -258,7 +268,7 @@ def _batch_slice_norms(gen, X0, s_max, num_slices, qs):
             if lo + j:
                 X = E @ X
             block[j] = X[:h].T
-        _store_norms(norms, lo, block[:k], gen.grid)
+        _store_norms(norms, lo, block[:k], gen.grid, work[:k])
     times = np.linspace(0.0, s_max, num_slices + 1)
     return times, norms
 

@@ -354,6 +354,40 @@ def test_cli_import_leaves_integrate_and_interpolate_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_stepping_commands_leave_scipy_linalg_unloaded(tmp_path):
+    # e^{hL} comes from the package's own kernel, so a process that only
+    # steps the semigroup never pays for loading scipy.linalg
+    cfgs = {
+        "ev": ("evolve", {"grid_n": 16, "data": {"kind": "linear"},
+                          "s_max": 0.5}),
+        "ym": ("yangmills", {"grid_n": 16, "data": dict(_BUMP, energy=0.01),
+                             "s_max": 0.5}),
+        "sp": ("strichartz", {"grid_n": 16, "mode": "potential",
+                              "potential": {"kind": "constant",
+                                            "value": -1.0},
+                              "window": {"re_max": 0.5, "im_max": 1.0},
+                              "ensemble": {"count": 2, "band_limit": 2,
+                                           "seed": 1},
+                              "s_max": 0.5, "num_slices": 8}),
+        "sf": ("strichartz", {"grid_n": 16, "mode": "free",
+                              "ensemble": {"count": 2, "band_limit": 2,
+                                           "seed": 1},
+                              "s_max": 0.5, "num_slices": 8}),
+    }
+    runs = [[cmd, "--config", _write_cfg(tmp_path, f"{name}.json", cfg),
+             "--out", str(tmp_path / name)]
+            for name, (cmd, cfg) in cfgs.items()]
+    code = ("import sys, hyperwave.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    print('exit', hyperwave.cli.main(argv),"
+            " 'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    exits = [ln for ln in proc.stdout.splitlines() if ln.startswith("exit")]
+    assert exits == ["exit 0 False"] * 4
+
+
 def test_resolvent_check_leaves_integrate_unloaded(tmp_path):
     # a polynomial potential's Green function takes both branches from
     # the Taylor kernel, so the README resolvent check never reaches the

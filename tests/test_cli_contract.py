@@ -156,6 +156,19 @@ def test_evolve_overflow_is_a_divergence(tmp_path, capsys, potential):
     assert "DivergenceError" in capsys.readouterr().err
 
 
+def test_resolvent_check_green_overflow_is_a_numerical_guard(tmp_path,
+                                                            capsys):
+    # the Taylor branches u1(., +-lambda) of V = 1e6 overflow before they
+    # reach y = 0; the Green function refuses them before any NaN reaches
+    # a field, and pytest turns any RuntimeWarning into an error
+    cfg = {"grid_n": 128, "potential": {"kind": "constant", "value": 1e6},
+           "lambda": {"re": 0.1, "im": 0.0}}
+    assert _run(tmp_path, "resolvent-check", cfg) == 3
+    err = capsys.readouterr().err
+    assert "numerical guard: StiffFailureError: the Green function" \
+        " overflows" in err
+
+
 def test_evolve_strong_potential_bound_does_not_overflow(tmp_path):
     # 10 e^{(|V|+1) s} overflows at s ~ 0.07 for V = -1e4
     cfg = {"grid_n": 16, "potential": {"kind": "constant", "value": -1e4},

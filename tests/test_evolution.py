@@ -233,6 +233,64 @@ def test_propagator_semigroup(n, v, h, k):
     assert np.max(np.abs(Ek - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+def _taylor_expm(A):
+    """e^A in long double: 2^-s A of 1-norm <= 1/2, 20 Taylor terms
+    (truncation below 1e-24), then s squarings."""
+    A = A.astype(np.longdouble)
+    norm = float(np.max(np.sum(np.abs(A), axis=0)))
+    s = max(int(np.ceil(np.log2(2.0 * norm))), 0)
+    B = A / np.longdouble(2.0) ** s
+    X = term = np.eye(len(A), dtype=np.longdouble)
+    for k in range(1, 21):
+        term = term @ B / k
+        X = X + term
+    for _ in range(s):
+        X = X @ X
+    return X
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_expm_kernel_as_accurate_as_scipy(n):
+    # against a long-double reference, the kernel's error on the steps
+    # the commands take is within 2x that of scipy's expm
+    from scipy.linalg import expm
+    for v in (0.0, -1.0, -6.0):
+        gen = hw.assemble_generator(hw.make_grid(n), hw.Potential.constant(v))
+        for h in (4.0 / n ** 2, 0.0025, 0.01, 0.05):
+            A = h * gen.reduced
+            want = _taylor_expm(A)
+            err = np.max(np.abs(evolution._expm(A) - want))
+            ref = np.max(np.abs(expm(A) - want))
+            assert err <= 2.0 * ref, (v, h, float(err), float(ref))
+
+
+@pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_kernel_not_finite_gives_nan(bad, dtype):
+    # overflowing powers or a non-finite entry give all NaN; pytest turns
+    # any RuntimeWarning into an error
+    A = np.eye(6, dtype=dtype)
+    A[0, 3] = bad
+    A[2, 1] = -bad if np.isfinite(bad) else 1.0
+    E = evolution._expm(A)
+    assert E.shape == A.shape and E.dtype == A.dtype
+    assert np.all(np.isnan(E))
+
+
+def test_propagator_is_computed_once_per_step_and_read_only():
+    gen = hw.assemble_generator(hw.make_grid(16), hw.Potential.constant(-1.0))
+    E = hw.propagator(gen, 0.05)
+    assert hw.propagator(gen, 0.05) is E
+    assert hw.propagator(gen, 0.1) is not E
+    with pytest.raises(ValueError):
+        E[0, 0] = 0.0
+
+
+def test_expm_kernel_zero_is_identity():
+    for n in (1, 2, 16):
+        assert np.array_equal(evolution._expm(np.zeros((n, n))), np.eye(n))
+
+
 def test_reduced_eigenvalue_convergence():
     # the constructed eigenvalue 1 of V=-6 must be resolved by the
     # collocation matrix and sharpen under refinement
