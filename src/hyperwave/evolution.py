@@ -328,10 +328,13 @@ def evolve(gen, init, s_max, ds=None, store_every=1):
     E = propagator(gen, ds)
     R = gen.energy_factor()
     for i in range(1, M + 1):
-        x = E @ x
+        if store_every == 1:
+            x = np.dot(E, x, out=rows[i])
+        else:
+            x = np.dot(E, x)
+            if i % store_every == 0 or i == M:
+                rows[-(-i // store_every)] = x  # the last may be off-stride
         s = i * ds
-        if i % store_every == 0 or i == M:
-            rows[-(-i // store_every)] = x  # the last step may be off-stride
         if i % 50 == 0 or i == M:
             norm = np.linalg.norm(R @ x)
             # zero data stay zero unless the propagator is not finite

@@ -119,11 +119,11 @@ def duhamel_step(prop, f, g, source):
     out = np.empty((M + 1, 2 * half), dtype=np.result_type(Y, x_lin))
     out[0] = x_lin
     for i in range(1, M + 1):
-        x_lin = E @ x_lin
+        x_lin = np.dot(E, x_lin)
         if i == 1:
-            B = 0.5 * (E @ Y[0])
+            B = 0.5 * np.dot(E, Y[0])
         else:
-            B = E @ (B + Y[i - 1])
+            B = np.dot(E, B + Y[i - 1])
         out[i] = x_lin - ds * (B + 0.5 * Y[i])
     return gen.trajectory(times, out, ds)
 
@@ -194,7 +194,7 @@ def fixed_point_residual(prop, f, g, traj):
     return float(np.max(slice_norms(image.U - traj.U, prop.gen.grid, 6)))
 
 
-def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1):
+def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1, gen=None):
     """Lawson RK4 time stepping of the full semilinear odd-sector system.
 
     E = e^{h L} and Eh = e^{h L/2} (h = ds) carry the linear part exactly;
@@ -211,9 +211,17 @@ def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1):
     linear reference E x_lin); the first two cubes -> both remaining stage
     arguments; all four cubes -> x' - E x. An L^6 norm above 10x the
     running linear bound (or the initial norm), or not finite, is a blow-up.
+
+    gen is the V = -1 generator on f's grid, assembled here when not
+    given; solves that share one also share its e^{h L} per step size.
     """
     grid = f.grid
-    gen = assemble_generator(grid, Potential.constant(-1.0))
+    if gen is None:
+        gen = assemble_generator(grid, Potential.constant(-1.0))
+    elif gen.potential.even_coeffs != (-1.0,) or \
+            not same_grid(gen.grid, grid):
+        raise InvalidArgumentError("gen must be the V = -1 generator on"
+                                   " the grid of the data")
     ds, M = _step_count(s_max, ds, grid.n)
     n, half = grid.n, grid.n // 2
     E, Eh = propagator(gen, ds), propagator(gen, 0.5 * ds)
@@ -237,15 +245,15 @@ def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1):
     rows = np.empty((steps.size, n), dtype=X.dtype)
     rows[0] = x
     for i in range(1, M + 1):
-        np.matmul(X, S, out=Y)
+        np.dot(X, S, out=Y)
         # cubes as a*a*a: pow() is slow on negative bases
         np.multiply(y13, y13, out=sq)
         np.multiply(sq, y13, out=c13)
-        np.matmul(c13, B, out=c24)
+        np.dot(c13, B, out=c24)
         c24 += y24
         np.multiply(c24, c24, out=sq)
         c24 *= sq
-        np.matmul(cubes, G, out=x)
+        np.dot(cubes, G, out=x)
         x += Ex
         x_lin[:] = Ex_lin
         if i % 25 == 0 or i == M:
@@ -268,6 +276,51 @@ def _lagrange_rows(xs, grid_pts, h, lo):
     return idx0, _lagrange_weights(grid_pts[idx0[:, None] + np.arange(4)], xs)
 
 
+def _gtsv(dl, d, du, b):
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    dl, d, du for the (m, k) right-hand sides b, by Gaussian elimination
+    with partial pivoting as in LAPACK's dgtsv (Anderson et al., LAPACK
+    Users' Guide, 3rd ed., 1999).
+
+    The elimination runs on Python floats, once for all columns; each of
+    its row operations is then one numpy operation on a whole row of b.
+    dgtsv calls no BLAS and numpy rounds each product, difference and
+    quotient as the compiled routine does, in the same order, so the
+    solution is LAPACK's bit for bit. A zero pivot raises LinAlgError, as
+    scipy does for dgtsv's INFO > 0.
+    """
+    dl, d, du = dl.tolist(), d.tolist(), du.tolist()
+    rows = list(b)
+    m = len(d)
+    for i in range(m - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            # no interchange: eliminate dl[i] with row i
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            rows[i + 1] = rows[i + 1] - fact * rows[i]
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i + 1; dl[i] becomes the fill-in of
+            # the second superdiagonal
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < m - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            rows[i], rows[i + 1] = rows[i + 1], rows[i] - fact * rows[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    rows[-1] = rows[-1] / d[-1]
+    rows[-2] = (rows[-2] - du[-1] * rows[-1]) / d[-2]
+    for i in range(m - 3, -1, -1):
+        rows[i] = (rows[i] - du[i] * rows[i + 1] - dl[i] * rows[i + 2]) / d[i]
+    return np.array(rows)
+
+
 def _not_a_knot(x, y, q):
     """The not-a-knot cubic spline through the rows of the (m, k) stack y
     at the knots x, one spline per column, evaluated at the points q in
@@ -276,8 +329,11 @@ def _not_a_knot(x, y, q):
 
     It equals scipy's CubicSpline bit for bit. The slope system, the
     Hermite coefficients and the evaluation by ascending powers follow the
-    operation order of its CubicSpline, CubicHermiteSpline and PPoly; the
-    package thus never loads scipy.interpolate, which is slow to import.
+    operation order of its CubicSpline, CubicHermiteSpline and PPoly, and
+    the slope system is solved by _gtsv, a transcription of the LAPACK
+    routine dgtsv that CubicSpline reaches through solve_banded; the
+    package thus loads neither scipy.interpolate nor scipy.linalg here,
+    both slow to import.
 
     Fewer than 4 knots are refused rather than fitted by scipy's 2- and
     3-knot branches. cauchy_cross_check cannot reach them: its domain
@@ -292,26 +348,19 @@ def _not_a_knot(x, y, q):
     dx = np.diff(x)
     dxr = dx[:, None]
     slope = np.diff(y, axis=0) / dxr
-    # the tridiagonal slope system in banded form: super-, main and
-    # sub-diagonal, with the not-a-knot rows at both ends
-    A = np.zeros((3, m))
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
+    # the tridiagonal slope system: sub-, main and super-diagonal, with
+    # the not-a-knot rows at both ends
+    diag = np.concatenate([dx[1:2], 2 * (dx[:-1] + dx[1:]), dx[-2:-1]])
+    sub = np.append(dx[1:], x[-1] - x[-3])
+    sup = np.insert(dx[:-1], 0, x[2] - x[0])
     b = np.empty(y.shape)
     b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
     d = x[2] - x[0]
-    A[1, 0], A[0, 1] = dx[1], d
     b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
     d = x[-1] - x[-3]
-    A[1, -1], A[-1, -2] = dx[-2], d
     b[-1] = (dxr[-1] ** 2 * slope[-2]
              + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    # imported here: scipy.linalg is slow to load, and only crosscheck
-    # needs it
-    from scipy.linalg import solve_banded
-    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)
+    s = _gtsv(sub, diag, sup, b)
     # the cubic and quadratic Hermite coefficients of every interval; the
     # linear and constant ones are s and y at its left knot
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
@@ -329,17 +378,20 @@ def _level_line_seed(traj, s_line, y_line, stride=1):
 
     Only the positive-node half is fitted: a spline is linear in its data
     and odd data give odd slices, so the odd extension of the half fit is
-    the full fit bit for bit at half the cost.
+    the full fit bit for bit at half the cost. U and V share one fit, as
+    its columns are independent.
     """
-    times = traj.times[::stride]
+    half = traj.grid.n // 2
     W = np.zeros(s_line.size)
     Wt = np.zeros(s_line.size)
     ok = s_line >= 0.0
     # row k of the weights interpolates the slice at s_line[k] to y_line[k]
     weights = _barycentric_matrix(traj.grid, y_line[ok])
-    for seed, stack in ((W, traj.U), (Wt, traj.V)):
-        fit = _not_a_knot(times, stack.real[::stride], s_line[ok])
-        seed[ok] = np.einsum("kj,kj->k", weights, odd_extension(fit))
+    fit = _not_a_knot(traj.times[::stride],
+                      np.hstack([traj.U.real[::stride],
+                                 traj.V.real[::stride]]), s_line[ok])
+    for seed, part in ((W, fit[:, :half]), (Wt, fit[:, half:])):
+        seed[ok] = np.einsum("kj,kj->k", weights, odd_extension(part))
     return W, Wt
 
 
@@ -424,8 +476,14 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
 
     dt = 0.5 * dr
     nt = int(np.ceil(span / dt)) + 3
-    cosh2 = np.cosh(r) ** 2
     t_levels = s0 + dt * np.arange(nt + 1)
+    # the leapfrog's points: the effect of cutting the line moves in by
+    # one point per level, at most 2 span + 4 dr over the nt levels, and
+    # stops more than the 4-point stencils' 2 dr short of the compared
+    # points, so the discrepancy is the uncut leapfrog's bit for bit
+    lf = np.flatnonzero(np.abs(r) <= r_cmp + 2.0 * span + 8.0 * dr)
+    lf = slice(lf[0], lf[-1] + 1)
+    cosh2 = np.cosh(r[lf]) ** 2
 
     def accel(W):
         a = np.zeros_like(W)
@@ -436,7 +494,8 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
         return a
 
     def leapfrog_discrepancy(u_end, W0, Wt0):
-        levels = np.zeros((nt + 1, nr))
+        W0, Wt0 = W0[lf], Wt0[lf]
+        levels = np.zeros((nt + 1, W0.size))
         levels[0] = W0
         W1 = W0 + dt * Wt0 + 0.5 * dt ** 2 * accel(W0)
         W1[0] = 0.0
@@ -459,14 +518,18 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
         ir, wr = _lagrange_rows(rr, r, dr, r[0])
         four = np.arange(4)
         block = levels[(it[:, None] + four)[:, :, None],
-                       (ir[:, None] + four)[:, None]]
+                       (ir[:, None] - lf.start + four)[:, None]]
         pulled = np.zeros(grid.n)
         pulled[mask] = (wt[:, None] @ block @ wr[:, :, None])[:, 0, 0]
         pulled = OddField(grid, pulled).half[pos_mask]
         return float(np.max(np.abs(pulled - u_end[pos_mask])))
 
+    # one generator for all solves: the solve at twice a step reuses the
+    # e^{h L} of the solve at that step
+    gen = assemble_generator(grid, Potential.constant(-1.0))
+
     def run(steps):
-        traj = nonlinear_evolve_direct(f, g, s1, ds=s1 / steps)
+        traj = nonlinear_evolve_direct(f, g, s1, ds=s1 / steps, gen=gen)
         W0, Wt0 = _level_line_seed(traj, s_line, y_line)
         return traj, W0, Wt0, leapfrog_discrepancy(traj.U[-1], W0, Wt0)
 
@@ -475,7 +538,8 @@ def cauchy_cross_check(f, g, s0=4.0, s1=5.0, y_max=0.9, r_max=20.0,
     for steps in tries:
         traj, W0, Wt0, disc = run(steps)
         if coarse is None:
-            coarse = nonlinear_evolve_direct(f, g, s1, ds=s1 / (steps // 2))
+            coarse = nonlinear_evolve_direct(f, g, s1, ds=s1 / (steps // 2),
+                                             gen=gen)
         W2, Wt2 = _level_line_seed(traj, s_line[dep], y_line[dep], stride=2)
         spline_w = np.max(np.abs(W2 - W0[dep])) / 15.0
         spline_wt = np.max(np.abs(Wt2 - Wt0[dep])) / 15.0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import hyperwave as hw
-from hyperwave import nonlinear
+from hyperwave import evolution, nonlinear
 from hyperwave.coords import logcosh
 from hyperwave.core_types import (
     _barycentric_matrix,
@@ -299,9 +299,9 @@ def _record_solve_steps(monkeypatch):
     steps = []
     solve = nonlinear.nonlinear_evolve_direct
 
-    def spy(f, g, s_max, ds=None, store_every=1):
+    def spy(f, g, s_max, ds=None, store_every=1, gen=None):
         steps.append(round(s_max / ds))
-        return solve(f, g, s_max, ds=ds, store_every=store_every)
+        return solve(f, g, s_max, ds=ds, store_every=store_every, gen=gen)
 
     monkeypatch.setattr(nonlinear, "nonlinear_evolve_direct", spy)
     return steps
@@ -403,6 +403,38 @@ def test_not_a_knot_equals_cubic_spline(uniform):
         q = np.concatenate([rng.uniform(x[0], x[-1], 200), x[[0, -1]], x])
         got = nonlinear._not_a_knot(x, y, q)
         assert np.array_equal(got, CubicSpline(x, y, axis=0)(q))
+
+
+def test_gtsv_equals_lapack():
+    # the transcription is LAPACK's dgtsv bit for bit on systems that
+    # pivot at random rows, and refuses a zero pivot as scipy does
+    from scipy.linalg import solve_banded
+    rng = np.random.default_rng(5)
+    for m in (2, 3, 4, 17, 400):
+        A = rng.standard_normal((3, m)) * 10.0 ** rng.uniform(-3, 3, (3, m))
+        b = rng.standard_normal((m, 7))
+        got = nonlinear._gtsv(A[2, :-1], A[1], A[0, 1:], b)
+        assert np.array_equal(got, solve_banded((1, 1), A, b))
+    A = np.ones((3, 4))
+    A[2, 1] = 0.0  # the second pivot, 1 - 1, beside a zero below it
+    b = np.ones((4, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded((1, 1), A, b)
+    with pytest.raises(np.linalg.LinAlgError):
+        nonlinear._gtsv(A[2, :-1], A[1], A[0, 1:], b)
+
+
+def test_cross_check_takes_each_step_propagator_once(monkeypatch):
+    # the solve at twice the first try's step shares its generator, so
+    # e^{hL} at that step is computed once: h, h/2 and 2h
+    grid = hw.make_grid(16)
+    f, g = _small_data(grid, energy=0.01)
+    calls = []
+    expm = evolution._expm
+    monkeypatch.setattr(evolution, "_expm",
+                        lambda A: calls.append(1) or expm(A))
+    hw.cauchy_cross_check(f, g, r_max=6.0, dr=0.25)
+    assert len(calls) == 3
 
 
 def test_not_a_knot_refuses_fewer_than_four_knots():
