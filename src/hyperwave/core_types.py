@@ -423,20 +423,87 @@ class Trajectory(Sequence):
                            OddField.from_half(self.grid, self.V[i]))
 
 
-def slice_norms(U, grid, q, out=None):
+def slice_norms(U, grid, q):
     """L^q(-1,1) norms of the odd fields whose positive-node samples are
     the rows of a (..., n/2) stack U (one row: a scalar); q = inf gives
-    the sample sup. `out`, a float array of U's shape and memory layout,
-    is overwritten with |U|^q instead of a new stack."""
-    if q < 1:
-        raise InvalidArgumentError(f"q must be >= 1, got {q}")
-    a = np.abs(U, out=out)
-    if np.isinf(q):
-        return np.max(a, axis=-1)
-    # in place: a second stack-sized temporary makes large stacks (the
-    # scans' 16-slice blocks) page-fault on every call
-    a **= q
-    return (a @ grid.half_weights) ** (1.0 / q)
+    the sample sup."""
+    return _lq_norms(U, grid, [q])[q][()]
+
+
+def _chain(k):
+    """The products that raise x to an integer power k >= 1 by
+    left-to-right binary powering: "s" squares the running power, "m"
+    multiplies it by x. It depends on k alone, so every caller gets the
+    same bits, and powers whose chains share a prefix share its
+    products."""
+    return bin(k)[3:].replace("1", "sm").replace("0", "s")
+
+
+# floats (64 kB) in the spare block of a slice-norm call given none
+_SPARE_FLOATS = 8192
+
+
+def _lq_norms(U, grid, qs, work=None, spare=None):
+    """{q: slice_norms(U, grid, q)} for every q in qs, as arrays: the one
+    slice-norm kernel. |U| is taken once for q = inf and all integer q,
+    which are multiplied out by `_chain`: (|U| |U|)^(q/2) for even q,
+    |U|^q for odd q. This agrees with pow to round-off, and |U| |U| is
+    numpy's square, so q = 2 is exact. A non-integer q takes its own |U|
+    and raises it to q in place with pow.
+
+    `work`, a float array of U's shape and memory layout, receives |U|,
+    and `spare`, a float array of U's shape, the powers; U may be
+    `spare`'s memory, as it is not read once `spare` is written. Without
+    them the powers go through a spare of _SPARE_FLOATS, a few slices at
+    a time: a stack-sized temporary page-faults on large stacks (the
+    scans' 16-slice blocks, long trajectories).
+    """
+    w = grid.half_weights
+    norms = {q: np.empty(np.shape(U)[:-1]) for q in qs}
+    powers = []  # (even, chain, q): |U|^q for odd q, (|U| |U|)^(q/2) else
+    for q, out in norms.items():
+        if q < 1:
+            raise InvalidArgumentError(f"q must be >= 1, got {q}")
+        if float(q).is_integer():
+            even = q % 2 == 0
+            powers.append((even, _chain(int(q) // 2 if even else int(q)), q))
+        elif q != np.inf:
+            a = np.abs(U, out=work)
+            a **= q
+            np.matmul(a, w, out=out)
+            out **= 1.0 / q
+    if not powers and np.inf not in norms:
+        return norms
+    a = np.abs(U, out=work)
+    if np.inf in norms:
+        np.max(a, axis=-1, out=norms[np.inf])
+    chunks = [...]
+    if spare is None and any(chain for _, chain, _ in powers):
+        if a.ndim > 1 and a.size > _SPARE_FLOATS:
+            rows = max(1, _SPARE_FLOATS // a[0].size)
+            chunks = [slice(lo, lo + rows) for lo in range(0, len(a), rows)]
+        spare = np.empty(a[chunks[0]].shape)
+    # odd q first, while |U| lasts; chains that extend one another in turn
+    powers.sort()
+    for c in chunks:
+        x = a[c]
+        into = None if spare is None else spare[:len(x)]
+        squared = False
+        r, done = x, ""  # r is x to the power that the products `done` give
+        for even, chain, q in powers:
+            if even and not squared:
+                np.multiply(x, x, out=x)
+                squared = True
+                r, done = x, ""
+            if not chain.startswith(done):
+                r, done = x, ""
+            for op in chain[len(done):]:
+                r = np.multiply(r, r if op == "s" else x, out=into)
+            done = chain
+            out = norms[q][c]
+            np.matmul(r, w, out=out)
+            out **= 1.0 / q
+    return norms
 
 
 def slice_energies(U, V, grid):
@@ -446,7 +513,7 @@ def slice_energies(U, V, grid):
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise InvalidDataError("non-finite state")
     dU = U @ grid.half_diff.T
-    # in place, as in `slice_norms`: each stack-sized temporary
+    # in place, as in `_lq_norms`: each stack-sized temporary
     # page-faults on a long trajectory
     du2 = np.abs(dU, out=dU) if dU.dtype == float else np.abs(dU)
     np.square(du2, out=du2)

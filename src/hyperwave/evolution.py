@@ -303,8 +303,8 @@ def _stored_steps(num_steps, store_every):
     and the last one."""
     if store_every < 1:
         raise InvalidArgumentError("store_every must be >= 1")
-    return np.unique(np.append(np.arange(0, num_steps + 1, store_every),
-                               num_steps))
+    steps = np.arange(0, num_steps + 1, store_every)
+    return steps if steps[-1] == num_steps else np.append(steps, num_steps)
 
 
 def evolve(gen, init, s_max, ds=None, store_every=1):

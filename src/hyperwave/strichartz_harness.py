@@ -21,12 +21,12 @@ from . import free_wave
 from .core_types import (
     EnergyState,
     OddField,
+    _lq_norms,
     _mixed_from_samples,
     _odd_part,
     make_grid,
     positive_half,
     slice_energies,
-    slice_norms,
 )
 from .errors import DivergenceError, InvalidArgumentError, InvalidDataError
 from .evolution import (
@@ -212,14 +212,21 @@ def _run_scan(potential_id, spec, pairs, s_max, grid, num_slices, refine,
 def _store_norms(norms, lo, U, grid, work):
     """Write the L^q norms of the (k, M, n/2) positive-node slice block U
     into rows lo, ..., lo + k - 1 of each norms[q]; `work`, a float array
-    of U's shape and layout, holds the powers."""
-    for q, out in norms.items():
-        out[lo:lo + len(U)] = slice_norms(U, grid, q, out=work)
+    of U's shape and layout, holds |U|, and U's own memory the powers:
+    the block is spent, both callers refill it."""
+    spare = U.real
+    if np.iscomplexobj(U) and U.strides[-1] == U.itemsize:
+        # the first half of each row's floats: unit stride as in `work`,
+        # so that matmul sums as it does on a new array
+        spare = U.view(float)[..., :U.shape[-1]]
+    for q, out in _lq_norms(U, grid, list(norms), work, spare).items():
+        norms[q][lo:lo + len(U)] = out
 
 
-# Both scans compute their norms in one set of block buffers per sample:
-# a block-sized temporary per call is, depending on the allocator's
-# state, mapped afresh each time and page-faults on every use.
+# Both scans compute their norms in one set of block buffers per sample,
+# the block itself and one float block for |U|: a block-sized temporary
+# per call is, depending on the allocator's state, mapped afresh each
+# time and page-faults on every use.
 
 def _free_norms(cf, cg, grid, times, qs):
     """{q: (len(times), M)} L^q norms of the free solutions with the

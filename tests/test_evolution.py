@@ -501,3 +501,12 @@ def test_decompose_rejects_axis_spectrum():
     with pytest.raises(hw.SpectralAssumptionError):
         hw.decompose_and_evolve(gen, init, 1.0)
 
+
+def test_stored_steps_as_unique_of_appended_last():
+    # the former formula: the stride's range with the last step appended
+    for num_steps in [0, 1, 2, 7, 15, 16, 17, 100, 4000, 10240]:
+        for store_every in [1, 2, 3, 16, 25, 99, 100, 101, 10 ** 9]:
+            want = np.unique(np.append(
+                np.arange(0, num_steps + 1, store_every), num_steps))
+            got = evolution._stored_steps(num_steps, store_every)
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -2,6 +2,7 @@
 Taylor data of CLI polynomial potentials."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hyperwave.core_types import (
     slice_energies,
     slice_norms,
 )
+from hyperwave.strichartz_harness import _store_norms
 
 QS = (2.0, 4.0, 6.0, 8.0, np.inf)
 
@@ -110,6 +112,59 @@ def test_half_kernels_equal_all_node_sums(h, T, cplx, q, seed):
     assert np.all(np.abs(got - want) <= 1e-14 * want)
     got, want = slice_energies(H, K, grid), _all_node_energies(U, V, grid)
     assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(4, 64), k=st.integers(1, 16), members=st.integers(1, 9),
+       qs=st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True),
+       cplx=st.booleans(),
+       layout=st.sampled_from(["stack", "block", "transposed"]),
+       scale=st.integers(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_integer_powers_agree_with_pow(h, k, members, qs, cplx, layout,
+                                       scale, seed):
+    # integer q is multiplied out; pow is the reference. "block" is the
+    # potential scan's (k, M, n/2) block, "transposed" the free scan's
+    # view of a (k, n/2, M) array; both spend the block
+    grid = hw.make_grid(2 * h)
+    rng = np.random.default_rng(seed)
+    shape = (k, h, members) if layout == "transposed" else (k, members, h)
+    values = rng.standard_normal(shape) * 10.0 ** scale
+    if cplx:
+        values = values + 1j * rng.standard_normal(shape) * 10.0 ** scale
+    U = values.transpose(0, 2, 1) if layout == "transposed" else values
+    want = {q: (np.abs(U) ** q @ grid.half_weights) ** (1.0 / q)
+            for q in qs}
+    if layout == "stack":
+        got = {q: slice_norms(U, grid, q) for q in qs}
+    else:
+        got = {q: np.empty((k, members)) for q in map(float, qs)}
+        work = np.empty(values.shape).transpose(0, 2, 1) \
+            if layout == "transposed" else np.empty(values.shape)
+        _store_norms(got, 0, U, grid, work)
+    for q in qs:
+        assert np.all(np.abs(got[q] - want[q]) <= 4 * EPS * want[q])
+
+
+def test_store_norms_allocates_no_block_sized_temporary():
+    # a block-sized temporary per call page-faults on every block
+    grid = hw.make_grid(64)
+    rng = np.random.default_rng(5)
+    block = np.empty((16, 100, 32))
+    work = np.empty(block.shape)
+    norms = {q: np.empty((16, 100)) for q in (2.0, 4.0, 6.0)}
+    block[...] = rng.standard_normal(block.shape)
+    _store_norms(norms, 0, block, grid, work)  # warm
+    block[...] = rng.standard_normal(block.shape)
+    tracemalloc.start()
+    try:
+        _store_norms(norms, 0, block, grid, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block.nbytes // 4
 
 
 @settings(max_examples=40, deadline=None)

@@ -249,8 +249,8 @@ def _per_step_norms(gen, X0, s_max, num_slices, qs):
 
 @settings(max_examples=30, deadline=None)
 @given(num_slices=hst.sampled_from([1, 15, 16, 17, 37]),
-       qs=hst.lists(hst.sampled_from([2.0, 6.0, np.inf]), min_size=1,
-                    max_size=3, unique=True),
+       qs=hst.lists(hst.sampled_from([2.0, 3.5, 4.0, 6.0, np.inf]),
+                    min_size=1, max_size=5, unique=True),
        members=hst.integers(1, 5), is_complex=hst.booleans(),
        v=hst.sampled_from([0.0, -1.0, -6.0]), s_max=hst.floats(0.1, 5.0),
        seed=hst.integers(0, 2 ** 32 - 1))
