@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hyperwave as hw
@@ -118,6 +118,9 @@ EPS = np.finfo(float).eps
 
 
 @settings(max_examples=60, deadline=None)
+# a stack of 19,200 samples: the powers go through the spare in 3 chunks
+@example(h=32, k=40, members=15, qs=[3, 4, 6], cplx=False, layout="stack",
+         scale=0, seed=1)
 @given(h=st.integers(4, 64), k=st.integers(1, 16), members=st.integers(1, 9),
        qs=st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True),
        cplx=st.booleans(),
