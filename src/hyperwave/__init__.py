@@ -82,7 +82,6 @@ from .spectral import (  # noqa: F401
     build_u1,
     build_v1_volterra,
     find_sigma_v,
-    graded_mesh,
     resolvent_apply,
     wronskian_pair,
 )

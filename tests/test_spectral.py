@@ -17,7 +17,6 @@ from hyperwave.spectral import (
     build_u1,
     build_v1_volterra,
     find_sigma_v,
-    graded_mesh,
     resolvent_apply,
     wronskian_pair,
 )
@@ -75,48 +74,58 @@ def test_wronskian_identity_variable_potential():
 
 
 def test_volterra_route_matches_frobenius():
-    V = hw.Potential.constant(-1.0)
-    mesh = graded_mesh(4000)
-    for lam in (0.2 + 3.0j, -0.1 + 8.0j):
-        vol = build_v1_volterra(V, lam, mesh=mesh)
+    # the strip edge Re lam = -1/4, |Im lam| up to 40, a tiny lam, and the
+    # CLI's deepest polynomial potentials, over the whole point range
+    V1 = hw.Potential.constant(-1.0)
+    cases = [(V1, 0.2 + 3.0j), (V1, -0.1 + 8.0j),
+             (V1, -0.25 + 3.0j), (V1, -0.25 + 0.5j),
+             (V1, 0.1 + 20.0j), (V1, 0.25 + 40.0j),
+             (hw.Potential.constant(-6.0), 0.002 + 0.001j),
+             (hw.Potential.even_poly([-7.0, 2.0]), 0.1 + 3.0j),
+             (hw.Potential.constant(-30.0), 0.2 + 3.0j)]
+    for V, lam in cases:
+        vol = build_v1_volterra(V, lam)
         fro = build_u1(V, lam)
         uv = vol.u1_values()
-        uf = fro.u1(mesh)
+        uf = fro.u1(vol.mesh)
         rel = np.max(np.abs(uv - uf)) / np.max(np.abs(uf))
         assert rel < 1e-6
 
 
 def test_volterra_route_matches_frobenius_20_random_pairs():
     # the two independent constructions of the same branch agree to 1e-8
-    # away from the endpoint once the mesh resolves the kernel
+    # away from the endpoint
     pots = [hw.Potential.constant(0.0), hw.Potential.constant(-1.0),
             hw.Potential.constant(-6.0),
             hw.Potential.from_callable(lambda y: y * y - 2.0, name="y2-2")]
     rng = np.random.default_rng(312)
-    mesh = graded_mesh(16000)
-    cut = mesh <= 1.0 - 1e-3
     for k in range(20):
         V = pots[k % 4]
         lam = complex(rng.uniform(-0.25, 0.25),
                       float(rng.choice([-1, 1])) * rng.uniform(0.2, 8.0))
-        vol = build_v1_volterra(V, lam, mesh=mesh)
+        vol = build_v1_volterra(V, lam)
         fro = build_u1(V, lam)
+        cut = vol.mesh <= 1.0 - 1e-3
         uv = vol.u1_values()[cut]
-        uf = fro.u1(mesh[cut])
+        uf = fro.u1(vol.mesh[cut])
         assert np.max(np.abs(uv - uf)) < 1e-8
 
 
-def test_volterra_rejects_tiny_lambda():
+@pytest.mark.parametrize("lam", [1e-9 + 0.0j, -0.3 + 1.0j],
+                         ids=["tiny", "left_of_strip"])
+def test_volterra_rejects_tiny_lambda(lam):
+    # |lam| < 1e-3, and Re lam < -1/4 outside the validity strip
     V = hw.Potential.constant(-1.0)
     with pytest.raises(hw.InvalidArgumentError):
-        build_v1_volterra(V, 1e-9 + 0.0j)
+        build_v1_volterra(V, lam)
 
 
-def test_graded_mesh_shape():
-    mesh = graded_mesh(400)
-    assert mesh[0] == 0.0
-    assert mesh[-1] == pytest.approx(1.0 - 1e-12)
-    assert np.all(np.diff(mesh) > 0)
+def test_volterra_divergence_is_refused():
+    # a deep well drives the successive approximation apart
+    V = hw.Potential.constant(-1000.0)
+    with pytest.raises(hw.VolterraDivergenceError):
+        build_v1_volterra(V, 0.2 + 1.0j)
+    assert hw.VolterraDivergenceError in hw.NUMERICAL_GUARDS
 
 
 def test_sigma_v_empty_for_yangmills_potential():
