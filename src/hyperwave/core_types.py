@@ -123,6 +123,16 @@ def _checked(grid, values, ndim, size):
     return values
 
 
+def _reduced_block(X, n):
+    """X as a reduced vector (n,) or an (n, k) block of them, one state
+    per column; any other shape is refused."""
+    X = np.asarray(X)
+    if X.ndim not in (1, 2) or X.shape[0] != n:
+        raise InvalidArgumentError(
+            f"reduced block of shape {X.shape} does not match n={n}")
+    return X
+
+
 def _frozen(a):
     a.setflags(write=False)
     return a
@@ -160,7 +170,7 @@ class OddField:
     """Samples of an odd function of y on a grid.
 
     `half` holds a read-only copy of the samples at the n/2 positive
-    nodes; `values` expands it to all n nodes on each access. The
+    nodes (`odd_extension(half)` gives them at all n nodes). The
     constructor rejects all-node samples v whose parity defect
     max|v_i + v_{n-1-i}| exceeds 1e-6 relative to the field size and
     stores odd_fold(v); `from_half` takes positive-node samples.
@@ -186,11 +196,6 @@ class OddField:
     @classmethod
     def zero(cls, grid):
         return cls.from_half(grid, np.zeros(grid.n // 2))
-
-    @property
-    def values(self):
-        """The read-only samples at all n nodes."""
-        return _frozen(odd_extension(self.half))
 
     def _other_half(self, other):
         if same_grid(self.grid, other.grid):
@@ -237,7 +242,9 @@ class EnergyState:
         return cls(OddField.zero(grid), OddField.zero(grid))
 
     def stacked(self):
-        return np.concatenate([self.u.values, self.v.values])
+        """(u, ds_u) at all n nodes, one after the other."""
+        return np.concatenate([odd_extension(self.u.half),
+                               odd_extension(self.v.half)])
 
 
 def _horner(coeffs, y2):

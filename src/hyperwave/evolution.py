@@ -23,6 +23,7 @@ from .core_types import (
     EnergyState,
     OddField,
     Trajectory,
+    _reduced_block,
     energy_norm,
     odd_fold,
     same_grid,
@@ -40,10 +41,11 @@ from .spectral import find_sigma_v
 class GeneratorMatrix:
     """Discretized first-order generator for a fixed potential.
 
-    `reduced` is the n x n odd-sector matrix, acting on (f1, f2) at the
-    positive nodes, that time stepping and resolvents use. Eigenvalues,
-    the complex Schur form of `reduced` and its one-step propagators
-    e^{h L} (per step h, see `propagator`) are computed on first use.
+    `reduced` is the n x n odd-sector matrix, acting on reduced vectors
+    (f1, f2) at the positive nodes, that stepping and resolvents use.
+    Eigenvalues, the complex Schur form of `reduced` and its one-step
+    propagators e^{h L} (per step h, see `propagator`) are computed on
+    first use.
     """
 
     __slots__ = ("grid", "potential", "reduced", "_eigs", "_schur",
@@ -56,9 +58,6 @@ class GeneratorMatrix:
         self._eigs = None
         self._schur = None
         self._steps = {}
-
-    def apply(self, state):
-        return self.expand_state(self.reduced @ self.reduce_state(state))
 
     def reduced_eigenvalues(self):
         if self._eigs is None:
@@ -350,39 +349,35 @@ def evolve(gen, init, s_max, ds=None, store_every=1):
 # Resolvent and Riesz projection
 
 class ResolventHandle:
-    """LU-backed solve handle for (lambda I - L) on the odd sector."""
+    """(lambda I - L)^(-1) on the odd sector: `solve(X)` maps a reduced
+    vector (n,) or an (n, k) block of them, one state per column, to its
+    image, by one LU solve of A = lambda I - `gen.reduced`. A non-finite
+    lambda is refused."""
 
-    __slots__ = ("gen", "lam", "_lu")
+    __slots__ = ("gen", "lam", "_a")
 
     def __init__(self, gen, lam):
+        lam = complex(lam)
+        if not np.isfinite(lam):
+            raise InvalidArgumentError(f"lambda must be finite, got {lam}")
         self.gen = gen
         self.lam = lam
-        half2 = gen.reduced.shape[0]
-        from scipy.linalg import lu_factor
-        self._lu = lu_factor(lam * np.eye(half2) - gen.reduced)
+        self._a = lam * np.eye(gen.reduced.shape[0]) - gen.reduced
 
-    def apply(self, state):
-        from scipy.linalg import lu_solve
-        x = self.gen.reduce_state(state).astype(complex)
-        return self.gen.expand_state(lu_solve(self._lu, x))
-
-    def reduced_matrix(self):
-        from scipy.linalg import lu_solve
-        half2 = self.gen.reduced.shape[0]
-        return lu_solve(self._lu, np.eye(half2, dtype=complex))
+    def solve(self, X):
+        return np.linalg.solve(self._a, _reduced_block(X, self.gen.grid.n))
 
 
 def resolvent_matrix(gen, lam):
     """Resolvent handle at lambda; refuses within 1e-6 of the reduced
     matrix spectrum."""
-    lam = complex(lam)
-    eigs = gen.reduced_eigenvalues()
-    dist = float(np.min(np.abs(eigs - lam)))
+    handle = ResolventHandle(gen, lam)
+    dist = float(np.min(np.abs(gen.reduced_eigenvalues() - handle.lam)))
     if dist < 1e-6:
         raise NearEigenvalueError(
-            f"lambda = {lam:.6g} is within {dist:.2e} of a generator"
+            f"lambda = {handle.lam:.6g} is within {dist:.2e} of a generator"
             " eigenvalue")
-    return ResolventHandle(gen, lam)
+    return handle
 
 
 def _as_complex(v):

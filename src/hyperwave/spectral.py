@@ -38,9 +38,9 @@ from typing import Optional
 import numpy as np
 
 from .core_types import (
-    EnergyState,
     OddField,
     _barycentric_matrix,
+    _reduced_block,
     _taylor_shift,
     make_grid,
     positive_half,
@@ -882,9 +882,10 @@ class GreenFunction:
     constant p W(u0, u1) with p = (1-y^2)^(1+lam). Each branch is built
     once: for a polynomial V as the dense Taylor continuation
     (`_TaylorSolution`), for a callable by the adaptive solver
-    (`build_u1`). `apply` is the resolvent at lambda, for Re lambda in
-    (0, 1/4]; build one GreenFunction per lambda and apply it to every
-    state and grid, since each grid's Green matrix is computed once.
+    (`build_u1`). `apply` is the resolvent at a finite lambda with Re
+    lambda in (0, 1/4]; build one GreenFunction per lambda and apply it
+    to every block and grid, since each grid's Green matrix is computed
+    once.
     """
 
     __slots__ = ("lam", "u1_branch", "u1_minus", "wronskian_factor",
@@ -892,9 +893,9 @@ class GreenFunction:
 
     def __init__(self, V, lam):
         lam = complex(lam)
-        if not (0.0 < lam.real <= 0.25 + 1e-12):
+        if not (np.isfinite(lam) and 0.0 < lam.real <= 0.25 + 1e-12):
             raise InvalidArgumentError(
-                f"Re lambda must lie in (0, 0.25], got {lam.real}")
+                f"need a finite lambda with Re in (0, 0.25], got {lam}")
         self.lam = lam
         branch = _TaylorSolution if V.even_coeffs is not None else build_u1
         # a strong potential can make a branch overflow on its way from
@@ -966,32 +967,27 @@ class GreenFunction:
         return -(self.u0(pos)[:, None] * above
                  + self.u1(pos)[:, None] * below) / self.wronskian_factor
 
-    def apply(self, state):
-        """Apply the Green-function resolvent (lam - L)^(-1) to a state.
+    def apply(self, grid, X):
+        """Apply the Green-function resolvent (lam - L)^(-1) to a reduced
+        vector X on `grid`, (f1, f2) at its n/2 positive nodes, or to an
+        (n, k) block of them, one state per column; returns the reduced
+        image in the same shape.
 
         First component: w = G F at the positive nodes, with G the grid's
         Green matrix (`_kernel`) and F(x) = 2x f1'(x) + (lam+1) f1(x) +
         f2(x) assembled there (f1' from `Grid.half_diff`); second
-        component lam * w - f1.
+        component lam * w - f1. A block is one matrix product with G.
         """
-        grid = state.grid
-        pos = positive_half(grid.nodes)
-        f1 = state.u.half
-        F = 2.0 * pos * (grid.half_diff @ f1) + (self.lam + 1.0) * f1 \
-            + state.v.half
-        w_pos = self._kernel(grid) @ F
-        return EnergyState(
-            OddField.from_half(grid, w_pos),
-            OddField.from_half(grid, self.lam * w_pos - f1))
+        f1, f2 = np.split(_reduced_block(X, grid.n), 2)
+        # transposed, so that a block's columns take the node factors
+        dy = (2.0 * positive_half(grid.nodes) * (grid.half_diff @ f1).T).T
+        w = self._kernel(grid) @ (dy + (self.lam + 1.0) * f1 + f2)
+        return np.concatenate([w, self.lam * w - f1])
 
 
-def resolvent_apply(V, lam, state):
-    """Apply the Green-function resolvent to a state.
-
-    Builds the GreenFunction at lam, with the Green matrix of the
-    state's grid, and applies it (see GreenFunction.apply). Requires
-    Re lambda in (0, 1/4] and lambda away from the point spectrum; to
-    apply one lambda to many states, build the GreenFunction once, so
-    that its Green matrix is computed once per grid.
-    """
-    return GreenFunction(V, lam).apply(state)
+def resolvent_apply(V, lam, grid, X):
+    """The Green-function resolvent at lam of a reduced vector X on grid,
+    or of an (n, k) block of them (see GreenFunction.apply); to apply one
+    lambda to many blocks, build the GreenFunction once, so that each
+    grid's Green matrix is computed once."""
+    return GreenFunction(V, lam).apply(grid, X)

@@ -355,9 +355,10 @@ def test_cli_import_leaves_integrate_and_interpolate_unloaded():
 
 
 def test_stepping_commands_leave_scipy_linalg_unloaded(tmp_path):
-    # e^{hL} comes from the package's own kernel and the Cauchy seed's
-    # spline solves its slope system itself, so a process that only steps
-    # the semigroup never pays for loading scipy.linalg
+    # e^{hL} comes from the package's own kernel, the Cauchy seed's
+    # spline solves its slope system itself and the resolvent's matrix
+    # route is a numpy solve, so a process that steps the semigroup or
+    # checks the resolvent never pays for loading scipy.linalg
     cfgs = {
         "ev": ("evolve", {"grid_n": 16, "data": {"kind": "linear"},
                           "s_max": 0.5}),
@@ -376,6 +377,11 @@ def test_stepping_commands_leave_scipy_linalg_unloaded(tmp_path):
                               "s_max": 0.5, "num_slices": 8}),
         "cc": ("crosscheck", {"grid_n": 16, "r_max": 6.0, "dr": 0.25,
                               "data": dict(_BUMP, energy=0.01)}),
+        "rc": ("resolvent-check", {"grid_n": 16,
+                                   "potential": {"kind": "constant",
+                                                 "value": -1.0},
+                                   "lambda": {"re": 0.05, "im": 2.0},
+                                   "num_states": 2}),
     }
     runs = [[cmd, "--config", _write_cfg(tmp_path, f"{name}.json", cfg),
              "--out", str(tmp_path / name)]
@@ -388,7 +394,7 @@ def test_stepping_commands_leave_scipy_linalg_unloaded(tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     exits = [ln for ln in proc.stdout.splitlines() if ln.startswith("exit")]
-    assert exits == ["exit 0 False"] * 5
+    assert exits == ["exit 0 False"] * 6
 
 
 def test_resolvent_check_leaves_integrate_unloaded(tmp_path):

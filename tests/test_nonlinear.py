@@ -260,8 +260,8 @@ def test_direct_parity_preserved():
     f, g = _small_data(grid, energy=0.02)
     traj = hw.nonlinear_evolve_direct(f, g, 2.0, store_every=100)
     for st_ in traj:
-        assert hw.parity_defect(st_.u.values) < 1e-10
-        assert hw.parity_defect(st_.v.values) < 1e-10
+        assert hw.parity_defect(odd_extension(st_.u.half)) < 1e-10
+        assert hw.parity_defect(odd_extension(st_.v.half)) < 1e-10
 
 
 def test_scaling_trend():

@@ -239,9 +239,11 @@ def test_trajectory_states_view_matches_rows(data):
     assert not traj.U.flags.writeable and not traj.V.flags.writeable
     assert len(traj) == U.shape[0]
     for i, st_ in enumerate(traj):
-        assert np.array_equal(st_.u.values, odd_extension(traj.U[i]))
-        assert np.array_equal(st_.v.values, odd_extension(traj.V[i]))
-        assert np.array_equal(traj[i].u.values, U[i])
+        assert np.array_equal(odd_extension(st_.u.half),
+                              odd_extension(traj.U[i]))
+        assert np.array_equal(odd_extension(st_.v.half),
+                              odd_extension(traj.V[i]))
+        assert np.array_equal(odd_extension(traj[i].u.half), U[i])
 
 
 @settings(max_examples=50, deadline=None)
@@ -263,8 +265,9 @@ def test_positive_half_constructors_match_checked_ones(data, cplx):
             b = hw.OddField(grid, u).half
             assert a.dtype == b.dtype and np.array_equal(a, b)
     f = hw.OddField.from_half(grid, H[0])
-    assert not f.values.flags.writeable
-    assert np.array_equal(f.values, hw.OddField(grid, U[0]).values)
+    assert not f.half.flags.writeable
+    assert np.array_equal(odd_extension(f.half),
+                          odd_extension(hw.OddField(grid, U[0]).half))
 
 
 def test_positive_half_constructors_keep_the_data_checks():

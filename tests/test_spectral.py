@@ -8,6 +8,7 @@ from scipy.special import loggamma, psi
 
 import hyperwave as hw
 from hyperwave import cli, spectral
+from hyperwave.core_types import odd_extension
 from hyperwave.spectral import (
     _CONTOUR_GUARD,
     GreenFunction,
@@ -149,8 +150,9 @@ def test_sigma_v_constructed_roots(lam0):
     assert roots[0].residual < 1e-8
     phi = roots[0].eigenfunction
     y = phi.grid.nodes
-    c = (phi.values @ y) / (y @ y)
-    assert np.max(np.abs(phi.values - c * y)) < 1e-8 * max(1.0, abs(c))
+    v = odd_extension(phi.half)
+    c = (v @ y) / (y @ y)
+    assert np.max(np.abs(v - c * y)) < 1e-8 * max(1.0, abs(c))
 
 
 def test_green_function_domain_guards():
@@ -183,11 +185,28 @@ def test_resolvent_apply_matches_matrix_route():
         cheb = np.polynomial.chebyshev
         st = hw.EnergyState.from_callables(
             g, lambda y: cheb.chebval(y, c), lambda y: cheb.chebval(y, d))
-        w_mat = handle.apply(st)
-        w_gr = resolvent_apply(V, lam, st)
-        rel = (np.linalg.norm(w_gr.stacked() - w_mat.stacked())
-               / np.linalg.norm(w_mat.stacked()))
+        x = gen.reduce_state(st)
+        w_mat = handle.solve(x)
+        w_gr = resolvent_apply(V, lam, g, x)
+        rel = np.linalg.norm(w_gr - w_mat) / np.linalg.norm(w_mat)
         assert rel < 1e-6
+
+
+@pytest.mark.parametrize("route", ["matrix", "green"])
+@pytest.mark.parametrize("lam, n_block", [
+    (complex("nan"), 16), (complex("inf"), 16), (complex(0.05, np.inf), 16),
+    (0.05 + 2.0j, 32)])
+def test_resolvent_routes_refuse_bad_lambda_and_block(route, lam, n_block):
+    # a non-finite lambda, or a block of 32-node states given to a
+    # 16-node route, is an argument error before any arithmetic
+    g = hw.make_grid(16)
+    V = hw.Potential.constant(-1.0)
+    X = np.ones((n_block, 3))
+    with pytest.raises(hw.InvalidArgumentError):
+        if route == "matrix":
+            hw.resolvent_matrix(hw.assemble_generator(g, V), lam).solve(X)
+        else:
+            GreenFunction(V, lam).apply(g, X)
 
 
 def test_resolvent_apply_second_component_identity():
@@ -199,10 +218,10 @@ def test_resolvent_apply_second_component_identity():
     lam = 0.1 + 1.0j
     st = hw.EnergyState.from_callables(g, lambda y: y - y ** 3,
                                        lambda y: 0.5 * y)
-    w = resolvent_apply(V, lam, st)
+    x = gen.reduce_state(st)
+    w = resolvent_apply(V, lam, g, x)
     # (lam - L) w = st  (checked in the interior via the matrix generator)
-    back = gen.apply(w)
-    resid = lam * w.stacked() - back.stacked() - st.stacked()
+    resid = lam * w - gen.reduced @ w - x
     assert np.max(np.abs(resid)) < 1e-5
 
 
@@ -492,18 +511,27 @@ def test_green_function_reused_across_states_and_grids():
     green = GreenFunction(V, lam)
     for n in (32, 64, 32):
         g = hw.make_grid(n)
-        state = hw.EnergyState.from_callables(g, lambda y: y - y ** 3,
-                                              lambda y: 0.5 * y ** 3)
-        fresh = resolvent_apply(V, lam, state)
-        np.testing.assert_array_equal(green.apply(state).stacked(),
-                                      fresh.stacked())
+        gen = hw.assemble_generator(g, V)
+        x = gen.reduce_state(hw.EnergyState.from_callables(
+            g, lambda y: y - y ** 3, lambda y: 0.5 * y ** 3))
+        fresh = resolvent_apply(V, lam, g, x)
+        np.testing.assert_array_equal(green.apply(g, x), fresh)
     # complex data: the resolvent is complex-linear
-    other = hw.EnergyState.from_callables(g, lambda y: y ** 5,
-                                          lambda y: -y)
-    both = hw.EnergyState(state.u + 1j * other.u, state.v + 1j * other.v)
-    want = green.apply(state).stacked() + 1j * green.apply(other).stacked()
-    got = green.apply(both).stacked()
+    other = gen.reduce_state(hw.EnergyState.from_callables(
+        g, lambda y: y ** 5, lambda y: -y))
+    want = green.apply(g, x) + 1j * green.apply(g, other)
+    got = green.apply(g, x + 1j * other)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # an (n, 3) block, one state per column: each column of its image, on
+    # both routes, is the image of that column alone
+    X = np.stack([x, other, x - 2j * other], axis=1)
+    handle = hw.resolvent_matrix(gen, lam)
+    for route in (lambda X: green.apply(g, X), handle.solve):
+        W = route(X)
+        assert W.shape == X.shape
+        for j in range(X.shape[1]):
+            w = route(X[:, j])
+            assert np.max(np.abs(W[:, j] - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 def _green_mesh(V, lam, n=128):
@@ -540,8 +568,9 @@ def test_green_function_dense_and_adaptive_branches_agree():
                  (lambda y: np.sin(3.0 * y), lambda y: y * np.exp(-y * y)),
                  (lambda y: y ** 5, lambda y: -y)):
         state = hw.EnergyState.from_callables(g, f, h)
-        want = adaptive.apply(state).stacked()
-        got = dense.apply(state).stacked()
+        x = np.concatenate([state.u.half, state.v.half])
+        want = adaptive.apply(g, x)
+        got = dense.apply(g, x)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
     for green in (dense, adaptive):
         for fn in (green.u1, green.u0):
