@@ -47,7 +47,6 @@ from .errors import (  # noqa: F401
     ResonanceError,
     SpectralAssumptionError,
     StiffFailureError,
-    VolterraDivergenceError,
 )
 from .evolution import (  # noqa: F401
     DecomposedEvolution,

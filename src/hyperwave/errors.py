@@ -34,10 +34,6 @@ class StiffFailureError(HyperwaveError):
     """ODE integrator failed to reach the requested endpoint."""
 
 
-class VolterraDivergenceError(HyperwaveError):
-    """Successive approximation failed to converge."""
-
-
 class InconsistencyError(HyperwaveError):
     """A quantity that must be constant showed significant variation."""
 
@@ -78,7 +74,6 @@ class ConfigError(HyperwaveError):
 NUMERICAL_GUARDS = (
     ResonanceError,
     StiffFailureError,
-    VolterraDivergenceError,
     InconsistencyError,
     ContourAccuracyError,
     NearEigenvalueError,

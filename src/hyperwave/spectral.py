@@ -24,8 +24,8 @@ keeps the Taylor terms of one continuation per branch as dense output
 (`_TaylorSolution`) for a polynomial V, and calls `build_u1` for a
 callable.
 
-The Volterra route (`build_v1_volterra`) builds the same branch by
-successive approximation of an integral equation, a check on `build_u1`.
+The Volterra route (`build_v1_volterra`) builds the same branch from an
+integral equation, solved panel by panel, a check on `build_u1`.
 It and the Green function share the module's one quadrature rule, the
 Gauss-Legendre panels sized by |lambda| of `_green_rule`.
 """
@@ -52,7 +52,6 @@ from .errors import (
     NearEigenvalueError,
     ResonanceError,
     StiffFailureError,
-    VolterraDivergenceError,
 )
 
 # series order and seeding offset: truncation ~ _SEED_OFFSET^(m+1), far
@@ -161,9 +160,9 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, check_resonance=True):
     later sampling).
     """
     lam = complex(lam)
-    if lam.real < -0.25 - 1e-12:
+    if not (np.isfinite(lam) and lam.real >= -0.25 - 1e-12):
         raise InvalidArgumentError(
-            f"Re lambda >= -1/4 required, got {lam.real}")
+            f"need a finite lambda with Re >= -1/4, got {lam}")
     if abs(lam) < 1e-150:
         # DOP853's error norm underflows to 0/0 on the O(lam) slope such a
         # lam gives for V ~ 0; u1 is analytic in lam, so lam = 0 differs
@@ -475,26 +474,29 @@ class VolterraSolution:
 
 
 def build_v1_volterra(V, lam):
-    """Successive approximation for h1 on `_green_rule`'s Gauss panels.
+    """h1 on `_green_rule`'s Gauss panels, solved panel by panel from y = 1.
 
-    h1 <- 1 + (1/2lam) [ int_y^1 V h1 - q(y)^(-lam) int_y^1 q^lam V h1 ],
-    q = (1-y)/(1+y), on one segment [0, 1 - _GREEN_TAIL] (no node
-    breakpoints) with _VOLTERRA_POINTS points per panel. int_y^1 is the
-    sum over the panels above y plus the part of y's own panel above it.
-    Iterates until the sup-difference drops below 1e-12, at most 200
-    times.
+    h1(y) = 1 + (1/2lam) int_y^1 V h1 (1 - (q/q(y))^lam), q = (1-y)/(1+y),
+    collocated on [0, 1 - _GREEN_TAIL] with _VOLTERRA_POINTS points per
+    panel: int_y^1 is y's own panel above y, through the interpolant of
+    its values, plus c2 = sum w q^lam V h1 and c3 = -sum w V h1
+    expm1(lam log q) over the panels above. With R_ij = (q_j/q_i)^lam,
+    panel k reads (I + (half_k/2lam) M o (R - 1) diag V) h_k = 1 + c3/2lam
+    - c2 expm1(-lam log q)/2lam; one batched solve gives h_k = a_k +
+    c3 b_k + c2 d_k, and a recurrence from the top panel down carries c3
+    and c2, the latter times exp(-lam m_k), m_k the mean log q of panel
+    k, which keeps q^(+-lam) in the float range.
     """
     lam = complex(lam)
+    if not (np.isfinite(lam) and lam.real >= -0.25 - 1e-12):
+        raise InvalidArgumentError(
+            f"need a finite lambda with Re >= -1/4, got {lam}")
     if abs(lam) < 1e-3:
         raise InvalidArgumentError(
             "|lambda| >= 1e-3 required on the Volterra route (the origin"
             " is handled by build_u1, which has no lambda-singularity)")
-    if lam.real < -0.25 - 1e-12:
-        raise InvalidArgumentError("Re lambda >= -1/4 required")
     p = _VOLTERRA_POINTS
     x, w, _ = _green_rule(lam, V.max_abs(), np.empty(0), points=p)
-    w = w.reshape(-1, p)
-    half = 0.5 * w.sum(axis=1, keepdims=True)
     # M[i, k] = int_{t_i}^1 of the k-th Lagrange polynomial of the Gauss
     # nodes t of [-1, 1]: the columns of the inverse Vandermonde matrix
     # are its Legendre coefficients
@@ -503,29 +505,30 @@ def build_v1_volterra(V, lam):
     anti = leg.legint(np.linalg.inv(leg.legvander(t, p - 1)), axis=0)
     ends = leg.legvander(np.append(t, 1.0), p) @ anti
     M = ends[-1] - ends[:-1]
-
-    def from_top(f):
-        """int_y^1 f at every point y, from f at the points."""
-        f = f.reshape(w.shape)
-        above = np.cumsum((w * f).sum(axis=1)[:0:-1])[::-1]
-        return (half * (f @ M.T) + np.append(above, 0.0)[:, None]).ravel()
-
-    Vx = np.asarray(V(x), dtype=complex)
-    logq = np.log1p(-x) - np.log1p(x)
-    qlam = np.exp(lam * logq)
-    qlam_inv = np.exp(-lam * logq)
-    h = np.ones_like(x, dtype=complex)
-    for _ in range(200):
-        IV = from_top(Vx * h)
-        Iq = from_top(qlam * Vx * h)
-        hn = 1.0 + (IV - Iq * qlam_inv) / (2.0 * lam)
-        d = float(np.max(np.abs(hn - h)))
-        h = hn
-        if d <= 1e-12:
-            return VolterraSolution(lam, x, h)
-    raise VolterraDivergenceError(
-        f"no convergence in 200 iterations (last delta {d:.3e}): max|V|"
-        " too large against |lambda| for successive approximation")
+    w = w.reshape(-1, p)
+    Vx = np.asarray(V(x), dtype=complex).reshape(w.shape)
+    logq = (np.log1p(-x) - np.log1p(x)).reshape(w.shape)
+    m = logq.mean(axis=1)
+    r = np.exp(lam * (logq - m[:, None]))
+    em = np.expm1(lam * logq)
+    lam2 = 2.0 * lam
+    blocks = ((0.5 * w.sum(axis=1) / lam2)[:, None, None] * M
+              * (r[:, None, :] * (1.0 / r)[:, :, None] - 1.0)
+              * Vx[:, None, :]) + np.eye(p)
+    rhs = np.stack(np.broadcast_arrays(1.0, 1.0 / lam2, em / (lam2 * r)),
+                   axis=-1)
+    abd = np.linalg.solve(blocks, rhs)
+    wv = w * Vx
+    sums = (np.stack([wv * r, -wv * em], axis=1) @ abd).tolist()
+    step = np.exp(lam * np.diff(m, prepend=m[0])).tolist()
+    coef = []
+    c2 = c3 = 0j
+    for s, ((a2, b2, d2), (a3, b3, d3)) in zip(step[::-1], sums[::-1]):
+        coef.append((1.0, c3, c2))
+        c2, c3 = (s * (c2 + a2 + c3 * b2 + c2 * d2),
+                  c3 + a3 + c3 * b3 + c2 * d3)
+    h = abd @ np.array(coef[::-1])[:, :, None]
+    return VolterraSolution(lam, x, h.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +830,8 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
 # p - 1 rather than 2p - 1. Against build_u1 on the 20 random pairs of
 # its test (y <= 1 - 1e-3), the worst gap read 5.8e-7 with 10 points,
 # 4.8e-10 with 10 points on panels of half the span and phase (700-1,380
-# points), and 5.0e-11 with _VOLTERRA_POINTS = 16 (560-1,104 points).
+# points), and 5.0e-11 with _VOLTERRA_POINTS = 16 (560-1,104 points);
+# solved directly, it read <= 2e-12 of max(1, sup|u1|) from V = -100 to -1e4.
 _GREEN_POINTS = 10
 _VOLTERRA_POINTS = 16
 _GREEN_SPAN = 1.0

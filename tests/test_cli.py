@@ -147,12 +147,20 @@ def test_bad_enum_value(tmp_path, capsys):
 
 
 def test_numerical_guard_exit_code(tmp_path, capsys):
-    # resolvent probe right on top of an eigenvalue trips the guard
-    cfg = {"grid_n": 48, "potential": {"kind": "constant", "value": -6.0},
-           "lambda": {"re": 1.0, "im": 0.0}}
-    code, _ = _run(tmp_path, "resolvent-check", cfg)
-    assert code == 3
-    assert "numerical guard" in capsys.readouterr().err
+    # a resolvent probe right on top of an eigenvalue, and cubic data too
+    # large for the Picard contraction (amplitude 10 still converges)
+    runs = [("resolvent-check",
+             {"grid_n": 48, "potential": {"kind": "constant", "value": -6.0},
+              "lambda": {"re": 1.0, "im": 0.0}}, "NearEigenvalueError"),
+            ("yangmills",
+             {"grid_n": 32,
+              "data": {"kind": "bump", "amplitude": 30.0, "width": 0.5},
+              "s_max": 5.0, "ds": 0.05, "data_threshold": 1e9},
+             "ContractionFailureError")]
+    for command, cfg, guard in runs:
+        code, _ = _run(tmp_path, command, cfg)
+        assert code == 3
+        assert f"numerical guard: {guard}:" in capsys.readouterr().err
 
 
 _BUMP = {"kind": "bump", "amplitude": 0.05, "width": 0.6}

@@ -75,15 +75,22 @@ def test_wronskian_identity_variable_potential():
 
 
 def test_volterra_route_matches_frobenius():
-    # the strip edge Re lam = -1/4, |Im lam| up to 40, a tiny lam, and the
-    # CLI's deepest polynomial potentials, over the whole point range
+    # the strip edge Re lam = -1/4, |Im lam| up to 40, a tiny lam, a large
+    # real lam (q^lam leaves the float range at Re lam ~ 20 unless the
+    # panel sums are scaled), the CLI's deepest polynomial potentials, and
+    # deep wells where |V| / |lam| reaches 1e4, over the whole point range
     V1 = hw.Potential.constant(-1.0)
+    V1000 = hw.Potential.constant(-1000.0)
     cases = [(V1, 0.2 + 3.0j), (V1, -0.1 + 8.0j),
              (V1, -0.25 + 3.0j), (V1, -0.25 + 0.5j),
-             (V1, 0.1 + 20.0j), (V1, 0.25 + 40.0j),
+             (V1, 0.1 + 20.0j), (V1, 0.25 + 40.0j), (V1, 25.0),
              (hw.Potential.constant(-6.0), 0.002 + 0.001j),
              (hw.Potential.even_poly([-7.0, 2.0]), 0.1 + 3.0j),
-             (hw.Potential.constant(-30.0), 0.2 + 3.0j)]
+             (hw.Potential.constant(-30.0), 0.2 + 3.0j),
+             (hw.Potential.constant(-100.0), 0.2 + 1.0j),
+             (hw.Potential.constant(-300.0), 3.0),
+             (V1000, 0.2 + 1.0j), (V1000, 0.2 + 10.0j),
+             (hw.Potential.constant(-1e4), 0.2 + 1.0j)]
     for V, lam in cases:
         vol = build_v1_volterra(V, lam)
         fro = build_u1(V, lam)
@@ -121,12 +128,16 @@ def test_volterra_rejects_tiny_lambda(lam):
         build_v1_volterra(V, lam)
 
 
-def test_volterra_divergence_is_refused():
-    # a deep well drives the successive approximation apart
-    V = hw.Potential.constant(-1000.0)
-    with pytest.raises(hw.VolterraDivergenceError):
-        build_v1_volterra(V, 0.2 + 1.0j)
-    assert hw.VolterraDivergenceError in hw.NUMERICAL_GUARDS
+@pytest.mark.parametrize("route", [build_v1_volterra, build_u1,
+                                   wronskian_pair],
+                         ids=["volterra", "frobenius", "wronskian"])
+@pytest.mark.parametrize("lam", [
+    complex("nan"), complex("inf"), complex(0.1, np.inf),
+    complex(0.1, np.nan)], ids=["nan", "inf", "inf_imag", "nan_imag"])
+def test_branch_routes_refuse_non_finite_lambda(route, lam):
+    # an argument error before any arithmetic, as on the resolvent routes
+    with pytest.raises(hw.InvalidArgumentError):
+        route(hw.Potential.constant(-1.0), lam)
 
 
 def test_sigma_v_empty_for_yangmills_potential():
