@@ -29,6 +29,7 @@ from .core_types import (
     EnergyState,
     OddField,
     Potential,
+    _lq_norms,
     energy_norm,
     make_grid,
     slice_energies,
@@ -352,11 +353,11 @@ def _cmd_evolve(c, out_dir, seed):
     traj = evolve(gen, EnergyState(f, g), c["s_max"], ds=c["ds"],
                   store_every=c["store_every"])
     energies = slice_energies(traj.U, traj.V, grid)
+    norms = _lq_norms(traj.U, grid, (2, 6, np.inf))
     _write_csv(out_dir / "series.csv",
                ["s", "energy", "l2", "l6", "sup"],
-               np.column_stack([traj.times, energies, *(
-                   slice_norms(traj.U, grid, q) for q in (2, 6, np.inf))
-               ]).tolist())
+               np.column_stack([traj.times, energies,
+                                *norms.values()]).tolist())
     results = {
         "num_slices": len(traj),
         "final_s": float(traj.times[-1]),

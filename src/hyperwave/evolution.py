@@ -618,27 +618,23 @@ def decompose_and_evolve(gen, init, s_max, ds=None, window=(3.0, 20.0),
     phi_k = (1/k!) (L-lam)^k P_lam init for k <= n(lam).
     """
     lams = _growing_modes(gen, window, "the decomposition does not apply")
-    if not lams:
-        traj = evolve(gen, init, s_max, ds=ds, store_every=store_every)
-        return DecomposedEvolution([], traj)
-
-    proj = growing_mode_projection(gen, lams)
-
-    x0 = gen.reduce_state(init).astype(complex)
     modes = []
-    half2 = gen.reduced.shape[0]
-    for lam, P_lam in zip(lams, proj.parts):
-        near = min(proj.nilpotency, key=lambda z: abs(z - lam), default=None)
-        n_lam = proj.nilpotency.get(near, 0)
-        cur = P_lam @ x0
-        phis = [gen.expand_state(cur)]
-        A = gen.reduced - lam * np.eye(half2)
-        for k in range(1, n_lam + 1):
-            cur = (A @ cur) / k
-            phis.append(gen.expand_state(cur))
-        modes.append(UnstableMode(lam=lam, phis=phis))
-
-    rem = x0 - proj.reduced @ x0
-    stable_traj = evolve(gen, gen.expand_state(rem), s_max, ds=ds,
-                         store_every=store_every)
-    return DecomposedEvolution(modes, stable_traj)
+    rem = init
+    if lams:
+        proj = growing_mode_projection(gen, lams)
+        x0 = gen.reduce_state(init).astype(complex)
+        half2 = gen.reduced.shape[0]
+        for lam, P_lam in zip(lams, proj.parts):
+            near = min(proj.nilpotency, key=lambda z: abs(z - lam),
+                       default=None)
+            n_lam = proj.nilpotency.get(near, 0)
+            cur = P_lam @ x0
+            phis = [gen.expand_state(cur)]
+            A = gen.reduced - lam * np.eye(half2)
+            for k in range(1, n_lam + 1):
+                cur = (A @ cur) / k
+                phis.append(gen.expand_state(cur))
+            modes.append(UnstableMode(lam=lam, phis=phis))
+        rem = gen.expand_state(x0 - proj.reduced @ x0)
+    return DecomposedEvolution(modes, evolve(gen, rem, s_max, ds=ds,
+                                             store_every=store_every))

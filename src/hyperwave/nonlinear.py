@@ -61,17 +61,16 @@ def _x_norm(times, U, grid):
 class PropagatorSet:
     """Exact step propagator of the discretized V = -1 generator.
 
-    The one-step matrix is e^{ds L} on the odd sector, so repeated
-    application is the discrete semigroup with no time-stepping error.
+    The one-step matrix e^{ds L} on the odd sector is kept on gen; its
+    powers are the discrete semigroup, with no time-stepping error.
     """
 
-    __slots__ = ("gen", "ds", "num_steps", "expm_step")
+    __slots__ = ("gen", "ds", "num_steps")
 
-    def __init__(self, gen, ds, num_steps, expm_step):
+    def __init__(self, gen, ds, num_steps):
         self.gen = gen
         self.ds = ds
         self.num_steps = num_steps
-        self.expm_step = expm_step
 
     def times(self):
         return np.arange(self.num_steps + 1) * self.ds
@@ -82,8 +81,7 @@ def make_propagators(grid, ds, s_max):
     if ds <= 0 or s_max < ds:
         raise InvalidArgumentError("need 0 < ds <= s_max")
     gen = assemble_generator(grid, Potential.constant(-1.0))
-    return PropagatorSet(gen, ds, _step_count(s_max, ds, grid.n)[1],
-                         propagator(gen, ds))
+    return PropagatorSet(gen, ds, _step_count(s_max, ds, grid.n)[1])
 
 
 def duhamel_step(prop, f, g, source):
@@ -108,8 +106,8 @@ def duhamel_step(prop, f, g, source):
                                " propagator nodes")
     half = grid.n // 2
     M = prop.num_steps
-    E = prop.expm_step
     ds = prop.ds
+    E = propagator(gen, ds)
 
     # odd-sector reduction of the cubes: values at the positive nodes
     Y = np.zeros((M + 1, 2 * half), dtype=source.U.dtype)
@@ -279,45 +277,30 @@ def _lagrange_rows(xs, grid_pts, h, lo):
 def _gtsv(dl, d, du, b):
     """Solve the tridiagonal system with sub-, main and super-diagonals
     dl, d, du for the (m, k) right-hand sides b, by Gaussian elimination
-    with partial pivoting as in LAPACK's dgtsv (Anderson et al., LAPACK
-    Users' Guide, 3rd ed., 1999).
+    as in LAPACK's dgtsv (Anderson et al., LAPACK Users' Guide, 3rd ed.,
+    1999) where it interchanges no rows.
 
     The elimination runs on Python floats, once for all columns; each of
     its row operations is then one numpy operation on a whole row of b.
-    dgtsv calls no BLAS and numpy rounds each product, difference and
-    quotient as the compiled routine does, in the same order, so the
-    solution is LAPACK's bit for bit. A zero pivot raises LinAlgError, as
-    scipy does for dgtsv's INFO > 0.
+    dgtsv calls no BLAS and numpy rounds each operation as it does, in
+    the same order, so the solution is LAPACK's bit for bit but for the
+    sign of an exact zero (dgtsv also subtracts 0 x_{i+2}). A zero pivot
+    raises LinAlgError, as scipy does for dgtsv's INFO > 0, and so does a
+    row where dgtsv would interchange, |d_i| < |dl_i|.
     """
-    dl, d, du = dl.tolist(), d.tolist(), du.tolist()
+    d, du = d.tolist(), du.tolist()
     rows = list(b)
-    m = len(d)
-    for i in range(m - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            # no interchange: eliminate dl[i] with row i
-            if d[i] == 0.0:
-                raise np.linalg.LinAlgError("singular matrix")
-            fact = dl[i] / d[i]
-            d[i + 1] -= fact * du[i]
-            rows[i + 1] = rows[i + 1] - fact * rows[i]
-            dl[i] = 0.0
-        else:
-            # interchange rows i and i + 1; dl[i] becomes the fill-in of
-            # the second superdiagonal
-            fact = d[i] / dl[i]
-            d[i], temp = dl[i], d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < m - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            rows[i], rows[i + 1] = rows[i + 1], rows[i] - fact * rows[i + 1]
+    for i, low in enumerate(dl.tolist()):
+        if d[i] == 0.0 or not abs(d[i]) >= abs(low):
+            raise np.linalg.LinAlgError("zero pivot or row interchange")
+        fact = low / d[i]
+        d[i + 1] -= fact * du[i]
+        rows[i + 1] = rows[i + 1] - fact * rows[i]
     if d[-1] == 0.0:
         raise np.linalg.LinAlgError("singular matrix")
     rows[-1] = rows[-1] / d[-1]
-    rows[-2] = (rows[-2] - du[-1] * rows[-1]) / d[-2]
-    for i in range(m - 3, -1, -1):
-        rows[i] = (rows[i] - du[i] * rows[i + 1] - dl[i] * rows[i + 2]) / d[i]
+    for i in range(len(d) - 2, -1, -1):
+        rows[i] = (rows[i] - du[i] * rows[i + 1]) / d[i]
     return np.array(rows)
 
 
@@ -327,13 +310,16 @@ def _not_a_knot(x, y, q):
     [x[0], x[-1]] (de Boor, A Practical Guide to Splines, rev. ed. 2001,
     ch. IV-V): a (len(q), k) stack.
 
-    It equals scipy's CubicSpline bit for bit. The slope system, the
-    Hermite coefficients and the evaluation by ascending powers follow the
-    operation order of its CubicSpline, CubicHermiteSpline and PPoly, and
-    the slope system is solved by _gtsv, a transcription of the LAPACK
-    routine dgtsv that CubicSpline reaches through solve_banded; the
-    package thus loads neither scipy.interpolate nor scipy.linalg here,
-    both slow to import.
+    On equally spaced knots it equals scipy's CubicSpline bit for bit: the
+    slope system, the Hermite coefficients and the evaluation by ascending
+    powers follow the operation order of its CubicSpline,
+    CubicHermiteSpline and PPoly, and _gtsv, a transcription of the LAPACK
+    routine dgtsv that CubicSpline reaches through solve_banded, solves the
+    slope system without row interchanges, which such knots never need
+    (the first pivot equals the entry below it, each later one exceeds
+    it). Knots that need one, such as a set with one long gap, raise
+    LinAlgError. The package thus loads neither scipy.interpolate nor
+    scipy.linalg here, both slow to import.
 
     Fewer than 4 knots are refused rather than fitted by scipy's 2- and
     3-knot branches. cauchy_cross_check cannot reach them: its domain

@@ -672,10 +672,6 @@ def _stable_winding(V, rect, pts):
         f"winding number did not stabilize on rectangle {rect}")
 
 
-def _u1_zero_scalar(V, lam):
-    return build_u1(V, lam, check_resonance=False).u1_at_zero
-
-
 def _u1_zero_slope(V, lam):
     """u1(0, lam) and d u1(0, lam) / d lam at one lambda: exact, from one
     Taylor kernel call, for a polynomial V; a central difference of three
@@ -683,9 +679,9 @@ def _u1_zero_slope(V, lam):
     if V.even_coeffs is not None:
         return _u1_taylor(V, lam, _kappa(V, abs(lam)), slope=True)
     h = 1e-6 * (1.0 + abs(lam))
-    return (_u1_zero_scalar(V, lam),
-            (_u1_zero_scalar(V, lam + h)
-             - _u1_zero_scalar(V, lam - h)) / (2.0 * h))
+    f0, fp, fm = (build_u1(V, z, check_resonance=False).u1_at_zero
+                  for z in (lam, lam + h, lam - h))
+    return f0, (fp - fm) / (2.0 * h)
 
 
 def _newton_polish(V, lam0, rect):
@@ -887,13 +883,12 @@ class GreenFunction:
     once: for a polynomial V as the dense Taylor continuation
     (`_TaylorSolution`), for a callable by the adaptive solver
     (`build_u1`). `apply` is the resolvent at a finite lambda with Re
-    lambda in (0, 1/4]; build one GreenFunction per lambda and apply it
-    to every block and grid, since each grid's Green matrix is computed
-    once.
+    lambda in (0, 1/4]. The branches serve every grid; `apply` builds
+    the Green matrix of the grid it is given, so a block of states costs
+    one build and one product.
     """
 
-    __slots__ = ("lam", "u1_branch", "u1_minus", "wronskian_factor",
-                 "_vmax", "_kernels")
+    __slots__ = ("lam", "u1_branch", "u1_minus", "wronskian_factor", "_vmax")
 
     def __init__(self, V, lam):
         lam = complex(lam)
@@ -915,7 +910,6 @@ class GreenFunction:
                 " blow-up (lambda is an eigenvalue or too close to one)")
         self.wronskian_factor = 2.0 * lam * u10
         self._vmax = V.max_abs()
-        self._kernels = {}
 
     def u1(self, y):
         return self.u1_branch.u1(y)
@@ -928,9 +922,9 @@ class GreenFunction:
         return (self.u1_minus.u1_at_zero * up
                 - self.u1_branch.u1_at_zero * wgt * um)
 
-    def _kernel(self, grid):
-        """The Green matrix of `grid`, computed once per grid size: the
-        complex (n/2 x n/2) map from F at the positive nodes to w there.
+    def _green_matrix(self, grid):
+        """The Green matrix of `grid`: the complex (n/2 x n/2) map from F
+        at the positive nodes to w there.
 
         w(y) = -(u0(y) int_y^1 (1-x^2)^lam u1 F + u1(y) int_0^y
         (1-x^2)^lam u0 F) / (2 lam u1(0, lam)), on `_green_rule`'s
@@ -942,15 +936,6 @@ class GreenFunction:
         between two nodes: the integral up to the node y_i is the sum of
         the segments below it, the one from y_i the sum of those above.
         """
-        G = self._kernels.get(grid.n)
-        if G is None:
-            with np.errstate(all="ignore"):
-                G = self._green_matrix(grid)
-            _check_finite(G)
-            self._kernels[grid.n] = G
-        return G
-
-    def _green_matrix(self, grid):
         pos = positive_half(grid.nodes)
         xs, ws, first = _green_rule(self.lam, self._vmax, pos)
         u1x = self.u1_branch.u1(xs)
@@ -978,20 +963,22 @@ class GreenFunction:
         image in the same shape.
 
         First component: w = G F at the positive nodes, with G the grid's
-        Green matrix (`_kernel`) and F(x) = 2x f1'(x) + (lam+1) f1(x) +
-        f2(x) assembled there (f1' from `Grid.half_diff`); second
+        Green matrix (`_green_matrix`) and F(x) = 2x f1'(x) + (lam+1)
+        f1(x) + f2(x) assembled there (f1' from `Grid.half_diff`); second
         component lam * w - f1. A block is one matrix product with G.
         """
         f1, f2 = np.split(_reduced_block(X, grid.n), 2)
         # transposed, so that a block's columns take the node factors
         dy = (2.0 * positive_half(grid.nodes) * (grid.half_diff @ f1).T).T
-        w = self._kernel(grid) @ (dy + (self.lam + 1.0) * f1 + f2)
+        with np.errstate(all="ignore"):
+            G = self._green_matrix(grid)
+        _check_finite(G)
+        w = G @ (dy + (self.lam + 1.0) * f1 + f2)
         return np.concatenate([w, self.lam * w - f1])
 
 
 def resolvent_apply(V, lam, grid, X):
     """The Green-function resolvent at lam of a reduced vector X on grid,
-    or of an (n, k) block of them (see GreenFunction.apply); to apply one
-    lambda to many blocks, build the GreenFunction once, so that each
-    grid's Green matrix is computed once."""
+    or of an (n, k) block of them (see GreenFunction.apply); one block
+    costs one Green matrix, so pass all states at a lambda as one block."""
     return GreenFunction(V, lam).apply(grid, X)

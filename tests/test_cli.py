@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes, outputs, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 import types
@@ -726,3 +727,26 @@ def test_json_default_matches_explicit_conversion(tmp_path):
     cli._write_json(tmp_path / "results.json", obj)
     want = json.dumps(_explicit_jsonable(obj), sort_keys=True, indent=2)
     assert (tmp_path / "results.json").read_text() == want + "\n"
+
+
+def _readme_examples():
+    """(name, command, config) of each `cat > X.json <<'EOF'` example in
+    README.md, with the command that the example runs on it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    pattern = (r"cat > (\w+\.json) <<'EOF'\n(.*?)\nEOF\n"
+               r"hyperwave (\S+) --config \1 ")
+    return [(name, command, body)
+            for name, body, command in re.findall(pattern, text, re.S)]
+
+
+def test_readme_examples_run(tmp_path):
+    examples = _readme_examples()
+    assert sorted(command for _, command, _ in examples) == \
+        sorted(cli.COMMANDS)
+    for name, command, body in examples:
+        cfg = tmp_path / name
+        cfg.write_text(body)
+        out = tmp_path / name.replace(".json", "")
+        assert cli.main([command, "--config", str(cfg), "--out",
+                         str(out)]) == 0, name
+        assert (out / "results.json").exists()

@@ -386,32 +386,42 @@ def test_level_line_seed_equals_full_column_fit(n):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("uniform", [True, False])
-def test_not_a_knot_equals_cubic_spline(uniform):
-    # the package's spline is scipy's, bit for bit, at random points, both
-    # ends and every knot; knot counts are log-uniform over 4..3,000
-    rng = np.random.default_rng(23 + uniform)
+def test_not_a_knot_equals_cubic_spline():
+    # the package's spline is scipy's, bit for bit, on equally spaced
+    # knots at random points, both ends and every knot; knot counts are
+    # log-uniform over 4..3,000
+    rng = np.random.default_rng(24)
     for m in (4, 5, 3000, *np.exp(rng.uniform(np.log(4), np.log(3000), 27))):
         m = int(m)
         k = int(rng.integers(1, 71))
-        x0 = rng.uniform(-5.0, 5.0)
-        if uniform:
-            x = x0 + rng.uniform(1e-3, 1.0) * np.arange(m)
-        else:
-            x = x0 + np.cumsum(rng.uniform(1e-2, 1.0, m))
+        x = rng.uniform(-5.0, 5.0) + rng.uniform(1e-3, 1.0) * np.arange(m)
         y = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3.0, 3.0)
         q = np.concatenate([rng.uniform(x[0], x[-1], 200), x[[0, -1]], x])
         got = nonlinear._not_a_knot(x, y, q)
         assert np.array_equal(got, CubicSpline(x, y, axis=0)(q))
 
 
+def test_not_a_knot_refuses_knots_that_need_a_row_interchange():
+    # one long gap: after the first elimination the second pivot,
+    # dx0 + dx1 = 2, sits above dx2 = 8, where dgtsv interchanges rows;
+    # scipy fits these knots, the package's spline refuses them
+    x = np.array([0.0, 1.0, 2.0, 10.0, 11.0, 12.0])
+    y = np.random.default_rng(3).standard_normal((6, 2))
+    assert np.all(np.isfinite(CubicSpline(x, y, axis=0)(x)))
+    with pytest.raises(np.linalg.LinAlgError):
+        nonlinear._not_a_knot(x, y, x)
+
+
 def test_gtsv_equals_lapack():
-    # the transcription is LAPACK's dgtsv bit for bit on systems that
-    # pivot at random rows, and refuses a zero pivot as scipy does
+    # the transcription is LAPACK's dgtsv bit for bit on random systems
+    # dominant by columns, on which elimination keeps every pivot above
+    # the entry below it, so dgtsv interchanges no rows; it refuses a
+    # zero pivot as scipy does
     from scipy.linalg import solve_banded
     rng = np.random.default_rng(5)
     for m in (2, 3, 4, 17, 400):
         A = rng.standard_normal((3, m)) * 10.0 ** rng.uniform(-3, 3, (3, m))
+        A[1] += np.sign(A[1]) * (np.abs(A[0]) + np.abs(A[2]))
         b = rng.standard_normal((m, 7))
         got = nonlinear._gtsv(A[2, :-1], A[1], A[0, 1:], b)
         assert np.array_equal(got, solve_banded((1, 1), A, b))
@@ -422,6 +432,24 @@ def test_gtsv_equals_lapack():
         solve_banded((1, 1), A, b)
     with pytest.raises(np.linalg.LinAlgError):
         nonlinear._gtsv(A[2, :-1], A[1], A[0, 1:], b)
+
+
+def test_gtsv_refuses_a_row_interchange():
+    # the systems of random magnitudes that dgtsv solves with
+    # interchanges are refused, at the first row (|d0| < |dl0|) or at a
+    # later one, once elimination has shrunk a pivot
+    from scipy.linalg import solve_banded
+    rng = np.random.default_rng(5)
+    for m in (17, 400):
+        A = rng.standard_normal((3, m)) * 10.0 ** rng.uniform(-3, 3, (3, m))
+        b = rng.standard_normal((m, 7))
+        assert np.all(np.isfinite(solve_banded((1, 1), A, b)))
+        with pytest.raises(np.linalg.LinAlgError):
+            nonlinear._gtsv(A[2, :-1], A[1], A[0, 1:], b)
+    A = np.ones((3, 3))
+    A[1, 0] = 0.5  # |d0| = 0.5 < |dl0| = 1
+    with pytest.raises(np.linalg.LinAlgError):
+        nonlinear._gtsv(A[2, :-1], A[1], A[0, 1:], np.ones((3, 1)))
 
 
 def test_cross_check_takes_each_step_propagator_once(monkeypatch):

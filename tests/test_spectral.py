@@ -502,6 +502,57 @@ def test_sigma_v_rejects_bad_search_arguments(kwargs):
         find_sigma_v(hw.Potential.constant(-6.0), **kwargs)
 
 
+@pytest.mark.parametrize("lam0,rect,slope,evaluations", [
+    # left of the validity strip: refused before any evaluation
+    (-0.3 + 1.0j, (-0.4, 0.0, 0.5, 1.5), None, 0),
+    # the zero of lam - 2 lies outside the small cell and its margin
+    (1.0 + 0.0j, (0.95, 1.05, -0.05, 0.05), lambda lam: (lam - 2.0, 1.0), 1),
+    # a zero slope
+    (1.0 + 0.0j, (0.9, 1.1, -0.1, 0.1), lambda lam: (1.0, 0.0), 1),
+    # x^3 - 2x + 2 in x = lam - 1: Newton's exact two-cycle 1 -> 2 -> 1
+    # stays in the cell until the iterations run out
+    (1.0 + 0.0j, (0.5, 2.5, -0.5, 0.5),
+     lambda lam: ((lam - 1) ** 3 - 2 * (lam - 1) + 2, 3 * (lam - 1) ** 2 - 2),
+     60)])
+def test_newton_polish_gives_up(monkeypatch, lam0, rect, slope, evaluations):
+    # each way Newton can fail returns None, so that the caller subdivides
+    calls = []
+    monkeypatch.setattr(spectral, "_u1_zero_slope",
+                        lambda V, lam: calls.append(lam) or slope(lam))
+    V = hw.Potential.constant(-1.0)
+    assert spectral._newton_polish(V, lam0, rect) is None
+    assert len(calls) == evaluations
+
+
+def test_sigma_v_subdivides_when_a_polish_fails(monkeypatch):
+    # the polish of the whole window fails once: the search splits the
+    # window and polishes the root of V = -6, lam = 1, in a half instead
+    V = hw.Potential.constant(-6.0)
+    want = find_sigma_v(V, window=(2.0, 10.0))
+    polish = spectral._newton_polish
+    cells = []
+
+    def flaky(V, lam0, rect):
+        cells.append(rect)
+        return None if len(cells) == 1 else polish(V, lam0, rect)
+
+    monkeypatch.setattr(spectral, "_newton_polish", flaky)
+    got = find_sigma_v(V, window=(2.0, 10.0))
+    assert len(cells) == 2 and cells[1][0] > cells[0][0]
+    assert len(got) == len(want) == 1
+    assert abs(got[0].lam - want[0].lam) <= 1e-13
+    assert abs(got[0].lam - 1.0) <= 1e-12
+
+
+def test_sigma_v_refuses_a_small_cell_it_cannot_polish(monkeypatch):
+    # a polish that always fails: the cells around lam = 1 shrink until
+    # one is small (< 0.2 on both sides), which is refused, not split
+    monkeypatch.setattr(spectral, "_newton_polish",
+                        lambda V, lam0, rect: None)
+    with pytest.raises(hw.ContourAccuracyError, match="failed to polish"):
+        find_sigma_v(hw.Potential.constant(-6.0), window=(2.0, 10.0))
+
+
 def test_sigma_v_depth_exhausted_raises():
     # the whole window has winding 2, so it must be split at least once
     with pytest.raises(hw.ContourAccuracyError):
