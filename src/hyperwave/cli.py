@@ -342,7 +342,7 @@ def _pair_key(p, q):
 
 def _cmd_evolve(c, out_dir, seed):
     grid = _grid(c["grid_n"])
-    steps = _step_count(c["s_max"], c["ds"], grid.n)[1]
+    ds, steps = _step_count(c["s_max"], c["ds"], grid.n)
     _cap("steps", steps, MAX_STEPS)
     _cap("stored values", grid.n * _stored_steps(steps, c["store_every"]).size,
          MAX_STORED)
@@ -350,7 +350,7 @@ def _cmd_evolve(c, out_dir, seed):
     f, g = _build_data(grid, c["data"], "data")
 
     gen = assemble_generator(grid, V)
-    traj = evolve(gen, EnergyState(f, g), c["s_max"], ds=c["ds"],
+    traj = evolve(gen, EnergyState(f, g), c["s_max"], ds=ds,
                   store_every=c["store_every"])
     energies = slice_energies(traj.U, traj.V, grid)
     norms = _lq_norms(traj.U, grid, (2, 6, np.inf))
@@ -366,7 +366,7 @@ def _cmd_evolve(c, out_dir, seed):
         "max_energy": np.max(energies),
         "potential": V.name,
     }
-    return results, {"ds_used": traj.step, "grid_n": grid.n}
+    return results, {"ds_used": ds, "grid_n": grid.n}
 
 
 def _cmd_spectrum(c, out_dir, seed):

@@ -395,14 +395,15 @@ class Trajectory(Sequence):
     `times` has shape (T,); `U` and `V` of shape (T, n/2) hold the
     samples of u and ds_u at the positive nodes on each slice, read-only
     private copies of the stacks given to `Trajectory.from_halves`, the
-    one constructor. The trajectory is a read-only sequence of its
-    slices: indexing builds an EnergyState.
+    one constructor. The step size of the solve that made it is not kept;
+    `times` holds the stored slices' times. The trajectory is a read-only
+    sequence of its slices: indexing builds an EnergyState.
     """
 
-    __slots__ = ("grid", "times", "U", "V", "step")
+    __slots__ = ("grid", "times", "U", "V")
 
     @classmethod
-    def from_halves(cls, grid, times, U, V, step=None):
+    def from_halves(cls, grid, times, U, V):
         """Trajectory of (T,) times and (T, n/2) stacks U of u, V of ds_u
         at the positive nodes."""
         times = np.array(times, dtype=float)
@@ -417,9 +418,6 @@ class Trajectory(Sequence):
         traj.times = _frozen(times)
         traj.U = _from_half(grid, U, ndim=2)
         traj.V = _from_half(grid, V, ndim=2)
-        if step is None:
-            step = float(times[1] - times[0]) if times.size > 1 else 0.0
-        traj.step = step
         return traj
 
     def __len__(self):

@@ -86,10 +86,10 @@ class GeneratorMatrix:
         return EnergyState(*(OddField.from_half(self.grid, h)
                              for h in np.split(x, 2)))
 
-    def trajectory(self, times, X, step):
+    def trajectory(self, times, X):
         """Trajectory of the reduced rows X (one per time)."""
         return Trajectory.from_halves(self.grid, times,
-                                      *np.split(X, 2, axis=-1), step=step)
+                                      *np.split(X, 2, axis=-1))
 
     def energy_factor(self):
         """The matrix R whose product with a reduced vector x has the
@@ -125,16 +125,13 @@ def assemble_generator(grid, V):
 
 
 # Scaling and squaring for e^A (Al-Mohy & Higham, SIAM J. Matrix Anal.
-# Appl. 31 (2009) 970-989, Alg. 5.1, with exact 1-norms): the coefficients
-# b_k of the degree-m diagonal Pade approximant p_m(A) / p_m(-A), the bound
-# theta_m on 2^-s ||A^k||^(1/k) up to which degree m has backward error at
-# most u = 2^-53, and 1 / |c_{2m+1}|, c_{2m+1} the leading coefficient of
-# that backward error's series
+# Appl. 31 (2009) 970-989, Alg. 5.1, with exact 1-norms) on Pade degrees 9
+# and 13 (13 alone reached 2.2x scipy's error on small steps): the
+# coefficients b_k of the degree-m diagonal Pade approximant p_m(A) /
+# p_m(-A), the bound theta_m on 2^-s ||A^k||^(1/k) up to which degree m has
+# backward error at most u = 2^-53, and 1 / |c_{2m+1}|, c_{2m+1} the
+# leading coefficient of that backward error's series
 _PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
-        1.0),
     9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
         2162160.0, 110880.0, 3960.0, 90.0, 1.0),
     13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -142,10 +139,8 @@ _PADE = {
          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
          16380.0, 182.0, 1.0),
 }
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
-_ERROR_COEFF = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
-                9: 5914384781877411840000.0,
+_THETA = {9: 2.097847961257068, 13: 4.25}
+_ERROR_COEFF = {9: 5914384781877411840000.0,
                 13: 113250775606021113483283660800000000.0}
 
 
@@ -185,18 +180,18 @@ def _add_terms(out, tmp, terms, diag=0.0):
 
 
 def _pade(A, W, m):
-    """r_m(A) = p_m(A) / p_m(-A) from A and the workspace W of seven
-    n x n matrices: A^2, A^4, A^6, A^8 in W[0:4] (A^8 for m = 9 only) and
-    three work matrices. It is the right division (V + U)(V - U)^(-1), U
-    and V the odd and even parts of p_m(A), written as
-    I + 2 U (V - U)^(-1) and solved transposed. Against a long-double
+    """r_m(A) = p_m(A) / p_m(-A), m = 9 or 13, from A and the workspace W
+    of seven n x n matrices: A^2, A^4, A^6, A^8 in W[0:4] (A^8 for m = 9
+    only) and three work matrices. It is the right division
+    (V + U)(V - U)^(-1), U and V the odd and even parts of p_m(A), written
+    as I + 2 U (V - U)^(-1) and solved transposed. Against a long-double
     reference on the steps h L the commands take (n = 16-128), this form
     stays within 1.8x of scipy's expm error; (V + U)(V - U)^(-1) solved
     the same way reached 5.8x, at entries near 1."""
     b = _PADE[m]
+    A2, A4, A6, A8 = W[:4]
     t1, t2, U = W[4:]
     if m == 13:
-        A2, A4, A6 = W[:3]
         np.multiply(A6, b[13], out=t1)
         _add_terms(t1, t2, [(b[11], A4), (b[9], A2)])
         np.matmul(A6, t1, out=t2)
@@ -207,13 +202,11 @@ def _pade(A, W, m):
         V = np.matmul(A6, t1, out=t2)
         _add_terms(V, t1, [(b[6], A6), (b[4], A4), (b[2], A2)], b[0])
     else:
-        powers = W[m // 2 - 1::-1]  # A^(m-1), ..., A^2
-        np.multiply(powers[0], b[m], out=t1)
-        _add_terms(t1, t2, zip(b[m - 2:1:-2], powers[1:]), b[1])
+        np.multiply(A8, b[9], out=t1)
+        _add_terms(t1, t2, [(b[7], A6), (b[5], A4), (b[3], A2)], b[1])
         np.matmul(A, t1, out=U)
-        V = t1
-        np.multiply(powers[0], b[m - 1], out=V)
-        _add_terms(V, t2, zip(b[m - 3:0:-2], powers[1:]), b[0])
+        V = np.multiply(A8, b[8], out=t1)
+        _add_terms(V, t2, [(b[6], A6), (b[4], A4), (b[2], A2)], b[0])
     np.subtract(V, U, out=t2)
     U *= 2.0
     X = np.linalg.solve(t2.T, U.T).T
@@ -223,8 +216,8 @@ def _pade(A, W, m):
 
 def _expm(A):
     """e^A for a square float or complex matrix A by scaling and
-    squaring: Alg. 5.1 of Al-Mohy & Higham (2009) chooses the Pade degree
-    m in {3, 5, 7, 9, 13} and the scaling s from ||A^k||_1^(1/k) and
+    squaring: Alg. 5.1 of Al-Mohy & Higham (2009) on its degrees 9 and 13
+    chooses the Pade degree and the scaling s from ||A^k||_1^(1/k) and
     `_ell`. All products go into one workspace of seven n x n matrices.
     A matrix that is not finite, or whose powers overflow, gives all NaN,
     without a warning."""
@@ -238,23 +231,15 @@ def _expm(A):
         np.matmul(A, A, out=A2)
         np.matmul(A2, A2, out=A4)
         np.matmul(A4, A2, out=A6)
-        d4 = _onenorm(A4) ** 0.25
         d6 = _onenorm(A6) ** (1.0 / 6.0)
-        # NaN or inf once a power overflows (max() would hide a NaN)
-        if not math.isfinite(d4 + d6):
-            return nan
-        eta = max(d4, d6)
-        for m in (3, 5):
-            if eta <= _THETA[m] and _ell(A, m, norm_a) == 0:
-                return _pade(A, W, m)
         np.matmul(A4, A4, out=A8)
         d8 = _onenorm(A8) ** 0.125
-        if not math.isfinite(d8):
+        # NaN or inf once a power overflows (max() would hide a NaN)
+        if not math.isfinite(d6 + d8):
             return nan
         eta = max(d6, d8)
-        for m in (7, 9):
-            if eta <= _THETA[m] and _ell(A, m, norm_a) == 0:
-                return _pade(A, W, m)
+        if eta <= _THETA[9] and _ell(A, 9, norm_a) == 0:
+            return _pade(A, W, 9)
         d10 = _onenorm(np.matmul(A4, A6, out=A8)) ** 0.1
         if not math.isfinite(d10):
             return nan
@@ -342,7 +327,7 @@ def evolve(gen, init, s_max, ds=None, store_every=1):
                 raise DivergenceError(
                     f"norm at s = {s:.3f} exceeds 10 e^{{(max|V|+1)s}}"
                     " times the initial norm")
-    return gen.trajectory(steps * ds, rows, ds)
+    return gen.trajectory(steps * ds, rows)
 
 
 # ---------------------------------------------------------------------------

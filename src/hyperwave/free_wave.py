@@ -151,7 +151,7 @@ def free_trajectory(f, g, grid, s_max, ds):
     times = np.arange(num + 1) * ds
     U = evaluate(sol, times[:, None], positive_half(grid.nodes))
     V = ds_evaluate(sol, times[:, None], positive_half(grid.nodes))
-    return Trajectory.from_halves(grid, times, U, V, step=ds)
+    return Trajectory.from_halves(grid, times, U, V)
 
 
 def energy_flux_check(traj):

@@ -123,7 +123,7 @@ def duhamel_step(prop, f, g, source):
         else:
             B = np.dot(E, B + Y[i - 1])
         out[i] = x_lin - ds * (B + 0.5 * Y[i])
-    return gen.trajectory(times, out, ds)
+    return gen.trajectory(times, out)
 
 
 @dataclass
@@ -159,7 +159,7 @@ def picard_solve(f, g, s_max, ds, max_iter=25, tol=1e-10,
     prop = make_propagators(grid, ds, s_max)
     times = prop.times()
     zeros = np.zeros((times.size, grid.n // 2))
-    cur = Trajectory.from_halves(grid, times, zeros, zeros, step=ds)
+    cur = Trajectory.from_halves(grid, times, zeros, zeros)
     x_norms = [0.0]
     deltas = []
     ratios = []
@@ -263,7 +263,7 @@ def nonlinear_evolve_direct(f, g, s_max, ds=None, store_every=1, gen=None):
                     " 10x the linear reference bound; blow-up detected")
         if i % store_every == 0 or i == M:
             rows[-(-i // store_every)] = x
-    return gen.trajectory(steps * ds, rows, ds)
+    return gen.trajectory(steps * ds, rows)
 
 
 def _lagrange_rows(xs, grid_pts, h, lo):

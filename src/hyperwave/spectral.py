@@ -60,6 +60,15 @@ DEFAULT_SERIES_ORDER = 12
 _SEED_OFFSET = 1e-6
 
 
+def _valid_lambda(lam):
+    """lam as a complex number; refused unless finite with Re >= -1/4."""
+    lam = complex(lam)
+    if not (np.isfinite(lam) and lam.real >= -0.25 - 1e-12):
+        raise InvalidArgumentError(
+            f"need a finite lambda with Re >= -1/4, got {lam}")
+    return lam
+
+
 def _resonance_check(lam):
     lr = -complex(lam)
     kr = round(lr.real)
@@ -75,22 +84,20 @@ def _v_z_coefficients(V, m):
     return t * (-1.0) ** np.arange(len(t))
 
 
-def _frobenius_coefficients(bz, lam, m, check=True, c0=None, slope=False):
+def _frobenius_coefficients(bz, lam, m, c0=None, slope=False):
     """Taylor recurrence of the z-form ODE at z = 0, branch exponent 0.
 
     2 (k+1)(k+1+lam) c_{k+1} = (k+lam)(k+lam+1) c_k + sum_j bz_j c_{k-j},
     seeded with c_0 = 2^(-lam), or with a given c0 that does not depend
     on lam. Returns the list c_0, ..., c_m; `lam` is a complex number or
-    an array of N values (each c_k is then an array). With `slope`, also
-    returns the list of the lam-derivatives of the c_k, from the same
-    recurrence differentiated. The denominators only vanish at negative
-    integer lambda; `check=False` skips the resonance test for paths that
-    are known to stay right of Re lambda = -1/2.
+    an array of N values (each c_k is then an array). With `slope`, which
+    needs a given c0, also returns the list of the lam-derivatives of the
+    c_k, from the same recurrence differentiated. The denominators only
+    vanish at negative integer lambda; callers that may meet one run
+    `_resonance_check` first.
     """
-    if check:
-        _resonance_check(lam)
     c = [np.exp(-lam * np.log(2.0)) if c0 is None else c0]
-    d = [-np.log(2.0) * c[0] if c0 is None else 0.0] if slope else None
+    d = [0.0] if slope else None
     for k in range(m):
         s = (k + lam) * (k + lam + 1.0) * c[k]
         for j in range(min(k, len(bz) - 1) + 1):
@@ -159,18 +166,16 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, check_resonance=True):
     y = 0 with adaptive high-order stepping (dense output retained for
     later sampling).
     """
-    lam = complex(lam)
-    if not (np.isfinite(lam) and lam.real >= -0.25 - 1e-12):
-        raise InvalidArgumentError(
-            f"need a finite lambda with Re >= -1/4, got {lam}")
+    lam = _valid_lambda(lam)
     if abs(lam) < 1e-150:
         # DOP853's error norm underflows to 0/0 on the O(lam) slope such a
         # lam gives for V ~ 0; u1 is analytic in lam, so lam = 0 differs
         # from it far below round-off
         lam = 0j
     bz = _v_z_coefficients(V, m)
-    c = np.array(_frobenius_coefficients(bz, np.asarray(lam), m,
-                                         check=check_resonance))
+    if check_resonance:
+        _resonance_check(lam)
+    c = np.array(_frobenius_coefficients(bz, np.asarray(lam), m))
     k = np.arange(m + 1)
     w0 = complex(np.sum(c * _SEED_OFFSET ** k))
     dw0 = complex(np.sum(c[1:] * k[1:] * _SEED_OFFSET ** (k[1:] - 1.0)))
@@ -198,6 +203,8 @@ _CONTOUR_REL_ERROR = 1e-5
 # `_winding` trusts a node only when |u1| is at least this share of the
 # median: 10x the sample error, so its phase is off by at most ~0.1 rad.
 _CONTOUR_GUARD = 10.0 * _CONTOUR_REL_ERROR
+# `find_sigma_v` gives up after this many nested cell subdivisions
+_MAX_DEPTH = 40
 
 
 def _z_mesh(kappa):
@@ -320,8 +327,8 @@ def _taylor_continuation(V, lam, zs, slope=False, panels=None):
     """
     bz = [float(b) for b in
           _v_z_coefficients(V, 2 * len(V.even_coeffs) - 2)]
-    seed = _frobenius_coefficients(bz, lam, _TAYLOR_TERMS, check=False,
-                                   c0=1.0, slope=slope)
+    seed = _frobenius_coefficients(bz, lam, _TAYLOR_TERMS, c0=1.0,
+                                   slope=slope)
     if slope:
         w, dw = _series_at(seed[0], zs[0])
         lw, ldw = _series_at(seed[1], zs[0])
@@ -424,8 +431,7 @@ def _u1_rk4(V, lams, kappa):
     `_z_mesh`).
     """
     m = DEFAULT_SERIES_ORDER
-    c = np.array(_frobenius_coefficients(_v_z_coefficients(V, m), lams, m,
-                                         check=False))
+    c = np.array(_frobenius_coefficients(_v_z_coefficients(V, m), lams, m))
     k = np.arange(m + 1)
     w = _SEED_OFFSET ** k @ c
     dw = (k[1:] * _SEED_OFFSET ** (k[1:] - 1.0)) @ c[1:]
@@ -487,10 +493,7 @@ def build_v1_volterra(V, lam):
     and c2, the latter times exp(-lam m_k), m_k the mean log q of panel
     k, which keeps q^(+-lam) in the float range.
     """
-    lam = complex(lam)
-    if not (np.isfinite(lam) and lam.real >= -0.25 - 1e-12):
-        raise InvalidArgumentError(
-            f"need a finite lambda with Re >= -1/4, got {lam}")
+    lam = _valid_lambda(lam)
     if abs(lam) < 1e-3:
         raise InvalidArgumentError(
             "|lambda| >= 1e-3 required on the Volterra route (the origin"
@@ -707,7 +710,7 @@ def _newton_polish(V, lam0, rect):
 
 
 def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
-                 points_per_edge=256, max_depth=40):
+                 points_per_edge=256):
     """Zeros of u1(0, .) on the rectangle Re in [0, a], |Im| <= b.
 
     Argument-principle counting with adaptive cell subdivision until each
@@ -747,8 +750,6 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
             and points_per_edge >= 1):
         raise InvalidArgumentError(
             f"points_per_edge must be an integer >= 1, got {points_per_edge!r}")
-    if not (max_depth >= 0):
-        raise InvalidArgumentError(f"max_depth must be >= 0, got {max_depth!r}")
     if grid is None:
         grid = make_grid(64)
     roots = []
@@ -769,7 +770,7 @@ def find_sigma_v(V, window=(3.0, 20.0), grid=None, m=DEFAULT_SERIES_ORDER,
             if small:
                 raise ContourAccuracyError(
                     f"failed to polish the root inside {rect}")
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise ContourAccuracyError("cell subdivision depth exhausted")
         symmetric = im_lo == -im_hi
         if symmetric and narrow:

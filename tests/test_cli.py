@@ -187,6 +187,29 @@ def test_out_of_range_config_value_is_a_config_error(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+_FREE_SCAN = {"grid_n": 16, "mode": "free", "ensemble": _ENSEMBLE,
+              "s_max": 0.5, "num_slices": 8}
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("strichartz", dict(_FREE_SCAN, exponents=5),
+     "exponents: expected a nonempty list of [p, q] pairs"),
+    ("strichartz", dict(_FREE_SCAN, exponents=[[2]]),
+     "exponents[0]: expected a [p, q] pair"),
+    ("strichartz", dict(_FREE_SCAN, exponents=[[2, "x"]]),
+     "exponents[0][1]: expected a number or 'inf'"),
+    ("strichartz", dict(_FREE_SCAN, mode="potential"),
+     "potential: required key missing"),
+    # f = T0 + T1: the T0 term is even
+    ("evolve", {"grid_n": 16, "data": {"kind": "cheb", "f": [1.0, 1.0]},
+                "s_max": 0.1},
+     "data: even-order Chebyshev coefficients present")])
+def test_config_guard_names_the_key(tmp_path, capsys, command, cfg, message):
+    code, _ = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,value", [
     ("potential", {"kind": "constant", "value": -1.0}),
     ("window", {"re_max": 1.0, "im_max": 2.0})])
@@ -635,7 +658,7 @@ def test_yangmills_warmup_takes_no_more_steps(tmp_path, monkeypatch):
                    {"grid_n": 16, "data": dict(_BUMP, energy=0.01),
                     "s_max": 0.5})
     assert code == 0
-    steps = [round(traj.times[-1] / traj.step) for _, traj in calls]
+    steps = [len(traj) - 1 for _, traj in calls]
     assert steps == [40]
 
 

@@ -19,10 +19,17 @@ def test_make_grid_basic():
     assert np.all(np.abs(g.nodes) < 1.0)
 
 
-@pytest.mark.parametrize("n", [7, 6, 0, -4])
+@pytest.mark.parametrize("n", [7, 6, 0, -4, 16.0])
 def test_make_grid_rejects_bad_sizes(n):
     with pytest.raises(hw.InvalidArgumentError):
         hw.make_grid(n)
+
+
+def test_trajectory_refuses_no_times():
+    g = hw.make_grid(16)
+    empty = np.zeros((0, 8))
+    with pytest.raises(hw.InvalidDataError, match="empty trajectory"):
+        hw.Trajectory.from_halves(g, [], empty, empty)
 
 
 def test_diff_matrix_exact_on_polynomials():

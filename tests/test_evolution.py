@@ -409,11 +409,20 @@ def test_riesz_contour_through_eigenvalue_between_nodes_rejected(M):
     {"kind": "rect", "re": [0.5, 1.5], "im": [-0.5, 0.5], "points": 800},
     {"kind": "circle", "center": [1.0, 0.0], "radius": 0.5, "points": 128},
     {"kind": "circle", "center": [1.0, 0.0]},
+    {"kind": "circle", "center": [1.0, 0.0], "radius": 0.0},
 ])
 def test_riesz_malformed_contour_rejected(contour):
     gen = hw.assemble_generator(hw.make_grid(48), hw.Potential.constant(-6.0))
     with pytest.raises(hw.InvalidArgumentError):
         hw.riesz_projection(gen, contour)
+
+
+def test_reduce_state_refuses_another_grid():
+    gen = hw.assemble_generator(hw.make_grid(16), hw.Potential.constant(0.0))
+    other = hw.make_grid(32)
+    state = hw.EnergyState(hw.OddField.zero(other), hw.OddField.zero(other))
+    with pytest.raises(hw.InvalidArgumentError, match="grids differ"):
+        gen.reduce_state(state)
 
 
 def test_decompose_and_evolve_single_mode():

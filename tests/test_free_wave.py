@@ -84,6 +84,20 @@ def test_rejects_negative_time():
         free_wave.evaluate(sol, -0.1, 0.5)
 
 
+def test_free_trajectory_refuses_zero_step():
+    with pytest.raises(hw.InvalidArgumentError, match="ds > 0"):
+        free_wave.free_trajectory(np.array([0.0, 1.0]), np.array([0.0]),
+                                  hw.make_grid(16), 1.0, 0.0)
+
+
+def test_energy_flux_check_needs_three_slices():
+    traj = free_wave.free_trajectory(np.array([0.0, 1.0]), np.array([0.0]),
+                                     hw.make_grid(16), 0.1, 0.1)
+    assert len(traj) == 2
+    with pytest.raises(hw.InvalidDataError, match="at least 3 slices"):
+        free_wave.energy_flux_check(traj)
+
+
 def test_free_trajectory_keeps_last_slice_when_quotient_rounds_low():
     # s_max / ds rounds to 4001.9999999999986 here; the slice count must
     # match evolve's, which ends at s_max

@@ -67,6 +67,15 @@ def test_duhamel_grid_mismatch():
                         hw.OddField.zero(other), zero_traj)
 
 
+def test_duhamel_source_off_the_propagator_nodes():
+    grid = hw.make_grid(32)
+    prop = hw.make_propagators(grid, 0.05, 1.0)
+    zero_traj = _zero_trajectory(grid, prop.times() + 0.01)
+    with pytest.raises(hw.InvalidDataError, match="nodes differ"):
+        hw.duhamel_step(prop, hw.OddField.zero(grid),
+                        hw.OddField.zero(grid), zero_traj)
+
+
 def test_picard_zero_data():
     grid = hw.make_grid(32)
     run = hw.picard_solve(hw.OddField.zero(grid), hw.OddField.zero(grid),
@@ -142,6 +151,14 @@ def test_direct_solver_zero_data():
     assert max(hw.energy_norm(s) for s in traj) == 0.0
 
 
+def test_direct_solver_refuses_another_potential():
+    grid = hw.make_grid(16)
+    gen = hw.assemble_generator(grid, hw.Potential.constant(0.0))
+    with pytest.raises(hw.InvalidArgumentError, match="V = -1 generator"):
+        hw.nonlinear_evolve_direct(hw.OddField.zero(grid),
+                                   hw.OddField.zero(grid), 0.1, gen=gen)
+
+
 def test_direct_matches_picard():
     grid = hw.make_grid(64)
     f, g = _small_data(grid)
@@ -215,7 +232,7 @@ def test_lawson_step_matches_stagewise_reference(n, ds, energy, width,
     f, g = _small_data(grid, energy=energy, width=width)
     s_max = 1.0
     gen, rows = _lawson_reference(f, g, s_max, ds)
-    want = gen.trajectory(ds * np.arange(len(rows)), rows, ds)
+    want = gen.trajectory(ds * np.arange(len(rows)), rows)
     got = hw.nonlinear_evolve_direct(f, g, s_max, ds=ds)
     assert np.array_equal(got.times, want.times)
     scale = np.maximum(np.abs(want.U).max(axis=1), np.abs(want.V).max(axis=1))

@@ -128,6 +128,11 @@ def test_volterra_rejects_tiny_lambda(lam):
         build_v1_volterra(V, lam)
 
 
+def test_wronskian_pair_refuses_lambda_zero():
+    with pytest.raises(hw.InvalidArgumentError, match="nonzero"):
+        wronskian_pair(hw.Potential.constant(-1.0), 0)
+
+
 @pytest.mark.parametrize("route", [build_v1_volterra, build_u1,
                                    wronskian_pair],
                          ids=["volterra", "frobenius", "wronskian"])
@@ -496,7 +501,7 @@ def test_sigma_v_splits_a_narrow_upper_cell_in_im(monkeypatch):
 
 @pytest.mark.parametrize("kwargs", [
     {"window": (float("inf"), 1.0)}, {"window": (1.0, float("inf"))},
-    {"points_per_edge": 0}, {"points_per_edge": -3}, {"max_depth": -1}])
+    {"points_per_edge": 0}, {"points_per_edge": -3}])
 def test_sigma_v_rejects_bad_search_arguments(kwargs):
     with pytest.raises(hw.InvalidArgumentError):
         find_sigma_v(hw.Potential.constant(-6.0), **kwargs)
@@ -553,11 +558,11 @@ def test_sigma_v_refuses_a_small_cell_it_cannot_polish(monkeypatch):
         find_sigma_v(hw.Potential.constant(-6.0), window=(2.0, 10.0))
 
 
-def test_sigma_v_depth_exhausted_raises():
+def test_sigma_v_depth_exhausted_raises(monkeypatch):
     # the whole window has winding 2, so it must be split at least once
+    monkeypatch.setattr(spectral, "_MAX_DEPTH", 0)
     with pytest.raises(hw.ContourAccuracyError):
-        find_sigma_v(hw.Potential.constant(-20.0), window=(3.0, 20.0),
-                     max_depth=0)
+        find_sigma_v(hw.Potential.constant(-20.0), window=(3.0, 20.0))
 
 
 @pytest.mark.parametrize("window", [(2.0, -10.0), (-1.0, 10.0), (0.0, 1.0),

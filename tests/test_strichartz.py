@@ -45,6 +45,8 @@ def test_exponent_validation():
         run_free_scan(spec, [(1.5, 4.0)], 4.0)
     with pytest.raises(hw.InvalidArgumentError):
         run_free_scan(spec, [(2.0, 0.5)], 4.0)
+    with pytest.raises(hw.InvalidArgumentError, match="empty exponent list"):
+        run_free_scan(spec, [], 4.0)
 
 
 @pytest.mark.parametrize("decay", [-400.0, -1e-9, np.inf, np.nan])
