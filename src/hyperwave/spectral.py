@@ -37,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _dop853
 from .core_types import (
     OddField,
     _barycentric_matrix,
@@ -132,7 +133,7 @@ class FrobeniusSolution:
     def __init__(self, coeffs, dense):
         self.taylor_coeffs = coeffs
         self._dense = dense
-        self.u1_at_zero = complex(dense.sol(1.0)[0])
+        self.u1_at_zero = complex(dense(1.0)[0])
 
     def _eval(self, y, d):
         """w (d = 0) or dw/dz (d = 1) at the points y: the dense ODE
@@ -141,7 +142,7 @@ class FrobeniusSolution:
         on_dense = z >= _SEED_OFFSET
         out = np.empty(z.shape, dtype=complex)
         if np.any(on_dense):
-            out[on_dense] = self._dense.sol(z[on_dense])[d]
+            out[on_dense] = self._dense(z[on_dense])[d]
         if np.any(~on_dense):
             c = self.taylor_coeffs[None, d:]
             k = np.arange(d, self.taylor_coeffs.size)
@@ -163,8 +164,10 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, check_resonance=True):
     Requires Re lambda >= -1/4. Detects indicial resonance (which only
     obstructs pairing with the second branch, so root polishing disables
     the check), seeds the series at z = _SEED_OFFSET and integrates to
-    y = 0 with adaptive high-order stepping (dense output retained for
-    later sampling).
+    y = 0 with the package's DOP853 (`_dop853.solve`: scipy's solve_ivp
+    method "DOP853" bit for bit, rtol 1e-12, atol 1e-14), keeping its
+    dense output for later sampling. A failed integration raises
+    StiffFailureError.
     """
     lam = _valid_lambda(lam)
     if abs(lam) < 1e-150:
@@ -187,14 +190,11 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, check_resonance=True):
               + (lam * (lam + 1.0) + vy) * w) / (z * (2.0 - z))
         return [dw, dd]
 
-    # imported at its one call site: scipy.integrate is slow to load
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, (_SEED_OFFSET, 1.0), [w0, dw0], method="DOP853",
-                    rtol=1e-12, atol=1e-14, dense_output=True)
-    if not sol.success:
-        raise StiffFailureError(f"integration failed: {sol.message}")
-    return FrobeniusSolution(c, sol)
+    # scipy's solve_ivp(method="DOP853") bit for bit, without loading
+    # scipy.integrate
+    dense = _dop853.solve(rhs, _SEED_OFFSET, [w0, dw0], 1.0,
+                          rtol=1e-12, atol=1e-14)
+    return FrobeniusSolution(c, dense)
 
 
 # Contour samples of u1(0, lam) are held to this error, relative to the

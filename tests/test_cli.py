@@ -375,9 +375,9 @@ def test_console_module_invocation(tmp_path):
 
 
 def test_cli_import_leaves_integrate_and_interpolate_unloaded():
-    # scipy.integrate loads at its one call site, build_u1's solve_ivp;
-    # no command needs scipy.interpolate. At import either would cost
-    # every command
+    # the package's adaptive solver and spline are its own, so no command
+    # needs scipy.integrate or scipy.interpolate; at import either would
+    # cost every command
     code = ("import sys, hyperwave.cli; print(sorted(m for m in"
             " ('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -432,7 +432,7 @@ def test_stepping_commands_leave_scipy_linalg_unloaded(tmp_path):
 def test_resolvent_check_leaves_integrate_unloaded(tmp_path):
     # a polynomial potential's Green function takes both branches from
     # the Taylor kernel, so the README resolvent check never reaches the
-    # adaptive solver (the only user of scipy.integrate)
+    # adaptive solver, and nothing else loads scipy.integrate
     cfg = _write_cfg(tmp_path, "rc.json", {
         "grid_n": 128, "potential": {"kind": "constant", "value": -1.0},
         "lambda": {"re": 0.05, "im": 2.0}, "num_states": 10, "seed": 7})
@@ -443,6 +443,23 @@ def test_resolvent_check_leaves_integrate_unloaded(tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_spectrum_with_a_root_leaves_integrate_unloaded(tmp_path):
+    # the README spectrum run polishes its roots and checks each with one
+    # adaptive DOP853 solve, build_u1, the package's own transcription
+    cfg = _write_cfg(tmp_path, "sp.json", {
+        "grid_n": 64, "potential": {"kind": "constant", "value": -6.0},
+        "window": {"re_max": 2.0, "im_max": 10.0}})
+    out = tmp_path / "o"
+    argv = ["spectrum", "--config", cfg, "--out", str(out)]
+    code = ("import sys, hyperwave.cli; code = hyperwave.cli.main("
+            f"{argv!r}); print(code, 'scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+    assert json.loads((out / "results.json").read_text())["num_roots"] == 1
 
 
 def test_crosscheck_leaves_interpolate_unloaded(tmp_path):
