@@ -273,8 +273,8 @@ class Potential:
     (`even_coeffs`); Potential.constant(c) is its degree-0 case. Its values
     are Horner sums in y*y, and its Taylor data come from the
     coefficients. Potential.from_callable(fn) wraps an opaque function
-    (`even_coeffs` is None); its evenness is checked on a fixed probe set
-    at construction and its Taylor data are computed numerically.
+    (`even_coeffs` is None); it is checked finite and even on a fixed probe
+    set at construction and its Taylor data are computed numerically.
     taylor_at_one(m) returns the first m coefficients of V at y = 1 in
     powers of (y - 1); `at(y)` is V at one point as a float.
     """
@@ -310,6 +310,9 @@ class Potential:
             raise InvalidDataError(
                 "potential must return one value per input point, got"
                 f" shape {v_plus.shape} for input shape {yy.shape}")
+        if not np.all(np.isfinite(v_plus) & np.isfinite(v_minus)):
+            raise InvalidDataError(
+                "potential is not finite on [-0.997, 0.997]")
         scale = 1.0 + float(np.max(np.abs(v_plus)))
         if np.max(np.abs(v_plus - v_minus)) > 1e-12 * scale:
             raise InvalidDataError("potential is not even to 1e-12")

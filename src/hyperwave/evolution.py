@@ -13,7 +13,11 @@ construction, and no spurious even-sector eigenvalues), the samples that
 OddField and Trajectory store; the layout itself lives in core_types.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -36,6 +40,30 @@ from .errors import (
     SpectralAssumptionError,
 )
 from .spectral import find_sigma_v
+
+
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK wrappers, the extension module
+    scipy.linalg._flapack, loaded from its file alone. Its zgees, ztrsen
+    and ztrsyl are the very functions scipy.linalg.lapack exports, but
+    `import scipy.linalg` would also run the package's Python modules
+    (with numpy.f2py, numpy.testing and unittest), which cost a cold
+    process more time and memory than the Schur form itself."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    paths = [os.path.join(scipy_dir, "linalg", "_flapack" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for path in paths:
+        if os.path.isfile(path):
+            name = "scipy.linalg._flapack"
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path,
+                                                       loader=loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(
+        f"scipy's LAPACK extension not found: {' or '.join(paths)}")
 
 
 class GeneratorMatrix:
@@ -65,12 +93,22 @@ class GeneratorMatrix:
         return self._eigs
 
     def reduced_schur(self):
-        """(T, Q) with reduced = Q T Q^H, T upper triangular."""
+        """(T, Q) with reduced = Q T Q^H, T upper triangular: LAPACK's
+        zgees on a complex copy of `reduced`, a workspace query and then
+        the call, with the arguments scipy.linalg.schur(reduced,
+        output="complex") passes, so T and Q are scipy's bit for bit."""
         if self._schur is None:
-            # scipy.linalg is imported where its LAPACK-only routines run:
-            # loading it costs more than a small command's whole run
-            from scipy.linalg import schur
-            self._schur = schur(self.reduced, output="complex")
+            if not np.all(np.isfinite(self.reduced)):
+                raise ValueError("array must not contain infs or NaNs")
+            # zgees wants an eigenvalue selector even when it does not sort
+            zgees = functools.partial(_lapack().zgees, lambda x: None)
+            a = self.reduced.astype(complex)
+            lwork = int(zgees(a, lwork=-1)[-2][0].real)
+            result = zgees(a, lwork=lwork, overwrite_a=1, sort_t=0)
+            if result[-1] > 0:
+                raise np.linalg.LinAlgError(
+                    "Schur form not found. Possibly ill-conditioned.")
+            self._schur = result[0], result[-3]
         return self._schur
 
     def _check_grid(self, state):
@@ -424,13 +462,14 @@ def _schur_split(T, Q, select):
     Q T Q^H to the front and block-diagonalize it. Returns the reordered
     T11 and Q, the solution Y of T11 Y - Y T22 = -T12, and the LAPACK
     estimate of sep(T11, T22)."""
-    from scipy.linalg.lapack import ztrsen, ztrsyl
+    lapack = _lapack()
     n = T.shape[0]
-    T, Q, _, k, _, sep, info = ztrsen(select.astype(np.int32), T, Q,
-                                      job="B", lwork=n * n)
+    T, Q, _, k, _, sep, info = lapack.ztrsen(select.astype(np.int32), T,
+                                             Q, job="B", lwork=n * n)
     Y, scale = np.zeros((k, n - k), dtype=complex), 1.0
     if info == 0 and 0 < k < n:
-        Y, scale, info = ztrsyl(T[:k, :k], T[k:, k:], -T[:k, k:], isgn=-1)
+        Y, scale, info = lapack.ztrsyl(T[:k, :k], T[k:, k:], -T[:k, k:],
+                                       isgn=-1)
     if info != 0:
         raise ContourAccuracyError(
             "the eigenvalues inside the contour cannot be split from the"

@@ -178,10 +178,15 @@ def build_u1(V, lam, m=DEFAULT_SERIES_ORDER, check_resonance=True):
     bz = _v_z_coefficients(V, m)
     if check_resonance:
         _resonance_check(lam)
-    c = np.array(_frobenius_coefficients(bz, np.asarray(lam), m))
-    k = np.arange(m + 1)
-    w0 = complex(np.sum(c * _SEED_OFFSET ** k))
-    dw0 = complex(np.sum(c[1:] * k[1:] * _SEED_OFFSET ** (k[1:] - 1.0)))
+    # a lam of huge modulus overflows the series; it is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.array(_frobenius_coefficients(bz, np.asarray(lam), m))
+        k = np.arange(m + 1)
+        w0 = complex(np.sum(c * _SEED_OFFSET ** k))
+        dw0 = complex(np.sum(c[1:] * k[1:] * _SEED_OFFSET ** (k[1:] - 1.0)))
+    if not (np.isfinite(w0) and np.isfinite(dw0)):
+        raise InvalidArgumentError(
+            f"the Frobenius seed overflows at lambda = {lam}")
 
     def rhs(z, st):
         w, dw = st

@@ -388,9 +388,11 @@ def test_cli_import_leaves_integrate_and_interpolate_unloaded():
 
 def test_stepping_commands_leave_scipy_linalg_unloaded(tmp_path):
     # e^{hL} comes from the package's own kernel, the Cauchy seed's
-    # spline solves its slope system itself and the resolvent's matrix
-    # route is a numpy solve, so a process that steps the semigroup or
-    # checks the resolvent never pays for loading scipy.linalg
+    # spline solves its slope system itself, the resolvent's matrix
+    # route is a numpy solve and the Riesz projection of a scan with a
+    # growing mode loads only scipy's LAPACK extension, so a process that
+    # steps the semigroup or checks the resolvent never pays for loading
+    # scipy.linalg
     cfgs = {
         "ev": ("evolve", {"grid_n": 16, "data": {"kind": "linear"},
                           "s_max": 0.5}),
@@ -400,6 +402,14 @@ def test_stepping_commands_leave_scipy_linalg_unloaded(tmp_path):
                               "potential": {"kind": "constant",
                                             "value": -1.0},
                               "window": {"re_max": 0.5, "im_max": 1.0},
+                              "ensemble": {"count": 2, "band_limit": 2,
+                                           "seed": 1},
+                              "s_max": 0.5, "num_slices": 8}),
+        # V = -6 has its growing mode at lambda = 1, inside the window
+        "sg": ("strichartz", {"grid_n": 16, "mode": "potential",
+                              "potential": {"kind": "constant",
+                                            "value": -6.0},
+                              "window": {"re_max": 2.0, "im_max": 1.0},
                               "ensemble": {"count": 2, "band_limit": 2,
                                            "seed": 1},
                               "s_max": 0.5, "num_slices": 8}),
@@ -426,7 +436,7 @@ def test_stepping_commands_leave_scipy_linalg_unloaded(tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     exits = [ln for ln in proc.stdout.splitlines() if ln.startswith("exit")]
-    assert exits == ["exit 0 False"] * 6
+    assert exits == ["exit 0 False"] * 7
 
 
 def test_resolvent_check_leaves_integrate_unloaded(tmp_path):
@@ -447,18 +457,20 @@ def test_resolvent_check_leaves_integrate_unloaded(tmp_path):
 
 def test_spectrum_with_a_root_leaves_integrate_unloaded(tmp_path):
     # the README spectrum run polishes its roots and checks each with one
-    # adaptive DOP853 solve, build_u1, the package's own transcription
+    # adaptive DOP853 solve, build_u1, the package's own transcription;
+    # its Riesz projection loads scipy's LAPACK extension, not scipy.linalg
     cfg = _write_cfg(tmp_path, "sp.json", {
         "grid_n": 64, "potential": {"kind": "constant", "value": -6.0},
         "window": {"re_max": 2.0, "im_max": 10.0}})
     out = tmp_path / "o"
     argv = ["spectrum", "--config", cfg, "--out", str(out)]
     code = ("import sys, hyperwave.cli; code = hyperwave.cli.main("
-            f"{argv!r}); print(code, 'scipy.integrate' in sys.modules)")
+            f"{argv!r}); print(code, 'scipy.integrate' in sys.modules,"
+            " 'scipy.linalg' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+    assert proc.stdout.strip().splitlines()[-1] == "0 False False"
     assert json.loads((out / "results.json").read_text())["num_roots"] == 1
 
 

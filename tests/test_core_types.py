@@ -237,6 +237,18 @@ def test_potential_evenness_guard():
 
 
 @pytest.mark.parametrize("fn", [
+    lambda y: np.where(np.abs(y) < 0.5, np.nan, -1.0),
+    lambda y: np.where(np.abs(y) < 0.5, np.inf, -1.0),
+    lambda y: np.where(np.abs(y) > 0.9, -np.inf, -1.0)],
+    ids=["nan", "inf", "even_inf"])
+def test_potential_rejects_non_finite_values(fn):
+    # NaN made the evenness test pass (NaN > x is False), and inf - inf
+    # is NaN; a non-finite V is refused at construction
+    with pytest.raises(hw.InvalidDataError, match="not finite"):
+        hw.Potential.from_callable(fn)
+
+
+@pytest.mark.parametrize("fn", [
     lambda y: -1.0,
     lambda y: np.stack([y ** 2, y ** 2]),
     lambda y: np.sum(y ** 2)])

@@ -103,9 +103,9 @@ def test_solver_matches_solve_ivp_on_random_polynomial_wells(coeffs, re, im):
 
 def test_a_collapsing_step_fails_as_in_scipy(monkeypatch):
     # V is undefined (NaN) for |y| < 1/2: every step into it is rejected
-    # until the step is below ten spacings of z
-    V = hw.Potential.from_callable(
-        lambda y: np.where(np.abs(y) < 0.5, np.nan, -1.0))
+    # until the step is below ten spacings of z. from_callable refuses
+    # such a V, so it is built directly
+    V = hw.Potential(fn=lambda y: np.where(np.abs(y) < 0.5, np.nan, -1.0))
     seen = _spy(monkeypatch)
     # both solvers divide NaN error estimates by NaN scales
     with warnings.catch_warnings():
@@ -121,10 +121,23 @@ def test_a_collapsing_step_fails_as_in_scipy(monkeypatch):
     assert str(err.value) == str(own.value)
 
 
-def test_build_u1_keeps_scipys_refusal_of_a_non_finite_seed():
-    # the series seed overflows for |Im lambda| ~ 1e200
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValueError, match="must be finite"):
-            spectral.build_u1(hw.Potential.constant(-1.0),
-                              complex(-0.25, 1e200))
+def test_solve_keeps_scipys_refusal_of_a_non_finite_seed():
+    def fun(t, y):
+        return y
+
+    with pytest.raises(ValueError, match="must be finite") as ref:
+        solve_ivp(fun, (0.0, 1.0), [np.nan, 1.0], method="DOP853")
+    with pytest.raises(ValueError) as own:
+        _dop853.solve(fun, 0.0, [np.nan, 1.0], 1.0, rtol=1e-12, atol=1e-14)
+    assert str(own.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("lam", [complex(-0.25, 1e200), complex(1e200),
+                                 complex(1e155, 1e155)])
+def test_build_u1_refuses_an_overflowing_seed(lam, monkeypatch):
+    # the series seed overflows for |lambda| ~ 1e155 and beyond; build_u1
+    # refuses it, without a RuntimeWarning, before the solver runs
+    seen = _spy(monkeypatch)
+    with pytest.raises(hw.InvalidArgumentError, match="lambda"):
+        spectral.build_u1(hw.Potential.constant(-1.0), lam)
+    assert not seen

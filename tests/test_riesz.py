@@ -2,15 +2,16 @@
 integral of the resolvent, evaluated by the trapezoid rule on a circle."""
 
 import functools
+import importlib.machinery
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import schur
+from scipy.linalg import lapack, schur
 
 import hyperwave as hw
-from hyperwave.evolution import RieszProjection, _add_part
+from hyperwave.evolution import RieszProjection, _add_part, _lapack
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,47 @@ def test_jordan_block_multiplicity_and_nilpotency():
     assert abs(lam - 1.0) < 1e-6
     assert mult == _matrix_rank_svd(P_quad) == proj.rank == 2
     assert proj.nilpotency[lam] == _nilpotency_order(A, lam, P_quad) == 1
+
+
+# ---------------------------------------------------------------------------
+# LAPACK without the scipy.linalg package
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("V", [
+    hw.Potential.constant(-6.0),
+    hw.Potential.even_poly([-7.0, 2.0]),
+    hw.Potential.from_callable(lambda y: -6.0 / np.cosh(3.0 * y) ** 2)],
+    ids=["constant", "even_poly", "callable"])
+def test_reduced_schur_equals_scipys(V, n):
+    gen = hw.assemble_generator(hw.make_grid(n), V)
+    T, Q = gen.reduced_schur()
+    T_ref, Q_ref = schur(gen.reduced, output="complex")
+    assert np.array_equal(T, T_ref)
+    assert np.array_equal(Q, Q_ref)
+
+
+def test_reduced_schur_refuses_non_finite_entries_as_scipy():
+    # finite on from_callable's probe set, infinite at the outer nodes
+    V = hw.Potential.from_callable(
+        lambda y: np.where(np.abs(y) > 0.998, np.inf, -1.0))
+    gen = hw.assemble_generator(hw.make_grid(128), V)
+    with pytest.raises(ValueError) as ref:
+        schur(gen.reduced, output="complex")
+    with pytest.raises(ValueError) as own:
+        gen.reduced_schur()
+    assert str(own.value) == str(ref.value)
+
+
+def test_lapack_loader_gives_scipys_routines():
+    assert all(getattr(_lapack(), name) is getattr(lapack, name)
+               for name in ("zgees", "ztrsen", "ztrsyl"))
+
+
+def test_lapack_loader_names_a_missing_extension(monkeypatch):
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".missing.so"])
+    with pytest.raises(ImportError, match=r"linalg/_flapack\.missing\.so"):
+        _lapack.__wrapped__()
 
 
 # ---------------------------------------------------------------------------
